@@ -9,7 +9,7 @@ syzygies, and a CLI that sweeps the (n, k) grid against the closed-form
 classification.
 """
 
-from vdwcomplex._kernels import implementation_name, using_compiled
+from vdwcomplex._kernels import implementation_name
 from vdwcomplex.complexes import MAX_VERTICES, SimplicialComplex, pack, unpack
 from vdwcomplex.decompose import (
     DEFAULT_SHELLING_BUDGET,
@@ -93,7 +93,6 @@ __all__ = [
     "taylor_syzygies",
     "is_linearly_presented",
     "nonlinear_obstruction_vdw",
-    "using_compiled",
     "implementation_name",
     "__version__",
 ]

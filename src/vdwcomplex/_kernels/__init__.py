@@ -25,10 +25,6 @@ _COMPILED_MAX_FACETS = 64
 _COMPILED_MAX_PRIME = 1 << 31
 
 
-def using_compiled() -> bool:
-    return _compiled is not None
-
-
 def implementation_name() -> str:
     return "compiled" if _compiled is not None else "pure"
 

@@ -123,7 +123,6 @@ def search_shelling(masks: list[int], budget: int) -> tuple[int, list[int] | Non
     order = [0] * s
     placed: list[int] = []
     visited: set[int] = set()
-    nodes = 0
 
     def extendable(fm: int) -> bool:
         shed = 0
@@ -143,29 +142,36 @@ def search_shelling(masks: list[int], budget: int) -> tuple[int, list[int] | Non
                 return False
         return True
 
-    def dfs(placed_mask: int, depth: int) -> int:
-        nonlocal nodes
-        if depth == s:
-            return FOUND
-        if placed_mask in visited:
-            return NOT_SHELLABLE
-        nodes += 1
-        if nodes > budget:
-            return EXHAUSTED
-        for f in range(s):
-            bit = 1 << f
-            if placed_mask & bit:
-                continue
-            if depth > 0 and not extendable(masks[f]):
+    # An explicit stack, not recursion: one frame per placed facet would
+    # overflow the interpreter's stack (vdW(50, 1) has 1225 facets).
+    # Frame d holds the placed set at depth d and an iterator over its
+    # remaining candidates, so candidate order and node accounting match
+    # the recursive ``_dfs`` of the compiled twin.
+    nodes = 1  # the root state
+    if nodes > budget:
+        return (EXHAUSTED, None, nodes)
+    frames = [(0, iter(range(s)))]
+    while frames:
+        placed_mask, candidates = frames[-1]
+        depth = len(placed)
+        for f in candidates:
+            if placed_mask >> f & 1 or (depth and not extendable(masks[f])):
                 continue
             order[depth] = f
+            if depth + 1 == s:
+                return (FOUND, order, nodes)
+            child = placed_mask | 1 << f
+            if child in visited:
+                continue
+            nodes += 1
+            if nodes > budget:
+                return (EXHAUSTED, None, nodes)
             placed.append(masks[f])
-            r = dfs(placed_mask | bit, depth + 1)
-            placed.pop()
-            if r != NOT_SHELLABLE:
-                return r
-        visited.add(placed_mask)
-        return NOT_SHELLABLE
-
-    status = dfs(0, 0)
-    return (status, order if status == FOUND else None, nodes)
+            frames.append((child, iter(range(s))))
+            break
+        else:
+            visited.add(placed_mask)
+            frames.pop()
+            if depth:
+                placed.pop()
+    return (NOT_SHELLABLE, None, nodes)

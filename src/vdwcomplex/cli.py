@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -25,6 +26,7 @@ from vdwcomplex.decompose import (
 )
 from vdwcomplex.homology import is_cohen_macaulay, parse_field
 from vdwcomplex.ideals import dual_ideal, is_linearly_presented, taylor_syzygies
+from vdwcomplex.vdw import _validate_params as _validate_vdw_params
 from vdwcomplex.vdw import (
     check_max_increment_overlap,
     check_odd_increment_overlap,
@@ -87,8 +89,7 @@ def _parse_field_args(values) -> list[int]:
 
 
 def _validate_params(n: int, k: int) -> None:
-    if not 0 < k < n:
-        raise ValueError(f"parameters must satisfy 0 < k < n, got n={n}, k={k}")
+    _validate_vdw_params(n, k)
     if n > MAX_VERTICES:
         raise ValueError(f"n must be at most {MAX_VERTICES}, got {n}")
 
@@ -247,6 +248,8 @@ def cmd_classify(args) -> int:
 def cmd_sweep(args) -> int:
     if args.n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {args.n_max}")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     checks = _parse_checks(args.checks)
     if not args.force:
         for check in checks:
@@ -258,8 +261,9 @@ def cmd_sweep(args) -> int:
     field_chars = _parse_field_args(args.field)
     pairs = [(n, k) for n in range(2, args.n_max + 1) for k in range(1, n)]
     tasks = [(n, k, checks, field_chars, args.budget, not args.no_timings) for n, k in pairs]
-    if args.jobs > 1 and tasks:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_sweep_worker, tasks))
     else:
         records = [_sweep_worker(t) for t in tasks]
@@ -310,8 +314,13 @@ def cmd_verify_shelling(args) -> int:
     with open(args.complex_file) as fh:
         cx = SimplicialComplex.from_dict(json.load(fh))
     with open(args.order_file) as fh:
-        data = json.load(fh)
-    order = data["order"] if isinstance(data, dict) else data
+        order = json.load(fh)
+    if isinstance(order, dict):
+        if "order" not in order:
+            raise ValueError('an order object must have the key "order"')
+        order = order["order"]
+    if not isinstance(order, list) or not all(isinstance(f, list) for f in order):
+        raise ValueError("a shelling order must be a list of facets")
     valid = verify_shelling(cx, order)
     _emit(json.dumps({"valid": valid}, separators=(",", ":")) + "\n", args.output)
     return EXIT_OK if valid else EXIT_DISAGREE
@@ -321,38 +330,44 @@ def cmd_verify_shelling(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    # Option groups, so that each subcommand takes exactly the options it reads.
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", metavar="PATH", help="write output to PATH instead of stdout")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument(
         "--format", choices=("json", "csv", "text"), default="json", help="output format"
     )
-    common.add_argument(
+    decide = argparse.ArgumentParser(add_help=False)
+    decide.add_argument(
         "--field",
         action="append",
         metavar="F",
         help="coefficient field: Q, F2 or Fp:<p>; repeatable (default: Q and F2)",
     )
-    common.add_argument("--jobs", type=int, default=1, metavar="N", help="parallel workers (sweep)")
-    common.add_argument(
+    decide.add_argument(
         "--budget",
         type=int,
         default=DEFAULT_SHELLING_BUDGET,
         metavar="NODES",
         help="node budget for the shellability search",
     )
-    common.add_argument("--output", metavar="PATH", help="write output to PATH instead of stdout")
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=int, default=1, metavar="N", help="parallel workers")
 
     parser = argparse.ArgumentParser(
         prog="vdw", description="Exact combinatorics of van der Waerden complexes vdW(n, k)."
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", parents=[common], help="emit the facet list of vdW(n, k)")
+    p = sub.add_parser("generate", parents=[output, fmt], help="emit the facet list of vdW(n, k)")
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser(
-        "classify", parents=[common], help="run the deciders against the closed-form predicate"
+        "classify",
+        parents=[output, fmt, decide],
+        help="run the deciders against the closed-form predicate",
     )
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
@@ -366,7 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser(
-        "sweep", parents=[common], help="classify every (n, k) with 0 < k < n <= n_max"
+        "sweep",
+        parents=[output, fmt, decide, jobs],
+        help="classify every (n, k) with 0 < k < n <= n_max",
     )
     p.add_argument("n_max", type=int)
     p.add_argument("--checks", default="vd,shellable,cm,linpres", metavar="LIST")
@@ -375,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser(
-        "inspect", parents=[common], help="print a derived object of vdW(n, k) as JSON"
+        "inspect", parents=[output], help="print a derived object of vdW(n, k) as JSON"
     )
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
@@ -385,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "verify-shelling",
-        parents=[common],
+        parents=[output],
         help="check a facet order (JSON file) against a complex (JSON file)",
     )
     p.add_argument("complex_file")

@@ -54,6 +54,28 @@ def _absorb(masks: Iterable[int]) -> list[int]:
     return kept
 
 
+def _check_antichain(n: int, members: tuple[Vertices, ...], noun: str) -> None:
+    """Reject ``members`` unless it is a canonical antichain on 1..n.
+
+    Canonical means: vertices in range, each member strictly increasing,
+    members pairwise inclusion-incomparable and sorted lexicographically.
+    ``noun`` ("facet", "generator") names a member in the messages.
+    """
+    masks = []
+    for m in members:
+        if any(not isinstance(v, int) or v < 1 or v > n for v in m):
+            raise ValueError(f"{noun} {m} has vertices outside 1..{n}")
+        if any(a >= b for a, b in zip(m, m[1:])):
+            raise ValueError(f"{noun} {m} is not strictly increasing")
+        masks.append(pack(m))
+    for i, a in enumerate(masks):
+        for b in masks[i + 1 :]:
+            if a & b == a or a & b == b:
+                raise ValueError(f"{noun}s must be pairwise inclusion-incomparable")
+    if list(members) != sorted(members):
+        raise ValueError(f"{noun}s must be sorted lexicographically")
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     """A simplicial complex given by its facet list.
@@ -71,19 +93,7 @@ class SimplicialComplex:
             raise ValueError(f"vertex universe size must be a positive integer, got {self.n!r}")
         if self.n > MAX_VERTICES:
             raise ValueError(f"at most {MAX_VERTICES} vertices are supported, got n={self.n}")
-        masks = []
-        for f in self.facets:
-            if any(not isinstance(v, int) or v < 1 or v > self.n for v in f):
-                raise ValueError(f"facet {f} has vertices outside 1..{self.n}")
-            if any(a >= b for a, b in zip(f, f[1:])):
-                raise ValueError(f"facet {f} is not strictly increasing")
-            masks.append(pack(f))
-        for i, a in enumerate(masks):
-            for b in masks[i + 1 :]:
-                if a & b == a or a & b == b:
-                    raise ValueError("facets must be pairwise inclusion-incomparable")
-        if list(self.facets) != sorted(self.facets):
-            raise ValueError("facets must be sorted lexicographically")
+        _check_antichain(self.n, self.facets, "facet")
 
     # -- construction ------------------------------------------------
 
@@ -242,7 +252,13 @@ class SimplicialComplex:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimplicialComplex":
-        return cls.from_facets(data["n"], data["facets"])
+        """Complex from ``{"n": int, "facets": [[int, ...], ...]}``."""
+        if not isinstance(data, dict) or "n" not in data or "facets" not in data:
+            raise ValueError('a complex must be an object with keys "n" and "facets"')
+        facets = data["facets"]
+        if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
+            raise ValueError('"facets" must be a list of vertex lists')
+        return cls.from_facets(data["n"], facets)
 
     @classmethod
     def from_json(cls, text: str) -> "SimplicialComplex":

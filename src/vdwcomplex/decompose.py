@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 
 from vdwcomplex import _kernels
-from vdwcomplex.complexes import SimplicialComplex, Vertices, pack, unpack
+from vdwcomplex.complexes import SimplicialComplex, Vertices, _absorb, pack, unpack
 
 DEFAULT_SHELLING_BUDGET = 5_000_000
 
@@ -104,15 +104,6 @@ def _is_pure_masks(masks) -> bool:
     return len({m.bit_count() for m in masks}) <= 1
 
 
-def _absorb_masks(masks) -> list[int]:
-    uniq = sorted(set(masks), key=lambda m: m.bit_count(), reverse=True)
-    kept: list[int] = []
-    for m in uniq:
-        if not any(m & k == m for k in kept):
-            kept.append(m)
-    return kept
-
-
 def _compress(masks: tuple[int, ...]):
     """Memo key with support vertices relabelled to 1..m, plus the maps back."""
     support = 0
@@ -152,7 +143,7 @@ def _search(masks: tuple[int, ...], memo: dict) -> SheddingTree | None:
     for x in reversed(unpack(support)):
         bit = 1 << (x - 1)
         link = tuple(sorted(m ^ bit for m in masks if m & bit))
-        deletion = tuple(sorted(_absorb_masks(m & ~bit for m in masks)))
+        deletion = tuple(sorted(_absorb(m & ~bit for m in masks)))
         if not _is_pure_masks(link) or not _is_pure_masks(deletion):
             continue
         link_tree = _decide(link, memo)

@@ -26,6 +26,8 @@ def parse_field(field) -> int:
     if field is None or field == RATIONALS:
         return RATIONALS
     if isinstance(field, int):
+        if field >= _PRIME_LIMIT:
+            raise ValueError(f"prime fields are supported for p < 2**64, got {field}")
         if not _is_prime(field):
             raise ValueError(f"{field} is not prime")
         return field
@@ -44,14 +46,33 @@ def field_label(char: int) -> str:
     return "Q" if char == RATIONALS else f"Fp:{char}"
 
 
+# Miller-Rabin with these bases is deterministic below 2**64.
+_PRIME_LIMIT = 1 << 64
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(p: int) -> bool:
+    """Exact primality test for 0 <= p < 2**64."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for q in _WITNESSES:
+        if p % q == 0:
+            return p == q
+    d = p - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from vdwcomplex.complexes import SimplicialComplex, Vertices, pack, unpack
+from vdwcomplex.complexes import SimplicialComplex, Vertices, _check_antichain, pack, unpack
 from vdwcomplex.vdw import ProgressionFacet, max_increment, max_odd_increment, progression_facets
 
 
@@ -37,19 +37,7 @@ class MonomialIdeal:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"variable count must be a positive integer, got {self.n!r}")
-        masks = []
-        for g in self.generators:
-            if any(not isinstance(v, int) or v < 1 or v > self.n for v in g):
-                raise ValueError(f"generator {g} has variables outside 1..{self.n}")
-            if any(a >= b for a, b in zip(g, g[1:])):
-                raise ValueError(f"generator {g} is not strictly increasing")
-            masks.append(pack(g))
-        for i, a in enumerate(masks):
-            for b in masks[i + 1 :]:
-                if a & b == a or a & b == b:
-                    raise ValueError("generators must be pairwise non-dividing")
-        if list(self.generators) != sorted(self.generators):
-            raise ValueError("generators must be sorted lexicographically")
+        _check_antichain(self.n, self.generators, "generator")
 
     @classmethod
     def from_supports(cls, n: int, supports) -> "MonomialIdeal":

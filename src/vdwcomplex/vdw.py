@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from vdwcomplex.complexes import SimplicialComplex
+from vdwcomplex.complexes import SimplicialComplex, pack
 
 
 def _validate_params(n: int, k: int) -> None:
@@ -88,9 +88,7 @@ def vdw_complex(n: int, k: int) -> SimplicialComplex:
     """vdW(n, k) as a facet-list complex on {1, ..., n}."""
     facets = progression_facets(n, k)
     # progressions of equal length are never nested
-    return SimplicialComplex._from_masks(
-        n, [sum(1 << (v - 1) for v in f.vertices) for f in facets], antichain=True
-    )
+    return SimplicialComplex._from_masks(n, [pack(f.vertices) for f in facets], antichain=True)
 
 
 def max_increment(n: int, k: int) -> int:

@@ -4,6 +4,9 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from vdwcomplex import cli
 from vdwcomplex.cli import main
 
 
@@ -98,6 +101,21 @@ class TestClassify:
         assert code == 0
         assert json.loads(out)["cm_f5"] is True
 
+    def test_large_prime_field(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "classify", "5", "2", "--checks", "cm", "--no-timings",
+            "--field", "Fp:1000000000000000003",
+        )
+        assert code == 0
+        assert json.loads(out)["cm_f1000000000000000003"] is True
+
+    def test_shellable_above_recursion_limit(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "classify", "50", "1", "--checks", "shellable", "--no-timings"
+        )
+        assert code == 0
+        assert json.loads(out)["shellable"] is True
+
     def test_timings_present_by_default(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "5", "2", "--checks", "vd")
         rec = json.loads(out)
@@ -153,6 +171,34 @@ class TestSweep:
             capsys, "sweep", "5", "--format", "csv", "--no-timings", "--jobs", "3"
         )
         assert serial == parallel
+
+    def test_jobs_below_one_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "sweep", "3", "--jobs", "0")
+        assert code == 2
+        assert "--jobs" in err
+
+    def test_jobs_clamped(self, capsys, monkeypatch):
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        code, _, _ = run_cli(capsys, "sweep", "3", "--checks", "vd", "--jobs", "3")
+        assert code == 0 and pools == [2]  # three tasks, two CPUs
+        code, _, _ = run_cli(capsys, "sweep", "2", "--checks", "vd", "--jobs", "3")
+        assert code == 0 and pools == [2]  # one task runs in-process
 
 
 class TestInspect:
@@ -231,9 +277,47 @@ class TestVerifyShelling:
         code, _, err = run_cli(capsys, "verify-shelling", str(cf), str(of))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "complex_data, order_data",
+        [
+            ({"n": 5}, [[1, 2, 3]]),
+            ({"facets": [[1, 2, 3]]}, [[1, 2, 3]]),
+            ({"n": 5, "facets": [[1, 2, 3]]}, {"orders": [[1, 2, 3]]}),
+            ({"n": 5, "facets": [[1, 2, 3]]}, [1, 2, 3]),
+        ],
+        ids=["no-facets", "no-n", "no-order", "order-not-facets"],
+    )
+    def test_malformed_input_exit_2(self, capsys, tmp_path, complex_data, order_data):
+        cf = tmp_path / "cx.json"
+        cf.write_text(json.dumps(complex_data))
+        of = tmp_path / "order.json"
+        of.write_text(json.dumps(order_data))
+        code, _, err = run_cli(capsys, "verify-shelling", str(cf), str(of))
+        assert code == 2
+        assert err.startswith("error:")
+
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "verify-shelling", "/nonexistent/a", "/nonexistent/b")
         assert code == 2
+
+
+class TestOptions:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "4", "2", "--jobs", "2"],
+            ["generate", "4", "2", "--field", "F2"],
+            ["generate", "4", "2", "--budget", "1"],
+            ["classify", "4", "2", "--jobs", "2"],
+            ["inspect", "5", "2", "ideal", "--format", "csv"],
+            ["verify-shelling", "a.json", "b.json", "--field", "Q"],
+        ],
+        ids=" ".join,
+    )
+    def test_option_not_read_is_rejected(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "unrecognized arguments" in err
 
 
 class TestEntryPoint:

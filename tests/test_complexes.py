@@ -7,6 +7,7 @@ import pytest
 from conftest import brute_force_minimal_nonfaces, complex_from_masks, enumerate_antichains
 
 from vdwcomplex.complexes import SimplicialComplex
+from vdwcomplex.ideals import MonomialIdeal
 from vdwcomplex.vdw import vdw_complex
 
 VDW52_FACETS = ((1, 2, 3), (1, 3, 5), (2, 3, 4), (3, 4, 5))
@@ -44,6 +45,36 @@ class TestConstruction:
             SimplicialComplex.from_facets(0, [])
         with pytest.raises(ValueError):
             SimplicialComplex.from_facets(65, [])
+
+    @pytest.mark.parametrize("cls", [SimplicialComplex, MonomialIdeal])
+    @pytest.mark.parametrize(
+        "members",
+        [
+            ((1, 4),),  # vertex out of range
+            ((0, 1),),  # vertex out of range
+            ((2, 1),),  # not increasing
+            ((1, 1),),  # repeated vertex
+            ((1,), (1, 2)),  # comparable
+            ((1, 2), (1, 2)),  # repeated member
+            ((2, 3), (1, 2)),  # not sorted
+        ],
+    )
+    def test_canonical_antichain_enforced(self, cls, members):
+        with pytest.raises(ValueError):
+            cls(3, members)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"facets": [[1, 2]]},
+            {"n": 3},
+            [[1, 2]],
+            {"n": 3, "facets": [1, 2]},
+        ],
+    )
+    def test_malformed_dict_rejected(self, data):
+        with pytest.raises(ValueError):
+            SimplicialComplex.from_dict(data)
 
     def test_idempotent_rebuild(self):
         rng = random.Random(7)

@@ -103,6 +103,12 @@ class TestShellable:
         assert res.status == "undecided"
         assert res.value is None
 
+    def test_more_facets_than_the_recursion_limit(self):
+        cx = vdw_complex(50, 1)  # 1225 facets
+        res = is_shellable(cx)
+        assert res.value is True
+        assert verify_shelling(cx, res.order)
+
     def test_matches_permutation_search(self):
         rng = random.Random(41)
         checked = 0

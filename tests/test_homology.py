@@ -38,6 +38,19 @@ class TestFieldParsing:
             with pytest.raises(ValueError):
                 parse_field(bad)
 
+    def test_large_prime_accepted(self):
+        assert parse_field("Fp:1000000000000000003") == 1000000000000000003
+        assert parse_field(2**64 - 59) == 2**64 - 59  # the largest prime below 2**64
+
+    def test_carmichael_rejected(self):
+        for bad in (561, 1105, 3215031751, "Fp:3825123056546413051"):
+            with pytest.raises(ValueError):
+                parse_field(bad)
+
+    def test_prime_beyond_exact_range_rejected(self):
+        with pytest.raises(ValueError):
+            parse_field(2**64 + 13)
+
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):
             parse_field("GF(2)")

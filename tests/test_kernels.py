@@ -121,3 +121,40 @@ class TestSearchShelling:
         status, order, nodes = pure.search_shelling(masks, 10**6)
         assert status == pure.FOUND
         assert sorted(order) == [0, 1, 2, 3]
+
+
+# (masks, budget) -> (status, order, nodes), recorded from the recursive
+# search that the explicit-stack one replaced.
+PINNED_SEARCHES = {
+    "tetrahedron-boundary": (([7, 14, 11, 13], 10**6), (pure.FOUND, [0, 1, 2, 3], 4)),
+    "found-after-backtrack": (
+        ([56, 25, 21, 14, 35, 37, 50, 7, 44, 11], 10**6),
+        (pure.FOUND, [0, 1, 2, 7, 9, 3, 8, 5, 4, 6], 11),
+    ),
+    "disjoint-edges": (([3, 12], 10**6), (pure.NOT_SHELLABLE, None, 3)),
+    "vdw72-exhausted": (
+        ([7, 21, 73, 14, 42, 28, 84, 56, 112], 10**6),
+        (pure.NOT_SHELLABLE, None, 116),
+    ),
+    "vdw92-exhausted": (
+        ([7, 21, 73, 273, 14, 42, 146, 28, 84, 292, 56, 168, 112, 336, 224, 448], 10**6),
+        (pure.NOT_SHELLABLE, None, 1459),
+    ),
+    "vdw83-exhausted": (
+        ([15, 85, 30, 170, 60, 120, 240], 10**6),
+        (pure.NOT_SHELLABLE, None, 18),
+    ),
+    "tetrahedron-budget-1": (([7, 14, 11, 13], 1), (pure.EXHAUSTED, None, 2)),
+    "vdw72-budget-50": (
+        ([7, 21, 73, 14, 42, 28, 84, 56, 112], 50),
+        (pure.EXHAUSTED, None, 51),
+    ),
+    "budget-0": (([7, 14, 11, 13], 0), (pure.EXHAUSTED, None, 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_SEARCHES))
+def test_pure_search_pinned(case):
+    (masks, budget), expected = PINNED_SEARCHES[case]
+    assert pure.search_shelling(masks, budget) == expected
+
