@@ -41,7 +41,7 @@ EXIT_USAGE = 2
 EXIT_UNDECIDED = 3
 
 CHECKS = ("vd", "shellable", "cm", "linpres")
-SWEEP_LIMITS = {"vd": 9, "shellable": 8, "cm": 10, "linpres": 10}
+SWEEP_LIMITS = {"vd": 30, "shellable": 11, "cm": 16, "linpres": 18}
 
 CSV_COLUMNS = [
     "n",

@@ -54,6 +54,14 @@ def _absorb(masks: Iterable[int]) -> list[int]:
     return kept
 
 
+def _check_universe(n: int) -> None:
+    """Reject a vertex universe size outside 1..MAX_VERTICES."""
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"vertex universe size must be a positive integer, got {n!r}")
+    if n > MAX_VERTICES:
+        raise ValueError(f"at most {MAX_VERTICES} vertices are supported, got n={n}")
+
+
 def _check_antichain(n: int, members: tuple[Vertices, ...], noun: str) -> None:
     """Reject ``members`` unless it is a canonical antichain on 1..n.
 
@@ -89,10 +97,7 @@ class SimplicialComplex:
     facets: tuple[Vertices, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"vertex universe size must be a positive integer, got {self.n!r}")
-        if self.n > MAX_VERTICES:
-            raise ValueError(f"at most {MAX_VERTICES} vertices are supported, got n={self.n}")
+        _check_universe(self.n)
         _check_antichain(self.n, self.facets, "facet")
 
     # -- construction ------------------------------------------------
@@ -100,10 +105,7 @@ class SimplicialComplex:
     @classmethod
     def from_facets(cls, n: int, faces: Iterable[Iterable[int]]) -> "SimplicialComplex":
         """Complex generated by ``faces``; non-maximal faces are discarded."""
-        if not isinstance(n, int) or n < 1:
-            raise ValueError(f"vertex universe size must be a positive integer, got {n!r}")
-        if n > MAX_VERTICES:
-            raise ValueError(f"at most {MAX_VERTICES} vertices are supported, got n={n}")
+        _check_universe(n)
         masks = []
         for face in faces:
             fs = tuple(face)

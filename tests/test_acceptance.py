@@ -82,6 +82,17 @@ def test_3_cohen_macaulay_matches_closed_form_to_n10():
           "closed form on all 45 pairs with n <= 10")
 
 
+def test_3_cohen_macaulay_matches_closed_form_n11_to_n12():
+    pairs = [(n, k) for n in (11, 12) for k in range(1, n)]
+    for n, k in pairs:
+        expected = classify_closed_form(n, k).cohen_macaulay
+        for field in ("Q", "F2"):
+            got = is_cohen_macaulay(vdw_complex(n, k), field).value
+            assert got == expected, (n, k, field)
+    print("acceptance[3] PASS: Cohen-Macaulayness over Q and F2 matches the "
+          f"closed form on all {len(pairs)} pairs with 10 < n <= 12")
+
+
 def test_4_obstruction_and_linear_presentation_to_n10():
     obstructed = 0
     for n, k in all_pairs(10):

@@ -146,9 +146,21 @@ class TestSweep:
         assert json.loads(out.splitlines()[0]) == []
 
     def test_limit_enforced_exit_2(self, capsys):
-        code, _, err = run_cli(capsys, "sweep", "9")
+        code, _, err = run_cli(capsys, "sweep", "12")
         assert code == 2
         assert "--force" in err
+
+    def test_cm_limit_enforced_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "sweep", "17", "--checks", "cm")
+        assert code == 2
+        assert "--force" in err
+
+    def test_cm_sweep_11_within_limit(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "11", "--checks", "cm", "--no-timings")
+        assert code == 0
+        records = json.loads(out.splitlines()[0])
+        assert len(records) == 55
+        assert all(r["agreement"] for r in records)
 
     def test_csv_column_order(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "4", "--format", "csv", "--no-timings")

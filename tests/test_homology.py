@@ -11,7 +11,8 @@ from conftest import (
     reduced_euler_characteristic,
 )
 
-from vdwcomplex.complexes import SimplicialComplex
+from vdwcomplex import homology
+from vdwcomplex.complexes import SimplicialComplex, pack
 from vdwcomplex.homology import is_cohen_macaulay, parse_field, reduced_homology
 from vdwcomplex.vdw import vdw_complex
 
@@ -178,3 +179,79 @@ class TestCohenMacaulay:
                     is_cohen_macaulay(cx, field).value
                     == is_cohen_macaulay(cx, field, check_all_faces=True).value
                 )
+
+    def test_fast_and_naive_identical_exhaustively(self):
+        # value and witness, every complex on <= 4 vertices
+        for n in range(1, 5):
+            for masks in enumerate_antichains(n):
+                if not masks:
+                    continue
+                cx = complex_from_masks(n, masks)
+                for field in ("Q", "F2", "Fp:3"):
+                    fast = is_cohen_macaulay(cx, field).to_dict()
+                    slow = is_cohen_macaulay(cx, field, check_all_faces=True).to_dict()
+                    assert fast == slow, (cx.facets, field)
+
+    def test_fast_and_naive_identical_random(self):
+        rng = random.Random(71)
+        for _ in range(60):
+            cx = random_pure_complex(rng, 6)
+            for field in ("Q", "F2", "Fp:3"):
+                fast = is_cohen_macaulay(cx, field).to_dict()
+                slow = is_cohen_macaulay(cx, field, check_all_faces=True).to_dict()
+                assert fast == slow, (cx.facets, field)
+
+    @pytest.mark.parametrize("k", [11, 10])
+    def test_near_simplex_measures_only_tiny_complexes(self, monkeypatch, k):
+        # vdW(12, k) has one or two facets.  Only the empty face's link
+        # can fail; it is measured once per field, on a nerve of <= 2
+        # vertices, instead of thousands of links on up to 12 vertices.
+        seen = []
+        original = homology._reduced_betti
+
+        def recording(facet_masks, char):
+            support = 0
+            for m in facet_masks:
+                support |= m
+            seen.append(support.bit_count())
+            return original(facet_masks, char)
+
+        monkeypatch.setattr(homology, "_reduced_betti", recording)
+        for field in ("Q", "F2"):
+            assert is_cohen_macaulay(vdw_complex(12, k), field).value
+        assert len(seen) == 2 and max(seen) <= 2
+
+
+def _nonzero(betti):
+    return {i: b for i, b in betti.items() if b}
+
+
+class TestNerve:
+    def test_nerve_has_the_homology_of_the_complex(self):
+        rng = random.Random(73)
+        checked = disconnected = 0
+        for _ in range(150):
+            n = rng.randint(2, 7)
+            faces = [
+                rng.sample(range(1, n + 1), rng.randint(1, min(4, n)))
+                for _ in range(rng.randint(1, 7))
+            ]
+            cx = SimplicialComplex.from_facets(n, faces)
+            disconnected += not cx.is_connected()
+            masks = list(cx.facet_masks)
+            nerve = homology._nerve(masks)
+            for char in (0, 2):
+                assert _nonzero(homology._reduced_betti(nerve, char)) == _nonzero(
+                    homology._reduced_betti(masks, char)
+                ), (cx.facets, char)
+            checked += 1
+        assert checked == 150 and disconnected > 10
+
+    def test_nerve_of_projective_plane_keeps_torsion(self):
+        nerve = homology._nerve(list(RP2.facet_masks))
+        assert _nonzero(homology._reduced_betti(nerve, 2)) == {1: 1, 2: 1}
+        assert _nonzero(homology._reduced_betti(nerve, 0)) == {}
+
+    def test_nerve_of_disjoint_simplices_is_points(self):
+        masks = [pack([1, 2, 3]), pack([4, 5])]
+        assert sorted(homology._nerve(masks)) == [0b01, 0b10]
