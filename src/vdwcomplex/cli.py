@@ -24,7 +24,7 @@ from vdwcomplex.decompose import (
     is_vertex_decomposable,
     verify_shelling,
 )
-from vdwcomplex.homology import is_cohen_macaulay, parse_field
+from vdwcomplex.homology import field_label, is_cohen_macaulay, parse_field
 from vdwcomplex.ideals import dual_ideal, is_linearly_presented, taylor_syzygies
 from vdwcomplex.vdw import _validate_params as _validate_vdw_params
 from vdwcomplex.vdw import (
@@ -41,7 +41,7 @@ EXIT_USAGE = 2
 EXIT_UNDECIDED = 3
 
 CHECKS = ("vd", "shellable", "cm", "linpres")
-SWEEP_LIMITS = {"vd": 30, "shellable": 11, "cm": 16, "linpres": 18}
+SWEEP_LIMITS = {"vd": 30, "shellable": 20, "cm": 16, "linpres": 18}
 
 CSV_COLUMNS = [
     "n",
@@ -61,10 +61,6 @@ CSV_COLUMNS = [
     "ms_cm_f2",
     "ms_linearly_presented",
 ]
-
-
-def _field_key(char: int) -> str:
-    return "cm_q" if char == 0 else f"cm_f{char}"
 
 
 def _parse_checks(text: str) -> list[str]:
@@ -138,7 +134,7 @@ def compute_record(
         for char in field_chars:
             t0 = time.perf_counter()
             value = is_cohen_macaulay(cx, char).value
-            key = _field_key(char)
+            key = "cm_" + field_label(char).replace("Fp:", "f").lower()  # cm_q, cm_f2, ...
             ms[key] = round((time.perf_counter() - t0) * 1000.0, 3)
             rec[key] = value
             mismatch |= value != pred.cohen_macaulay

@@ -12,7 +12,10 @@ facets form a nonempty union of its codimension-1 faces (equivalent,
 for pure complexes, to the pairwise shelling condition, which
 :func:`verify_shelling` checks literally).  The search memoizes dead
 prefix sets and honours a node budget, reporting "undecided" when the
-budget is exhausted.
+budget is exhausted.  A shellable complex is Cohen-Macaulay over every
+field, so when a short probe of the search finds no order, a failing
+Reisner test over F2 refutes shellability before the full search runs;
+its witness face and degree are the certificate.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from dataclasses import dataclass
 
 from vdwcomplex import _kernels
 from vdwcomplex.complexes import SimplicialComplex, Vertices, _absorb, pack, unpack
+from vdwcomplex.homology import CohenMacaulayResult, is_cohen_macaulay
 
 DEFAULT_SHELLING_BUDGET = 5_000_000
 
@@ -194,11 +198,16 @@ def verify_shedding_tree(cx: SimplicialComplex, tree: SheddingTree) -> bool:
 
 @dataclass(frozen=True)
 class ShellingResult:
-    """Outcome of the shelling search: shellable / not-shellable / undecided."""
+    """Outcome of the shelling search: shellable / not-shellable / undecided.
+
+    ``refutation`` is set when a failing Reisner test over F2, not the
+    exhausted search, showed the complex is not shellable.
+    """
 
     status: str
     order: tuple[Vertices, ...] | None
     nodes: int
+    refutation: CohenMacaulayResult | None = None
 
     @property
     def value(self) -> bool | None:
@@ -216,6 +225,7 @@ class ShellingResult:
             "status": self.status,
             "order": [list(f) for f in self.order] if self.order is not None else None,
             "nodes": self.nodes,
+            "refutation": self.refutation.to_dict() if self.refutation is not None else None,
         }
 
     def to_json(self) -> str:
@@ -233,8 +243,15 @@ def is_shellable(cx: SimplicialComplex, budget: int | None = DEFAULT_SHELLING_BU
     """Search for a shelling order of a pure, nonvoid complex.
 
     The first order found under the canonical facet ordering is
-    returned.  "undecided" (budget exhausted) is distinct from
-    "not-shellable", which requires the search space to be exhausted.
+    returned.  The search first runs as a probe with no room to
+    backtrack (one node per facet).  If the probe finds no order, the
+    Reisner test over F2 runs: a complex that fails it is not
+    Cohen-Macaulay, hence not shellable, and the result carries the
+    failing test as ``refutation``.  Only otherwise does the search run
+    again under ``budget``.  ``nodes`` counts the states expanded by the
+    last search that ran.  "undecided" (budget exhausted) is distinct
+    from "not-shellable", which requires the search space to be
+    exhausted or a Reisner witness.
     """
     if cx.is_void:
         raise ValueError("shellability of the void complex is undefined")
@@ -242,7 +259,15 @@ def is_shellable(cx: SimplicialComplex, budget: int | None = DEFAULT_SHELLING_BU
         raise ValueError("shellability is defined for pure complexes")
     if budget is None:
         budget = 1 << 62
-    status, idx_order, nodes = _kernels.search_shelling(list(cx.facet_masks), budget)
+    masks = list(cx.facet_masks)
+    probe_budget = min(budget, len(masks))
+    status, idx_order, nodes = _kernels.search_shelling(masks, probe_budget)
+    if status == _kernels.EXHAUSTED:
+        cm = is_cohen_macaulay(cx, 2)
+        if not cm:
+            return ShellingResult("not-shellable", None, nodes, cm)
+        if budget > probe_budget:
+            status, idx_order, nodes = _kernels.search_shelling(masks, budget)
     order = tuple(cx.facets[i] for i in idx_order) if idx_order is not None else None
     return ShellingResult(_STATUS[status], order, nodes)
 

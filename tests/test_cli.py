@@ -1,8 +1,10 @@
 """CLI behaviour: formats, exit codes, golden outputs, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +79,11 @@ class TestClassify:
         rec = json.loads(out)
         assert rec["vd"] is True and rec["agreement"] is True
 
+    def test_shellable_negative_decided_at_n15(self, capsys):
+        code, out, _ = run_cli(capsys, "classify", "15", "2", "--checks", "shellable", "--no-timings")
+        assert code == 0
+        assert '"shellable":false' in out
+
     def test_budget_exhaustion_exit_3(self, capsys):
         code, out, _ = run_cli(
             capsys, "classify", "6", "2", "--checks", "shellable", "--budget", "1", "--no-timings"
@@ -146,7 +153,7 @@ class TestSweep:
         assert json.loads(out.splitlines()[0]) == []
 
     def test_limit_enforced_exit_2(self, capsys):
-        code, _, err = run_cli(capsys, "sweep", "12")
+        code, _, err = run_cli(capsys, "sweep", "21", "--checks", "shellable")
         assert code == 2
         assert "--force" in err
 
@@ -160,6 +167,13 @@ class TestSweep:
         assert code == 0
         records = json.loads(out.splitlines()[0])
         assert len(records) == 55
+        assert all(r["agreement"] for r in records)
+
+    def test_shellable_sweep_16_within_limit(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "16", "--checks", "shellable", "--no-timings")
+        assert code == 0
+        records = json.loads(out.splitlines()[0])
+        assert len(records) == 120
         assert all(r["agreement"] for r in records)
 
     def test_csv_column_order(self, capsys):
@@ -332,12 +346,21 @@ class TestOptions:
         assert "unrecognized arguments" in err
 
 
+def _checkout_env() -> dict:
+    """The environment with this checkout's ``src`` first on the module path."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "vdwcomplex.cli", "generate", "5", "2"],
             capture_output=True,
             text=True,
+            env=_checkout_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["n"] == 5
@@ -347,5 +370,6 @@ class TestEntryPoint:
             [sys.executable, "-m", "vdwcomplex.cli", "nonsense"],
             capture_output=True,
             text=True,
+            env=_checkout_env(),
         )
         assert proc.returncode == 2

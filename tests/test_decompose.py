@@ -3,8 +3,14 @@
 import random
 
 import pytest
-from conftest import brute_force_shellable, random_pure_complex
+from conftest import (
+    brute_force_shellable,
+    complex_from_masks,
+    enumerate_antichains,
+    random_pure_complex,
+)
 
+from vdwcomplex import _kernels
 from vdwcomplex.complexes import SimplicialComplex
 from vdwcomplex.decompose import (
     SheddingTree,
@@ -13,7 +19,17 @@ from vdwcomplex.decompose import (
     verify_shedding_tree,
     verify_shelling,
 )
+from vdwcomplex.homology import is_cohen_macaulay, reduced_homology
 from vdwcomplex.vdw import vdw_complex
+
+
+def _refutation_replays(cx, refutation) -> bool:
+    """The witness face's link has nonzero F2 homology in the witness degree."""
+    link = cx
+    for v in refutation.witness_face:
+        link = link.link(v)
+    betti = reduced_homology(link, "F2").betti
+    return refutation.field == "Fp:2" and betti.get(refutation.witness_degree, 0) != 0
 
 
 class TestVertexDecomposable:
@@ -102,6 +118,7 @@ class TestShellable:
         res = is_shellable(vdw_complex(6, 2), budget=1)
         assert res.status == "undecided"
         assert res.value is None
+        assert res.to_dict()["refutation"] is None  # vdW(6, 2) is Cohen-Macaulay
 
     def test_more_facets_than_the_recursion_limit(self):
         cx = vdw_complex(50, 1)  # 1225 facets
@@ -126,6 +143,70 @@ class TestShellable:
             res = is_shellable(cx)
             if res.value:
                 assert verify_shelling(cx, res.order)
+
+
+class TestReisnerRefutation:
+    """The probe and the F2 Reisner test change speed, never the answer."""
+
+    @staticmethod
+    def _cross_check(cx):
+        res = is_shellable(cx)
+        status, order, nodes = _kernels.search_shelling(list(cx.facet_masks), 1 << 62)
+        assert res.value is (status == _kernels.FOUND)
+        if status == _kernels.FOUND:
+            assert res.status == "shellable"
+            assert res.order == tuple(cx.facets[i] for i in order)
+            assert res.nodes == nodes
+            assert res.refutation is None
+        if res.refutation is not None:
+            assert res.status == "not-shellable" and not res.refutation.value
+            assert _refutation_replays(cx, res.refutation)
+        for budget in (0, 1, 10):
+            bounded = is_shellable(cx, budget)
+            if bounded.status == "undecided":
+                assert is_cohen_macaulay(cx, 2).value
+            else:
+                assert bounded.value is res.value
+        return res
+
+    def test_matches_search_exhaustively(self):
+        refuted = 0
+        for n in range(1, 6):
+            for masks in enumerate_antichains(n):
+                if masks and len({m.bit_count() for m in masks}) == 1:
+                    cx = complex_from_masks(n, masks)
+                    refuted += self._cross_check(cx).refutation is not None
+        assert refuted > 100
+
+    def test_matches_search_random(self):
+        rng = random.Random(47)
+        refuted = 0
+        for _ in range(300):
+            refuted += self._cross_check(random_pure_complex(rng, 7)).refutation is not None
+        assert refuted > 30
+
+    def test_negative_refuted_within_budget(self):
+        # the plain search exhausts this budget after 11 nodes
+        cx = vdw_complex(9, 2)
+        res = is_shellable(cx, budget=10)
+        assert res.status == "not-shellable"
+        assert res.nodes == 11
+        assert _refutation_replays(cx, res.refutation)
+        assert res.to_dict()["refutation"] == res.refutation.to_dict()
+
+    def test_backtracking_input_searched_in_full(self):
+        # shellable, but the search must backtrack: the probe runs out
+        cx = SimplicialComplex.from_facets(
+            6,
+            [(1, 2, 6), (1, 3, 5), (1, 3, 6), (1, 4, 6), (2, 3, 4),
+             (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (4, 5, 6)],
+        )
+        masks = list(cx.facet_masks)
+        assert _kernels.search_shelling(masks, len(masks))[0] == _kernels.EXHAUSTED
+        res = self._cross_check(cx)
+        assert (res.status, res.nodes) == ("shellable", 12)
+        assert verify_shelling(cx, res.order)
+        assert is_shellable(cx, budget=11).status == "undecided"
 
 
 class TestVerifyShelling:
