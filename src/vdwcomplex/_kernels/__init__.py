@@ -4,6 +4,8 @@ The compiled module ``_speedups`` is optional; set ``VDWCOMPLEX_PURE=1``
 to force the pure kernels even when it is installed.  Both
 implementations are exact and produce identical results (including
 search order and node accounting), so the choice only affects speed.
+``rank_mod_2_masks`` has no compiled twin: it eliminates int bitmasks,
+which are already word-parallel in pure Python.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import os
 
 from vdwcomplex._kernels import pure as _pure
-from vdwcomplex._kernels.pure import EXHAUSTED, FOUND, NOT_SHELLABLE
+from vdwcomplex._kernels.pure import EXHAUSTED, FOUND, NOT_SHELLABLE, rank_mod_2_masks
 
 _compiled = None
 if os.environ.get("VDWCOMPLEX_PURE") != "1":

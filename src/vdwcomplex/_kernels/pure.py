@@ -87,22 +87,28 @@ def rank_mod_p(rows: list[list[int]], ncols: int, p: int) -> int:
 
 
 def _rank_mod_2(rows: list[list[int]]) -> int:
-    pivots: dict[int, int] = {}
-    rank = 0
+    masks = []
     for row in rows:
         bits = 0
         for j, x in enumerate(row):
             if x & 1:
                 bits |= 1 << j
+        masks.append(bits)
+    return rank_mod_2_masks(masks)
+
+
+def rank_mod_2_masks(masks) -> int:
+    """Rank over F2 of the vectors given as int bitmasks (bit j = entry j)."""
+    pivots: dict[int, int] = {}
+    for bits in masks:
         while bits:
-            low = (bits & -bits).bit_length() - 1
-            other = pivots.get(low)
+            top = bits.bit_length()
+            other = pivots.get(top)
             if other is None:
-                pivots[low] = bits
-                rank += 1
+                pivots[top] = bits
                 break
             bits ^= other
-    return rank
+    return len(pivots)
 
 
 def search_shelling(masks: list[int], budget: int) -> tuple[int, list[int] | None, int]:

@@ -41,7 +41,7 @@ EXIT_USAGE = 2
 EXIT_UNDECIDED = 3
 
 CHECKS = ("vd", "shellable", "cm", "linpres")
-SWEEP_LIMITS = {"vd": 30, "shellable": 20, "cm": 16, "linpres": 18}
+SWEEP_LIMITS = {"vd": 30, "shellable": 20, "cm": 21, "linpres": 18}
 
 CSV_COLUMNS = [
     "n",
@@ -82,6 +82,13 @@ def _parse_field_args(values) -> list[int]:
         if char not in chars:
             chars.append(char)
     return chars
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
 def _validate_params(n: int, k: int) -> None:
@@ -342,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     decide.add_argument(
         "--budget",
-        type=int,
+        type=_nonnegative_int,
         default=DEFAULT_SHELLING_BUDGET,
         metavar="NODES",
         help="node budget for the shellability search",

@@ -54,6 +54,24 @@ def _absorb(masks: Iterable[int]) -> list[int]:
     return kept
 
 
+def _is_connected(masks: Iterable[int]) -> bool:
+    """True iff the union of the faces ``masks`` is connected through shared vertices."""
+    rest = [m for m in masks if m]
+    reach = rest.pop() if rest else 0
+    grew = True
+    while grew:
+        grew = False
+        apart = []
+        for m in rest:
+            if m & reach:
+                reach |= m
+                grew = True
+            else:
+                apart.append(m)
+        rest = apart
+    return not rest
+
+
 def _check_universe(n: int) -> None:
     """Reject a vertex universe size outside 1..MAX_VERTICES."""
     if not isinstance(n, int) or n < 1:
@@ -186,18 +204,7 @@ class SimplicialComplex:
         """True iff any two support vertices are joined through shared facets."""
         if self.is_void:
             raise ValueError("connectivity is undefined for the void complex")
-        parent = {v: v for v in self.support}
-
-        def find(v: int) -> int:
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for f in self.facets:
-            for a, b in zip(f, f[1:]):
-                parent[find(a)] = find(b)
-        return len({find(v) for v in self.support}) <= 1
+        return _is_connected(self.facet_masks)
 
     # -- global structure --------------------------------------------
 

@@ -251,7 +251,8 @@ def is_shellable(cx: SimplicialComplex, budget: int | None = DEFAULT_SHELLING_BU
     again under ``budget``.  ``nodes`` counts the states expanded by the
     last search that ran.  "undecided" (budget exhausted) is distinct
     from "not-shellable", which requires the search space to be
-    exhausted or a Reisner witness.
+    exhausted or a Reisner witness.  A negative ``budget`` raises
+    ValueError.
     """
     if cx.is_void:
         raise ValueError("shellability of the void complex is undefined")
@@ -259,6 +260,8 @@ def is_shellable(cx: SimplicialComplex, budget: int | None = DEFAULT_SHELLING_BU
         raise ValueError("shellability is defined for pure complexes")
     if budget is None:
         budget = 1 << 62
+    if budget < 0:
+        raise ValueError(f"the shelling budget must be at least 0, got {budget}")
     masks = list(cx.facet_masks)
     probe_budget = min(budget, len(masks))
     status, idx_order, nodes = _kernels.search_shelling(masks, probe_budget)

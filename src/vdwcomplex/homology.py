@@ -13,8 +13,26 @@ containing F but not in F; every facet of lk F contains v, so lk F is a
 cone and acyclic.  A link's homology is computed on the smaller of the
 link and the nerve of its facets: every nonempty intersection of facets
 is a simplex, so by the nerve theorem both have the same reduced Betti
-numbers.  ``is_cohen_macaulay(..., check_all_faces=True)`` is the naive
-oracle: every face, its literal link, no nerve.
+numbers.
+
+Two more rules spare most links their elimination.  A 1-dimensional
+link is a nonempty graph, so H~_-1 vanishes and H~_0 vanishes iff the
+graph is connected, over every field; a connectivity test on masks
+decides it.  Over Q, each link is first measured mod 2: by universal
+coefficients dim H~_i(K; Q) <= dim H~_i(K; F2), so a link with no mod-2
+homology below its dimension passes.  More precisely, a rational rank
+is at least the mod-2 rank, and the ranks of the two boundary maps
+around a degree sum to at most its face count, so a degree with no
+mod-2 homology pins both neighbouring rational ranks to their mod-2
+values.  Fraction-free elimination runs only on a boundary map whose
+two neighbouring degrees both have mod-2 homology, which happens only
+in links that fail mod 2 (torsion such as RP^2's, or a witness with
+homology in two adjacent degrees).
+Mod 2 is the cheapest field here: each sparse boundary column becomes
+one int bitmask and rows are eliminated by XOR, with no dense matrix.
+Odd p gets no such filter, since mod-2 and mod-p Betti numbers cannot
+be compared.  ``is_cohen_macaulay(..., check_all_faces=True)`` is the
+naive oracle: every face, its literal link, no nerve, no shortcut.
 """
 
 from __future__ import annotations
@@ -22,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from vdwcomplex import _kernels
-from vdwcomplex.complexes import SimplicialComplex, _absorb, unpack
+from vdwcomplex.complexes import SimplicialComplex, _absorb, _is_connected, unpack
 
 RATIONALS = 0
 
@@ -134,7 +152,7 @@ def _all_faces(facet_masks) -> set[int]:
 
 
 def _faces_by_dim(facet_masks) -> list[list[int]]:
-    """Faces grouped by dimension, each level sorted by vertex tuple."""
+    """Faces grouped by dimension, each level sorted by mask."""
     if not facet_masks:
         return []
     top = max(m.bit_count() for m in facet_masks)
@@ -142,7 +160,7 @@ def _faces_by_dim(facet_masks) -> list[list[int]]:
     for m in _all_faces(facet_masks):
         levels[m.bit_count()].append(m)
     for level in levels:
-        level.sort(key=unpack)
+        level.sort()
     return levels  # levels[c] = faces with c vertices (dimension c-1)
 
 
@@ -177,21 +195,31 @@ def _size_bound(facet_masks) -> int:
     return sum(1 << m.bit_count() for m in facet_masks)
 
 
-def _boundary_columns(lower: list[int], upper: list[int]) -> list[list[tuple[int, int]]]:
-    """Sparse signed incidence from (i)-faces (columns) to (i-1)-faces (rows)."""
+def _boundary_columns(
+    lower: list[int], upper: list[int]
+) -> tuple[list[list[tuple[int, int]]], list[int]]:
+    """Sparse signed incidence from (i)-faces (columns) to (i-1)-faces (rows).
+
+    Also returns each column mod 2 as an int bitmask over the rows.
+    """
     index = {m: r for r, m in enumerate(lower)}
     columns = []
+    masks = []
     for m in upper:
         column = []
+        mask = 0
         sign = 1
         rest = m
         while rest:
             bit = rest & -rest
-            column.append((index[m ^ bit], sign))
+            r = index[m ^ bit]
+            column.append((r, sign))
+            mask |= 1 << r
             sign = -sign
             rest ^= bit
         columns.append(column)
-    return columns
+        masks.append(mask)
+    return columns, masks
 
 
 def _dense(columns: list[list[tuple[int, int]]], nrows: int) -> list[list[int]]:
@@ -214,30 +242,53 @@ def _assert_chain_complex(boundaries: list[list[list[tuple[int, int]]]]) -> None
                 raise AssertionError("boundary composed with boundary is nonzero")
 
 
-def _reduced_betti(facet_masks, char: int) -> dict[int, int]:
-    """Reduced Betti numbers of a nonvoid facet list over the given field."""
+def _reduced_betti(facet_masks, char: int, mod_2_first: bool = True) -> dict[int, int]:
+    """Reduced Betti numbers of a nonvoid facet list over the given field.
+
+    Over Q with ``mod_2_first``, every rank is first taken mod 2, and
+    fraction-free elimination runs only on a boundary map whose two
+    neighbouring degrees both have mod-2 homology.  A rational rank is
+    at least the mod-2 rank, and the two ranks around a degree sum to at
+    most its face count, so a degree with no mod-2 homology pins both
+    neighbouring rational ranks to their mod-2 values.
+    """
     levels = _faces_by_dim(facet_masks)
     top = len(levels) - 1  # number of vertices in a top face
     counts = [1] + [len(level) for level in levels[1:]]  # counts[c] = #(c-1)-dim faces
-    boundaries = []
+    boundaries = []  # boundaries[j]: faces with j+1 vertices -> faces with j vertices
+    masks = []
     for c in range(1, top + 1):
         lower = levels[c - 1] if c > 1 else [0]
-        boundaries.append(_boundary_columns(lower, levels[c]))
+        columns, column_masks = _boundary_columns(lower, levels[c])
+        boundaries.append(columns)
+        masks.append(column_masks)
     _assert_chain_complex(boundaries)
-    ranks = []
-    for c, columns in enumerate(boundaries, start=1):
-        ncols = counts[c]
-        mat = _dense(columns, counts[c - 1])
-        if char == RATIONALS:
-            ranks.append(_kernels.rank_bareiss(mat, ncols))
-        else:
-            ranks.append(_kernels.rank_mod_p(mat, ncols, char))
-    ranks.append(0)  # above the top dimension
-    betti = {}
-    for c in range(0, top + 1):
-        below = ranks[c - 1] if c >= 1 else 0
-        betti[c - 1] = counts[c] - below - ranks[c]
+    filtered = char == RATIONALS and mod_2_first
+    if char == 2 or filtered:  # no dense matrix
+        ranks = [_kernels.rank_mod_2_masks(column_masks) for column_masks in masks]
+    else:
+        ranks = [_dense_rank(counts, j, columns, char) for j, columns in enumerate(boundaries)]
+    betti = _betti(counts, ranks)
+    if filtered:
+        for j, columns in enumerate(boundaries):
+            if betti[j] and betti[j - 1]:
+                ranks[j] = _dense_rank(counts, j, columns, RATIONALS)
+        betti = _betti(counts, ranks)
     return betti
+
+
+def _dense_rank(counts: list[int], j: int, columns, char: int) -> int:
+    """Rank of the boundary from faces with j+1 vertices to faces with j vertices."""
+    mat = _dense(columns, counts[j])
+    if char == RATIONALS:
+        return _kernels.rank_bareiss(mat, counts[j + 1])
+    return _kernels.rank_mod_p(mat, counts[j + 1], char)
+
+
+def _betti(counts: list[int], ranks: list[int]) -> dict[int, int]:
+    """Betti numbers from face counts and the ranks of the boundary maps."""
+    padded = [0, *ranks, 0]  # nothing leaves the empty face or enters the top faces
+    return {c - 1: counts[c] - padded[c] - padded[c + 1] for c in range(len(counts))}
 
 
 def reduced_homology(cx: SimplicialComplex, field="Q") -> HomologyProfile:
@@ -245,7 +296,7 @@ def reduced_homology(cx: SimplicialComplex, field="Q") -> HomologyProfile:
     if cx.is_void:
         raise ValueError("reduced homology of the void complex is undefined")
     char = parse_field(field)
-    return HomologyProfile(field_label(char), _reduced_betti(cx.facet_masks, char))
+    return HomologyProfile(field_label(char), _reduced_betti(cx.facet_masks, char, mod_2_first=False))
 
 
 def is_cohen_macaulay(cx: SimplicialComplex, field="Q", check_all_faces: bool = False) -> CohenMacaulayResult:
@@ -257,11 +308,14 @@ def is_cohen_macaulay(cx: SimplicialComplex, field="Q", check_all_faces: bool = 
     witness.  By default only the empty face and intersections of facets
     are visited: the link of any other face is a cone, hence acyclic.
     Faces whose link is at most 0-dimensional are skipped (their
-    condition is vacuous), and each link's homology is computed on its
-    facet nerve when that is smaller, which the nerve theorem makes
-    exact.  Every failing face is an intersection, so the witness is the
-    one the full traversal finds.  ``check_all_faces`` is the naive
-    oracle: every face, its literal link, no nerve.
+    condition is vacuous), a 1-dimensional link passes iff it is
+    connected, each link's homology is computed on its facet nerve when
+    that is smaller, and over Q ranks are taken mod 2 first, so a link
+    with no mod-2 homology below its dimension passes without rational
+    elimination.  All of these are exact, and every failing face is an
+    intersection, so the witness is the one the full traversal finds.
+    ``check_all_faces`` is the naive oracle: every face, its literal
+    link, no nerve, no shortcut.
     """
     if cx.is_void:
         raise ValueError("Cohen-Macaulayness of the void complex is undefined")
@@ -270,19 +324,27 @@ def is_cohen_macaulay(cx: SimplicialComplex, field="Q", check_all_faces: bool = 
     if not cx.is_pure:
         return CohenMacaulayResult(False, label)
     facet_masks = cx.facet_masks
-    faces = _all_faces(facet_masks) if check_all_faces else _facet_intersections(facet_masks)
+    if check_all_faces:
+        faces = _all_faces(facet_masks)
+    else:  # a face of >= dim vertices has a link of dimension < 1: it passes vacuously
+        faces = [m for m in _facet_intersections(facet_masks) if m == 0 or m.bit_count() < cx.dim]
     for fmask in sorted(faces, key=lambda m: (m.bit_count(), unpack(m))):
         link = [g ^ fmask for g in facet_masks if g & fmask == fmask]
         link_dim = max(m.bit_count() for m in link) - 1
-        if not check_all_faces and fmask != 0 and link_dim < 1:
-            continue
         if link_dim < 0 and fmask != 0:
             continue  # link of a facet: nothing below dimension -1
-        if not check_all_faces and link_dim >= 0:  # the nerve of <()> is void
-            nerve = _nerve(link)
-            if _size_bound(nerve) < _size_bound(link):
-                link = nerve
-        betti = _reduced_betti(link, char)
+        if check_all_faces:
+            betti = _reduced_betti(link, char, mod_2_first=False)
+        else:
+            if link_dim == 1:  # a nonempty graph: only H~_0 can fail
+                if _is_connected(link):
+                    continue
+                return CohenMacaulayResult(False, label, unpack(fmask), 0)
+            if link_dim >= 0:  # the nerve of <()> is void
+                nerve = _nerve(link)
+                if _size_bound(nerve) < _size_bound(link):
+                    link = nerve
+            betti = _reduced_betti(link, char)
         for i in range(-1, link_dim):
             if betti.get(i, 0) != 0:
                 return CohenMacaulayResult(False, label, unpack(fmask), i)

@@ -91,6 +91,21 @@ class TestClassify:
         assert code == 3
         assert json.loads(out)["shellable"] is None
 
+    def test_negative_budget_exit_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "classify", "6", "2", "--checks", "shellable", "--budget", "-5", "--no-timings"
+        )
+        assert code == 2
+        assert out == "" and "--budget" in err
+
+    def test_budget_zero_is_valid(self, capsys):
+        # no search room at all, yet the Reisner test refutes the negative
+        code, out, _ = run_cli(
+            capsys, "classify", "7", "2", "--checks", "shellable", "--budget", "0", "--no-timings"
+        )
+        assert code == 0
+        assert json.loads(out)["shellable"] is False
+
     def test_check_subset(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "7", "3", "--checks", "vd", "--no-timings")
         assert code == 0
@@ -158,7 +173,7 @@ class TestSweep:
         assert "--force" in err
 
     def test_cm_limit_enforced_exit_2(self, capsys):
-        code, _, err = run_cli(capsys, "sweep", "17", "--checks", "cm")
+        code, _, err = run_cli(capsys, "sweep", "22", "--checks", "cm")
         assert code == 2
         assert "--force" in err
 
@@ -197,6 +212,11 @@ class TestSweep:
             capsys, "sweep", "5", "--format", "csv", "--no-timings", "--jobs", "3"
         )
         assert serial == parallel
+
+    def test_negative_budget_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "4", "--checks", "shellable", "--budget", "-1")
+        assert code == 2
+        assert out == "" and "--budget" in err
 
     def test_jobs_below_one_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "3", "--jobs", "0")

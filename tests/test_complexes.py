@@ -172,6 +172,31 @@ class TestConnectivity:
         with pytest.raises(ValueError):
             SimplicialComplex.from_facets(3, []).is_connected()
 
+    def test_empty_complex_and_points(self):
+        assert SimplicialComplex.from_facets(3, [[]]).is_connected()
+        assert SimplicialComplex.from_facets(3, [[2]]).is_connected()
+        assert not SimplicialComplex.from_facets(3, [[1], [3]]).is_connected()
+
+    def test_agrees_with_graph_search(self):
+        rng = random.Random(79)
+        for _ in range(200):
+            n = rng.randint(1, 8)
+            faces = [
+                rng.sample(range(1, n + 1), rng.randint(1, min(3, n)))
+                for _ in range(rng.randint(1, 6))
+            ]
+            cx = SimplicialComplex.from_facets(n, faces)
+            seen = {cx.support[0]}
+            frontier = [cx.support[0]]
+            while frontier:
+                v = frontier.pop()
+                for f in cx.facets:
+                    if v in f:
+                        new = set(f) - seen
+                        seen |= new
+                        frontier.extend(new)
+            assert cx.is_connected() == (len(seen) == len(cx.support)), cx.facets
+
 
 class TestMinimalNonfaces:
     def test_vdw52(self):

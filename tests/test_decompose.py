@@ -120,6 +120,11 @@ class TestShellable:
         assert res.value is None
         assert res.to_dict()["refutation"] is None  # vdW(6, 2) is Cohen-Macaulay
 
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError):
+            is_shellable(vdw_complex(6, 2), budget=-1)
+        assert is_shellable(vdw_complex(6, 2), budget=0).status == "undecided"
+
     def test_more_facets_than_the_recursion_limit(self):
         cx = vdw_complex(50, 1)  # 1225 facets
         res = is_shellable(cx)

@@ -11,10 +11,10 @@ from conftest import (
     reduced_euler_characteristic,
 )
 
-from vdwcomplex import homology
+from vdwcomplex import _kernels, homology
 from vdwcomplex.complexes import SimplicialComplex, pack
 from vdwcomplex.homology import is_cohen_macaulay, parse_field, reduced_homology
-from vdwcomplex.vdw import vdw_complex
+from vdwcomplex.vdw import classify_closed_form, vdw_complex
 
 # antipodally identified icosahedron: the 6-vertex projective plane
 RP2 = SimplicialComplex.from_facets(
@@ -23,6 +23,10 @@ RP2 = SimplicialComplex.from_facets(
         [1, 2, 4], [1, 2, 6], [1, 3, 4], [1, 3, 5], [1, 5, 6],
         [2, 3, 5], [2, 3, 6], [2, 4, 5], [3, 4, 6], [4, 5, 6],
     ],
+)
+# its suspension, with apexes 7 and 8: F2 homology in degrees 2 and 3
+SUSPENDED_RP2 = SimplicialComplex.from_facets(
+    8, [f + (apex,) for f in RP2.facets for apex in (7, 8)]
 )
 
 
@@ -194,8 +198,7 @@ class TestCohenMacaulay:
 
     def test_fast_and_naive_identical_random(self):
         rng = random.Random(71)
-        for _ in range(60):
-            cx = random_pure_complex(rng, 6)
+        for cx in [random_pure_complex(rng, 6) for _ in range(60)] + [RP2, SUSPENDED_RP2]:
             for field in ("Q", "F2", "Fp:3"):
                 fast = is_cohen_macaulay(cx, field).to_dict()
                 slow = is_cohen_macaulay(cx, field, check_all_faces=True).to_dict()
@@ -220,6 +223,74 @@ class TestCohenMacaulay:
         for field in ("Q", "F2"):
             assert is_cohen_macaulay(vdw_complex(12, k), field).value
         assert len(seen) == 2 and max(seen) <= 2
+
+    def test_no_rational_elimination_on_cm_vdw(self, monkeypatch):
+        calls = _record_rational_eliminations(monkeypatch)
+        positives = 0
+        for n in range(2, 11):
+            for k in range(1, n):
+                if classify_closed_form(n, k).cohen_macaulay:
+                    assert is_cohen_macaulay(vdw_complex(n, k), "Q").value
+                    positives += 1
+        assert positives == 35 and calls == []
+
+    @pytest.mark.parametrize("cx", [RP2, SUSPENDED_RP2], ids=["RP2", "suspended-RP2"])
+    def test_rational_elimination_only_where_mod_2_fails(self, monkeypatch, cx):
+        calls = _record_rational_eliminations(monkeypatch)
+        assert is_cohen_macaulay(cx, "Q").value
+        assert calls  # torsion: mod 2 alone cannot pass these links
+        for facet_masks in calls:
+            betti = homology._reduced_betti(facet_masks, 2)
+            # homology mod 2 in two adjacent degrees, so the link fails mod 2
+            assert any(betti[i] and betti[i - 1] for i in betti if i >= 0), facet_masks
+
+    def test_rational_ranks_pinned_by_mod_2(self):
+        rng = random.Random(83)
+        cxs = [random_pure_complex(rng, 7) for _ in range(80)] + [RP2, SUSPENDED_RP2]
+        for cx in cxs:
+            masks = list(cx.facet_masks)
+            assert homology._reduced_betti(masks, 0) == homology._reduced_betti(
+                masks, 0, mod_2_first=False
+            ), cx.facets
+
+    def test_disconnected_graph_link_by_connectivity(self, monkeypatch):
+        # two triangles sharing vertex 1: lk {1} is two disjoint edges
+        cx = SimplicialComplex.from_facets(5, [[1, 2, 3], [1, 4, 5]])
+        for field in ("Q", "F2", "Fp:3"):
+            slow = is_cohen_macaulay(cx, field, check_all_faces=True).to_dict()
+            assert slow["witness_face"] == [1] and slow["witness_degree"] == 0
+            measured = []
+            measure = homology._reduced_betti
+
+            def recording(facet_masks, char):
+                measured.append(facet_masks)
+                return measure(facet_masks, char)
+
+            monkeypatch.setattr(homology, "_reduced_betti", recording)
+            assert is_cohen_macaulay(cx, field).to_dict() == slow
+            monkeypatch.undo()
+            assert len(measured) == 1  # the empty face's link; lk {1} is not measured
+
+
+def _record_rational_eliminations(monkeypatch):
+    """Record, per rational elimination, the complex whose homology it serves."""
+    measured = []
+    calls = []
+    measure = homology._reduced_betti
+
+    def measuring(facet_masks, char, *args, **kwargs):
+        measured.append(list(facet_masks))
+        return measure(facet_masks, char, *args, **kwargs)
+
+    bareiss = _kernels.rank_bareiss
+
+    def counting(rows, ncols):
+        calls.append(measured[-1])
+        return bareiss(rows, ncols)
+
+    monkeypatch.setattr(homology, "_reduced_betti", measuring)
+    monkeypatch.setattr(_kernels, "rank_bareiss", counting)
+    return calls
 
 
 def _nonzero(betti):

@@ -5,7 +5,9 @@ import random
 import pytest
 from conftest import fraction_rank, modp_rank
 
+from vdwcomplex import _kernels, homology
 from vdwcomplex._kernels import pure
+from vdwcomplex.complexes import SimplicialComplex
 
 try:
     from vdwcomplex._kernels import _speedups
@@ -72,6 +74,62 @@ class TestRanks:
         m = [[2]]
         assert impl.rank_bareiss(m, 1) == 1
         assert impl.rank_mod_p(m, 1, 2) == 0
+
+
+def _row_masks(rows):
+    return [sum(1 << j for j, x in enumerate(row) if x & 1) for row in rows]
+
+
+class TestMaskElimination:
+    def test_against_oracle(self):
+        rng = random.Random(137)
+        for _ in range(200):
+            nrows, ncols = rng.randint(0, 12), rng.randint(1, 12)
+            m = random_matrix(rng, nrows, ncols, -3, 3)
+            expected = modp_rank(m, 2)
+            assert pure.rank_mod_2_masks(_row_masks(m)) == expected
+            columns = [list(col) for col in zip(*m)]  # the rank of the transpose
+            assert pure.rank_mod_2_masks(_row_masks(columns)) == expected
+
+    def test_rank_deficient(self):
+        rng = random.Random(139)
+        for _ in range(60):
+            nrows, ncols = rng.randint(2, 10), rng.randint(2, 10)
+            m = rank_deficient_matrix(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)))
+            assert pure.rank_mod_2_masks(_row_masks(m)) == modp_rank(m, 2)
+
+    def test_zero_and_duplicate_rows(self):
+        assert pure.rank_mod_2_masks([]) == 0
+        assert pure.rank_mod_2_masks([0, 0]) == 0
+        assert pure.rank_mod_2_masks([0b101, 0b101, 0b011, 0b110]) == 2
+
+    def test_reduced_betti_matches_dense_ranks(self):
+        # Betti numbers mod 2 from dense incidence matrices ranked by rank_mod_p
+        rng = random.Random(149)
+        for _ in range(80):
+            n = rng.randint(1, 7)
+            faces = [
+                rng.sample(range(1, n + 1), rng.randint(1, min(4, n)))
+                for _ in range(rng.randint(1, 6))
+            ]
+            masks = list(SimplicialComplex.from_facets(n, faces).facet_masks)
+            levels = {}
+            for f in masks:
+                sub = f
+                while True:  # every submask of f, down to the empty face
+                    levels.setdefault(sub.bit_count(), set()).add(sub)
+                    if sub == 0:
+                        break
+                    sub = (sub - 1) & f
+            counts = [len(levels[c]) for c in range(len(levels))]
+            ranks = [0]
+            for c in range(1, len(levels)):
+                lower, upper = sorted(levels[c - 1]), sorted(levels[c])
+                rows = [[1 if low & up == low else 0 for up in upper] for low in lower]
+                ranks.append(_kernels.rank_mod_p(rows, len(upper), 2))
+            ranks.append(0)
+            expected = {c - 1: counts[c] - ranks[c] - ranks[c + 1] for c in range(len(counts))}
+            assert homology._reduced_betti(masks, 2) == expected, faces
 
 
 @pytest.mark.skipif(_speedups is None, reason="compiled kernels not built")
