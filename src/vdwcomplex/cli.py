@@ -41,7 +41,7 @@ EXIT_USAGE = 2
 EXIT_UNDECIDED = 3
 
 CHECKS = ("vd", "shellable", "cm", "linpres")
-SWEEP_LIMITS = {"vd": 30, "shellable": 20, "cm": 21, "linpres": 18}
+SWEEP_LIMITS = {"vd": 30, "shellable": 20, "cm": 21, "linpres": 36}
 
 CSV_COLUMNS = [
     "n",
@@ -109,7 +109,10 @@ def compute_record(
 
     The record carries a computed flag per selected check (None when a
     search was undecided), the predicted flags, and ``agreement`` over
-    vertex decomposability, shellability and Cohen-Macaulayness.
+    every selected check.  Linear presentation is compared with the
+    predicted Cohen-Macaulayness: for vdW(n, k) the two coincide, by
+    Eagon-Reiner in one direction and the paper's obstruction in the
+    other.
     """
     pred = classify_closed_form(n, k)
     rec: dict = {
@@ -149,6 +152,7 @@ def compute_record(
         t0 = time.perf_counter()
         rec["linearly_presented"] = is_linearly_presented(dual_ideal(cx)).value
         ms["linearly_presented"] = round((time.perf_counter() - t0) * 1000.0, 3)
+        mismatch |= rec["linearly_presented"] != pred.cohen_macaulay
     rec["agreement"] = not mismatch and not undecided
     if with_timings:
         rec["ms"] = ms

@@ -54,10 +54,10 @@ def _absorb(masks: Iterable[int]) -> list[int]:
     return kept
 
 
-def _is_connected(masks: Iterable[int]) -> bool:
-    """True iff the union of the faces ``masks`` is connected through shared vertices."""
+def _component(masks: Iterable[int], seed: int) -> int:
+    """Union of ``seed`` and the faces in ``masks`` joined to it through shared vertices."""
+    reach = seed
     rest = [m for m in masks if m]
-    reach = rest.pop() if rest else 0
     grew = True
     while grew:
         grew = False
@@ -69,7 +69,16 @@ def _is_connected(masks: Iterable[int]) -> bool:
             else:
                 apart.append(m)
         rest = apart
-    return not rest
+    return reach
+
+
+def _is_connected(masks: Iterable[int]) -> bool:
+    """True iff the union of the faces ``masks`` is connected through shared vertices."""
+    masks = list(masks)
+    union = 0
+    for m in masks:
+        union |= m
+    return _component(masks, union & -union) == union
 
 
 def _check_universe(n: int) -> None:
@@ -94,10 +103,12 @@ def _check_antichain(n: int, members: tuple[Vertices, ...], noun: str) -> None:
         if any(a >= b for a, b in zip(m, m[1:])):
             raise ValueError(f"{noun} {m} is not strictly increasing")
         masks.append(pack(m))
-    for i, a in enumerate(masks):
-        for b in masks[i + 1 :]:
-            if a & b == a or a & b == b:
-                raise ValueError(f"{noun}s must be pairwise inclusion-incomparable")
+    # distinct members of one size are incomparable: a pure complex needs no pairwise test
+    if len({len(m) for m in members}) > 1 or len(set(masks)) < len(masks):
+        for i, a in enumerate(masks):
+            for b in masks[i + 1 :]:
+                if a & b == a or a & b == b:
+                    raise ValueError(f"{noun}s must be pairwise inclusion-incomparable")
     if list(members) != sorted(members):
         raise ValueError(f"{noun}s must be sorted lexicographically")
 

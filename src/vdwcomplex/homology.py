@@ -33,6 +33,11 @@ one int bitmask and rows are eliminated by XOR, with no dense matrix.
 Odd p gets no such filter, since mod-2 and mod-p Betti numbers cannot
 be compared.  ``is_cohen_macaulay(..., check_all_faces=True)`` is the
 naive oracle: every face, its literal link, no nerve, no shortcut.
+
+The face traversal, ``_first_failure``, takes a depth target: Reisner's
+test asks every link for vanishing homology below its dimension, and
+Serre's (S2), which ``ideals.is_linearly_presented`` decides, asks only
+for H~_-1 and H~_0, so every link it visits is decided by connectivity.
 """
 
 from __future__ import annotations
@@ -166,15 +171,10 @@ def _faces_by_dim(facet_masks) -> list[list[int]]:
 
 def _facet_intersections(facet_masks) -> set[int]:
     """The empty face and every intersection of a nonempty set of facets."""
-    closed = {0, *facet_masks}
-    stack = list(facet_masks)
-    while stack:
-        m = stack.pop()
-        for g in facet_masks:
-            meet = m & g
-            if meet not in closed:
-                closed.add(meet)
-                stack.append(meet)
+    closed = {0}
+    for g in facet_masks:  # closed: the intersections of the facets before g
+        closed |= {m & g for m in closed}
+        closed.add(g)
     return closed
 
 
@@ -299,6 +299,56 @@ def reduced_homology(cx: SimplicialComplex, field="Q") -> HomologyProfile:
     return HomologyProfile(field_label(char), _reduced_betti(cx.facet_masks, char, mod_2_first=False))
 
 
+def _first_failure(
+    facet_masks,
+    dim: int,
+    char: int = 2,
+    depth: int | None = None,
+    check_all_faces: bool = False,
+) -> tuple[int, int] | None:
+    """First face whose link fails, with the failing degree, or None.
+
+    ``facet_masks`` is a pure complex of dimension ``dim``.  The link of
+    a face F fails in degree i when H~_i(lk F) != 0 for some
+    i < min(dim lk F, depth - 1); ``depth=None`` leaves the minimum at
+    dim lk F, which is Reisner's test for Cohen-Macaulayness, and
+    ``depth=2`` is Serre's (S2): every link of dimension >= 1 is
+    connected, over every field.  Faces are visited by increasing
+    dimension, then lexicographically.  By default only the empty face
+    and intersections of facets with fewer than ``dim`` vertices are
+    visited (any other link is a cone or has dimension < 1).  A link
+    whose only testable degrees are -1 and 0 is decided by connectivity;
+    any other is measured over ``char`` on itself or on its facet nerve,
+    whichever is smaller.  ``check_all_faces`` is the naive oracle: every
+    face, its literal link, no nerve, no shortcut.
+    """
+    if check_all_faces:
+        faces = _all_faces(facet_masks)
+    else:
+        faces = [m for m in _facet_intersections(facet_masks) if m.bit_count() < dim]
+    for fmask in sorted(faces, key=lambda m: (m.bit_count(), unpack(m))):
+        link = [g ^ fmask for g in facet_masks if g & fmask == fmask]
+        link_dim = dim - fmask.bit_count()
+        top = link_dim if depth is None else min(link_dim, depth - 1)  # degrees below top count
+        if check_all_faces:
+            if link_dim < 0 and fmask != 0:
+                continue  # link of a facet: nothing below dimension -1
+            betti = _reduced_betti(link, char, mod_2_first=False)
+        elif top == 1:  # a nonempty link: only H~_0 can fail
+            if _is_connected(link):
+                continue
+            return fmask, 0
+        else:
+            nerve = _nerve(link)
+            if _size_bound(nerve) < _size_bound(link):
+                link = nerve
+            betti = _reduced_betti(link, char)
+        for i in range(-1, top):
+            if betti.get(i, 0) != 0:
+                return fmask, i
+    return None
+
+
 def is_cohen_macaulay(cx: SimplicialComplex, field="Q", check_all_faces: bool = False) -> CohenMacaulayResult:
     """Reisner test: every face link is homology-trivial below its dimension.
 
@@ -323,29 +373,8 @@ def is_cohen_macaulay(cx: SimplicialComplex, field="Q", check_all_faces: bool = 
     label = field_label(char)
     if not cx.is_pure:
         return CohenMacaulayResult(False, label)
-    facet_masks = cx.facet_masks
-    if check_all_faces:
-        faces = _all_faces(facet_masks)
-    else:  # a face of >= dim vertices has a link of dimension < 1: it passes vacuously
-        faces = [m for m in _facet_intersections(facet_masks) if m == 0 or m.bit_count() < cx.dim]
-    for fmask in sorted(faces, key=lambda m: (m.bit_count(), unpack(m))):
-        link = [g ^ fmask for g in facet_masks if g & fmask == fmask]
-        link_dim = max(m.bit_count() for m in link) - 1
-        if link_dim < 0 and fmask != 0:
-            continue  # link of a facet: nothing below dimension -1
-        if check_all_faces:
-            betti = _reduced_betti(link, char, mod_2_first=False)
-        else:
-            if link_dim == 1:  # a nonempty graph: only H~_0 can fail
-                if _is_connected(link):
-                    continue
-                return CohenMacaulayResult(False, label, unpack(fmask), 0)
-            if link_dim >= 0:  # the nerve of <()> is void
-                nerve = _nerve(link)
-                if _size_bound(nerve) < _size_bound(link):
-                    link = nerve
-            betti = _reduced_betti(link, char)
-        for i in range(-1, link_dim):
-            if betti.get(i, 0) != 0:
-                return CohenMacaulayResult(False, label, unpack(fmask), i)
-    return CohenMacaulayResult(True, label)
+    failure = _first_failure(cx.facet_masks, cx.dim, char, check_all_faces=check_all_faces)
+    if failure is None:
+        return CohenMacaulayResult(True, label)
+    fmask, degree = failure
+    return CohenMacaulayResult(False, label, unpack(fmask), degree)

@@ -11,6 +11,28 @@ lcm(m_i, m_j) has one coordinate per generator dividing it, so the
 syzygy of the pair (i, j) is a difference of unit coordinates and lies
 in the linear-syzygy span iff i and j are joined by a path of linear
 pairs among the dividing generators.
+
+Linear presentation is decided without that graph search.  An
+equigenerated ideal of degree d in n variables is the dual ideal of the
+pure complex D whose facets are the generator complements, of
+dimension n - d - 1.  The ideal is linearly presented iff k[D] satisfies
+Serre's (S2) (Yanagawa, J. Algebra 225 (2000); Terai's (S_r) form of
+Eagon-Reiner), which holds iff every face link of dimension >= 1 is
+connected, over every field.  A nonempty face that is not an
+intersection of facets has a cone as its link, so only the empty face
+and the facet intersections with fewer than dim D vertices are visited,
+by the face traversal of the Reisner test (``homology._first_failure``
+with depth 2).
+
+A face F whose link is disconnected is mapped to a witness pair (i, j):
+i is the first facet containing F and j the first facet containing F in
+another component of lk F, so i < j.  The two facets meet exactly in F,
+so lcm(m_i, m_j) has degree n - |F| > d + 1 and the pair is not linear.
+The generators dividing that lcm are the facets containing F, and a
+linear pair among them is two facets sharing a ridge, which lie in one
+component of lk F; so no path of linear pairs joins i to j.
+``is_linearly_presented(..., check_all_pairs=True)`` is the reference
+path: the graph search on every pair, in order.
 """
 
 from __future__ import annotations
@@ -19,7 +41,15 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from vdwcomplex.complexes import SimplicialComplex, Vertices, _check_antichain, pack, unpack
+from vdwcomplex.complexes import (
+    SimplicialComplex,
+    Vertices,
+    _check_antichain,
+    _component,
+    pack,
+    unpack,
+)
+from vdwcomplex.homology import _first_failure
 from vdwcomplex.vdw import ProgressionFacet, max_increment, max_odd_increment, progression_facets
 
 
@@ -149,43 +179,71 @@ class LinearPresentationResult:
         }
 
 
-def is_linearly_presented(ideal: MonomialIdeal) -> LinearPresentationResult:
+def is_linearly_presented(
+    ideal: MonomialIdeal, check_all_pairs: bool = False
+) -> LinearPresentationResult:
     """Is the first syzygy module generated by the linear Taylor syzygies?
 
-    Requires an equigenerated ideal.  Each pair syzygy is homogeneous of
-    multidegree a = lcm(m_i, m_j); it lies in the linear-syzygy
-    submodule iff i and j are connected in the graph on the generators
-    dividing x^a whose edges are the pairs of lcm-degree d + 1.  The
-    first pair failing this test is returned as a witness.
+    Requires an equigenerated ideal.  By default this is Serre's (S2) on
+    the complex whose facets are the generator complements: the first
+    face, by dimension and then lexicographically, whose link has
+    dimension >= 1 and is disconnected is mapped to a witness pair (see
+    the module docstring).  ``check_all_pairs`` is the reference path:
+    each pair syzygy is tested in turn by the multidegree graph search
+    of :func:`_linearly_joined`, and the first pair failing it is the
+    witness.
     """
     if not ideal.is_equigenerated:
         raise ValueError("linear presentation is defined for equigenerated ideals")
     masks = ideal.generator_masks
-    s = len(masks)
-    if s <= 1:
+    if len(masks) <= 1:
         return LinearPresentationResult(True)
+    if check_all_pairs:
+        d = masks[0].bit_count()
+        for i in range(len(masks)):
+            for j in range(i + 1, len(masks)):
+                if (masks[i] | masks[j]).bit_count() != d + 1 and not _linearly_joined(masks, i, j):
+                    return LinearPresentationResult(False, (i, j))
+        return LinearPresentationResult(True)
+    full = (1 << ideal.n) - 1
+    facets = [full & ~m for m in masks]
+    failure = _first_failure(facets, ideal.n - masks[0].bit_count() - 1, depth=2)
+    if failure is None:
+        return LinearPresentationResult(True)
+    return LinearPresentationResult(False, _witness_pair(facets, failure[0]))
+
+
+def _linearly_joined(masks, i: int, j: int) -> bool:
+    """Is the pair syzygy (i, j) in the span of the linear pair syzygies?
+
+    It is iff i and j are joined in the graph on the generators dividing
+    lcm(m_i, m_j) whose edges are the pairs of lcm-degree d + 1.
+    """
     d = masks[0].bit_count()
-    union = [[0] * s for _ in range(s)]
-    for i in range(s):
-        for j in range(i + 1, s):
-            union[i][j] = union[j][i] = (masks[i] | masks[j]).bit_count()
-    for i in range(s):
-        for j in range(i + 1, s):
-            if union[i][j] == d + 1:
-                continue  # linear syzygies generate themselves
-            a = masks[i] | masks[j]
-            members = [p for p in range(s) if masks[p] & ~a == 0]
-            reached = {i}
-            frontier = [i]
-            while frontier and j not in reached:
-                p = frontier.pop()
-                for q in members:
-                    if q not in reached and union[p][q] == d + 1:
-                        reached.add(q)
-                        frontier.append(q)
-            if j not in reached:
-                return LinearPresentationResult(False, (i, j))
-    return LinearPresentationResult(True)
+    lcm = masks[i] | masks[j]
+    members = [p for p, m in enumerate(masks) if m & ~lcm == 0]
+    reached = {i}
+    frontier = [i]
+    while frontier and j not in reached:
+        p = frontier.pop()
+        for q in members:
+            if q not in reached and (masks[p] | masks[q]).bit_count() == d + 1:
+                reached.add(q)
+                frontier.append(q)
+    return j in reached
+
+
+def _witness_pair(facets, face: int) -> tuple[int, int]:
+    """The pair syzygy that a face with a disconnected link cannot generate.
+
+    i is the first facet containing ``face``; j is the first facet
+    containing it in another component of the link.
+    """
+    holders = [p for p, g in enumerate(facets) if g & face == face]
+    i = holders[0]
+    reach = _component([facets[p] ^ face for p in holders], facets[i] ^ face)
+    j = next(p for p in holders if not facets[p] & reach)
+    return i, j
 
 
 @dataclass(frozen=True)

@@ -112,6 +112,18 @@ def test_4_obstruction_and_linear_presentation_to_n10():
           "all other pairs are linearly presented")
 
 
+def test_4_linear_presentation_matches_closed_form_to_n24():
+    negatives = 0
+    for n, k in all_pairs(24):
+        presented = is_linearly_presented(dual_ideal(vdw_complex(n, k))).value
+        assert presented == classify_closed_form(n, k).cohen_macaulay, (n, k)
+        negatives += not presented
+    assert negatives == sum(1 for n, k in all_pairs(24) if n > 6 and 2 <= k and 2 * k < n)
+    print(f"acceptance[4] PASS: linear presentation matches the closed-form "
+          f"Cohen-Macaulay flag on all {len(all_pairs(24))} pairs with n <= 24; "
+          f"{negatives} negative")
+
+
 def test_5_odd_increment_overlap_bound_to_n30():
     for n in range(7, 31):
         res = check_odd_increment_overlap(n)
@@ -214,6 +226,7 @@ def test_10_linear_presentation_graph_criterion_vs_oracle():
         got = is_linearly_presented(ideal).value
         assert got == linear_presentation_oracle(ideal, 0)[0], (n, k, "Q")
         assert got == linear_presentation_oracle(ideal, 2)[0], (n, k, "F2")
+        assert got == is_linearly_presented(ideal, check_all_pairs=True).value, (n, k)
         checked += 1
     rng = random.Random(17072024)
     for _ in range(200):
@@ -225,6 +238,7 @@ def test_10_linear_presentation_graph_criterion_vs_oracle():
         got = is_linearly_presented(ideal).value
         assert got == linear_presentation_oracle(ideal, 0)[0], supports
         assert got == linear_presentation_oracle(ideal, 2)[0], supports
+        assert got == is_linearly_presented(ideal, check_all_pairs=True).value, supports
         checked += 1
-    print(f"acceptance[10] PASS: graph criterion equals exact linear-system "
-          f"membership over Q and F2 on {checked} ideals")
+    print(f"acceptance[10] PASS: the (S2) test and the graph criterion equal "
+          f"exact linear-system membership over Q and F2 on {checked} ideals")

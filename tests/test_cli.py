@@ -10,6 +10,7 @@ import pytest
 
 from vdwcomplex import cli
 from vdwcomplex.cli import main
+from vdwcomplex.ideals import LinearPresentationResult
 
 
 def run_cli(capsys, *argv):
@@ -190,6 +191,29 @@ class TestSweep:
         records = json.loads(out.splitlines()[0])
         assert len(records) == 120
         assert all(r["agreement"] for r in records)
+
+    def test_linpres_limit_enforced_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "sweep", "37", "--checks", "linpres")
+        assert code == 2
+        assert "--force" in err
+
+    def test_linpres_sweep_24_within_limit(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "24", "--checks", "linpres", "--no-timings")
+        assert code == 0
+        records = json.loads(out.splitlines()[0])
+        assert len(records) == 276
+        assert all(r["agreement"] for r in records)
+        assert any(r["linearly_presented"] is False for r in records)
+
+    def test_wrong_linpres_verdict_disagrees(self, capsys, monkeypatch):
+        def always_true(ideal):
+            return LinearPresentationResult(True)
+
+        monkeypatch.setattr(cli, "is_linearly_presented", always_true)
+        code, out, _ = run_cli(capsys, "sweep", "7", "--checks", "linpres", "--no-timings")
+        assert code == 1
+        records = json.loads(out.splitlines()[0])
+        assert [(r["n"], r["k"]) for r in records if not r["agreement"]] == [(7, 2), (7, 3)]
 
     def test_csv_column_order(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "4", "--format", "csv", "--no-timings")

@@ -1,13 +1,15 @@
 """Dual ideals, Taylor syzygies and the linear-presentation criterion."""
 
 import random
+from itertools import combinations
 
 import pytest
-from conftest import linear_presentation_oracle
+from conftest import complex_from_masks, enumerate_antichains, linear_presentation_oracle
 
 from vdwcomplex.complexes import SimplicialComplex, pack
 from vdwcomplex.ideals import (
     MonomialIdeal,
+    _linearly_joined,
     dual_ideal,
     is_linearly_presented,
     nonlinear_obstruction_vdw,
@@ -158,6 +160,68 @@ class TestLinearPresentation:
             got = is_linearly_presented(ideal).value
             assert got == linear_presentation_oracle(ideal, 0)[0]
             assert got == linear_presentation_oracle(ideal, 2)[0]
+            assert got == is_linearly_presented(ideal, check_all_pairs=True).value
+
+
+def assert_fast_matches_graph_search(ideal):
+    """The (S2) path agrees with the pair-by-pair graph search; its witness replays."""
+    fast = is_linearly_presented(ideal)
+    assert fast.value == is_linearly_presented(ideal, check_all_pairs=True).value
+    if fast.value:
+        assert fast.witness is None
+        return
+    i, j = fast.witness
+    masks = ideal.generator_masks
+    assert i < j
+    assert (masks[i] | masks[j]).bit_count() != masks[0].bit_count() + 1  # not linear
+    assert not _linearly_joined(masks, i, j)
+
+
+class TestSerreFastPath:
+    def test_every_pure_complex_on_up_to_5_vertices(self):
+        negatives = 0
+        for n in range(1, 6):
+            for masks in enumerate_antichains(n):
+                if masks and len({m.bit_count() for m in masks}) == 1:
+                    ideal = dual_ideal(complex_from_masks(n, masks))
+                    assert_fast_matches_graph_search(ideal)
+                    negatives += not is_linearly_presented(ideal).value
+        assert negatives > 100
+
+    def test_random_pure_complexes_on_6_to_9_vertices(self):
+        rng = random.Random(6029)
+        negatives = with_unused_vertex = 0
+        for _ in range(320):
+            n = rng.randint(6, 9)
+            dim = rng.randint(1, 3)
+            used = rng.sample(range(1, n + 1), rng.randint(dim + 2, n))
+            pool = list(combinations(sorted(used), dim + 1))
+            facets = rng.sample(pool, rng.randint(2, min(14, len(pool))))
+            cx = SimplicialComplex.from_facets(n, facets)
+            with_unused_vertex += len(cx.support) < n
+            ideal = dual_ideal(cx)
+            assert_fast_matches_graph_search(ideal)
+            negatives += not is_linearly_presented(ideal).value
+        assert negatives > 50 and with_unused_vertex > 50
+
+    def test_every_vdw_to_n18(self):
+        for n in range(2, 19):
+            for k in range(1, n):
+                assert_fast_matches_graph_search(dual_ideal(vdw_complex(n, k)))
+
+    def test_disconnected_complex_fails_at_the_empty_face(self):
+        # two triangles sharing no vertex: i and j lie in different components
+        ideal = dual_ideal(SimplicialComplex.from_facets(6, [[1, 2, 3], [4, 5, 6]]))
+        assert is_linearly_presented(ideal).witness == (0, 1)
+        assert not is_linearly_presented(ideal, check_all_pairs=True).value
+
+    def test_graph_link_witness(self):
+        # two tetrahedra sharing the edge {1, 2}: every vertex link is
+        # connected, but lk {1, 2} is the two disjoint edges {3, 4}, {5, 6}
+        cx = SimplicialComplex.from_facets(6, [[1, 2, 3, 4], [1, 2, 5, 6]])
+        ideal = dual_ideal(cx)
+        assert is_linearly_presented(ideal).witness == (0, 1)
+        assert_fast_matches_graph_search(ideal)
 
 
 class TestObstruction:
