@@ -1,7 +1,8 @@
-"""Pure-Python implementations of the hot kernels.
+"""The hot kernels: exact matrix ranks and the shelling-order search.
 
-Mirrors ``_speedups`` (the optional compiled extension) exactly:
-identical results, identical search order, identical node accounting.
+Pure Python, and the only implementation.  Callers reach them through
+the module attribute (``_kernels.rank_bareiss(...)``), so a wrapper set
+on the module sees every call.
 """
 
 from __future__ import annotations
@@ -9,6 +10,11 @@ from __future__ import annotations
 FOUND = 0
 NOT_SHELLABLE = 1
 EXHAUSTED = 2
+
+
+def implementation_name() -> str:
+    """Name of the kernels in use; there is one implementation."""
+    return "pure"
 
 
 def rank_bareiss(rows: list[list[int]], ncols: int) -> int:
@@ -56,8 +62,6 @@ def rank_mod_p(rows: list[list[int]], ncols: int, p: int) -> int:
     nrows = len(rows)
     if nrows == 0 or ncols == 0:
         return 0
-    if p == 2:
-        return _rank_mod_2(rows)
     m = [[x % p for x in row] for row in rows]
     rank = 0
     r = 0
@@ -84,17 +88,6 @@ def rank_mod_p(rows: list[list[int]], ncols: int, p: int) -> int:
         if r == nrows:
             break
     return rank
-
-
-def _rank_mod_2(rows: list[list[int]]) -> int:
-    masks = []
-    for row in rows:
-        bits = 0
-        for j, x in enumerate(row):
-            if x & 1:
-                bits |= 1 << j
-        masks.append(bits)
-    return rank_mod_2_masks(masks)
 
 
 def rank_mod_2_masks(masks) -> int:
@@ -152,7 +145,8 @@ def search_shelling(masks: list[int], budget: int) -> tuple[int, list[int] | Non
     # overflow the interpreter's stack (vdW(50, 1) has 1225 facets).
     # Frame d holds the placed set at depth d and an iterator over its
     # remaining candidates, so candidate order and node accounting match
-    # the recursive ``_dfs`` of the compiled twin.
+    # a recursive search; the records in ``test_pure_search_pinned`` are
+    # the reference.
     nodes = 1  # the root state
     if nodes > budget:
         return (EXHAUSTED, None, nodes)

@@ -1,4 +1,4 @@
-"""Pure and compiled kernels: correctness oracles and cross-agreement."""
+"""The kernels against correctness oracles and pinned search records."""
 
 import random
 
@@ -6,15 +6,7 @@ import pytest
 from conftest import fraction_rank, modp_rank
 
 from vdwcomplex import _kernels, homology
-from vdwcomplex._kernels import pure
 from vdwcomplex.complexes import SimplicialComplex
-
-try:
-    from vdwcomplex._kernels import _speedups
-except ImportError:
-    _speedups = None
-
-IMPLEMENTATIONS = [pure] if _speedups is None else [pure, _speedups]
 
 
 def random_matrix(rng, nrows, ncols, lo=-3, hi=3):
@@ -30,50 +22,49 @@ def rank_deficient_matrix(rng, nrows, ncols, rank):
     ]
 
 
-@pytest.mark.parametrize("impl", IMPLEMENTATIONS, ids=lambda m: m.__name__.rsplit(".", 1)[-1])
 class TestRanks:
-    def test_bareiss_against_fraction_gauss(self, impl):
+    def test_bareiss_against_fraction_gauss(self):
         rng = random.Random(101)
         for _ in range(40):
             nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
             m = random_matrix(rng, nrows, ncols)
-            assert impl.rank_bareiss(m, ncols) == fraction_rank(m)
+            assert _kernels.rank_bareiss(m, ncols) == fraction_rank(m)
 
-    def test_bareiss_rank_deficient(self, impl):
+    def test_bareiss_rank_deficient(self):
         rng = random.Random(103)
         for _ in range(30):
             nrows, ncols = rng.randint(2, 9), rng.randint(2, 9)
             r = rng.randint(0, min(nrows, ncols))
             m = rank_deficient_matrix(rng, nrows, ncols, r)
-            got = impl.rank_bareiss(m, ncols)
+            got = _kernels.rank_bareiss(m, ncols)
             assert got == fraction_rank(m)
             assert got <= r
 
-    def test_bareiss_against_sympy(self, impl):
+    def test_bareiss_against_sympy(self):
         sympy = pytest.importorskip("sympy")
         rng = random.Random(107)
         for _ in range(15):
             nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
             m = random_matrix(rng, nrows, ncols, -5, 5)
-            assert impl.rank_bareiss(m, ncols) == sympy.Matrix(m).rank()
+            assert _kernels.rank_bareiss(m, ncols) == sympy.Matrix(m).rank()
 
-    def test_mod_p_against_oracle(self, impl):
+    def test_mod_p_against_oracle(self):
         rng = random.Random(109)
         for p in (2, 3, 5, 101):
             for _ in range(20):
                 nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
                 m = random_matrix(rng, nrows, ncols, -6, 6)
-                assert impl.rank_mod_p(m, ncols, p) == modp_rank(m, p)
+                assert _kernels.rank_mod_p(m, ncols, p) == modp_rank(m, p)
 
-    def test_empty_matrices(self, impl):
-        assert impl.rank_bareiss([], 0) == 0
-        assert impl.rank_bareiss([], 5) == 0
-        assert impl.rank_mod_p([], 0, 2) == 0
+    def test_empty_matrices(self):
+        assert _kernels.rank_bareiss([], 0) == 0
+        assert _kernels.rank_bareiss([], 5) == 0
+        assert _kernels.rank_mod_p([], 0, 2) == 0
 
-    def test_rank_can_differ_between_fields(self, impl):
+    def test_rank_can_differ_between_fields(self):
         m = [[2]]
-        assert impl.rank_bareiss(m, 1) == 1
-        assert impl.rank_mod_p(m, 1, 2) == 0
+        assert _kernels.rank_bareiss(m, 1) == 1
+        assert _kernels.rank_mod_p(m, 1, 2) == 0
 
 
 def _row_masks(rows):
@@ -87,21 +78,21 @@ class TestMaskElimination:
             nrows, ncols = rng.randint(0, 12), rng.randint(1, 12)
             m = random_matrix(rng, nrows, ncols, -3, 3)
             expected = modp_rank(m, 2)
-            assert pure.rank_mod_2_masks(_row_masks(m)) == expected
+            assert _kernels.rank_mod_2_masks(_row_masks(m)) == expected
             columns = [list(col) for col in zip(*m)]  # the rank of the transpose
-            assert pure.rank_mod_2_masks(_row_masks(columns)) == expected
+            assert _kernels.rank_mod_2_masks(_row_masks(columns)) == expected
 
     def test_rank_deficient(self):
         rng = random.Random(139)
         for _ in range(60):
             nrows, ncols = rng.randint(2, 10), rng.randint(2, 10)
             m = rank_deficient_matrix(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)))
-            assert pure.rank_mod_2_masks(_row_masks(m)) == modp_rank(m, 2)
+            assert _kernels.rank_mod_2_masks(_row_masks(m)) == modp_rank(m, 2)
 
     def test_zero_and_duplicate_rows(self):
-        assert pure.rank_mod_2_masks([]) == 0
-        assert pure.rank_mod_2_masks([0, 0]) == 0
-        assert pure.rank_mod_2_masks([0b101, 0b101, 0b011, 0b110]) == 2
+        assert _kernels.rank_mod_2_masks([]) == 0
+        assert _kernels.rank_mod_2_masks([0, 0]) == 0
+        assert _kernels.rank_mod_2_masks([0b101, 0b101, 0b011, 0b110]) == 2
 
     def test_reduced_betti_matches_dense_ranks(self):
         # Betti numbers mod 2 from dense incidence matrices ranked by rank_mod_p
@@ -132,87 +123,51 @@ class TestMaskElimination:
             assert homology._reduced_betti(masks, 2) == expected, faces
 
 
-@pytest.mark.skipif(_speedups is None, reason="compiled kernels not built")
-class TestCompiledMatchesPure:
-    def test_rank_bareiss_agrees(self):
-        rng = random.Random(113)
-        for _ in range(30):
-            nrows, ncols = rng.randint(1, 10), rng.randint(1, 10)
-            m = random_matrix(rng, nrows, ncols, -4, 4)
-            assert _speedups.rank_bareiss(m, ncols) == pure.rank_bareiss(m, ncols)
-
-    def test_rank_mod_p_agrees(self):
-        rng = random.Random(127)
-        for p in (2, 3, 7, 31):
-            for _ in range(15):
-                nrows, ncols = rng.randint(1, 10), rng.randint(1, 10)
-                m = random_matrix(rng, nrows, ncols, -9, 9)
-                assert _speedups.rank_mod_p(m, ncols, p) == pure.rank_mod_p(m, ncols, p)
-
-    def test_search_identical_results(self):
-        # same status, same order, same node count on random facet lists
-        rng = random.Random(131)
-        from itertools import combinations
-
-        for _ in range(60):
-            n = rng.randint(3, 7)
-            size = rng.randint(2, min(4, n))
-            pool = [
-                sum(1 << (v - 1) for v in c) for c in combinations(range(1, n + 1), size)
-            ]
-            masks = rng.sample(pool, min(len(pool), rng.randint(1, 8)))
-            for budget in (10, 100000):
-                assert _speedups.search_shelling(masks, budget) == pure.search_shelling(
-                    masks, budget
-                )
-
-
 class TestSearchShelling:
     def test_empty_input(self):
-        for impl in IMPLEMENTATIONS:
-            assert impl.search_shelling([], 100) == (pure.FOUND, [], 0)
+        assert _kernels.search_shelling([], 100) == (_kernels.FOUND, [], 0)
 
     def test_budget_semantics(self):
         masks = [0b0111, 0b1110, 0b1011, 0b1101]
-        status, order, nodes = pure.search_shelling(masks, 1)
-        assert status == pure.EXHAUSTED and order is None
-        status, order, nodes = pure.search_shelling(masks, 10**6)
-        assert status == pure.FOUND
+        status, order, nodes = _kernels.search_shelling(masks, 1)
+        assert status == _kernels.EXHAUSTED and order is None
+        status, order, nodes = _kernels.search_shelling(masks, 10**6)
+        assert status == _kernels.FOUND
         assert sorted(order) == [0, 1, 2, 3]
 
 
 # (masks, budget) -> (status, order, nodes), recorded from the recursive
 # search that the explicit-stack one replaced.
 PINNED_SEARCHES = {
-    "tetrahedron-boundary": (([7, 14, 11, 13], 10**6), (pure.FOUND, [0, 1, 2, 3], 4)),
+    "tetrahedron-boundary": (([7, 14, 11, 13], 10**6), (_kernels.FOUND, [0, 1, 2, 3], 4)),
     "found-after-backtrack": (
         ([56, 25, 21, 14, 35, 37, 50, 7, 44, 11], 10**6),
-        (pure.FOUND, [0, 1, 2, 7, 9, 3, 8, 5, 4, 6], 11),
+        (_kernels.FOUND, [0, 1, 2, 7, 9, 3, 8, 5, 4, 6], 11),
     ),
-    "disjoint-edges": (([3, 12], 10**6), (pure.NOT_SHELLABLE, None, 3)),
+    "disjoint-edges": (([3, 12], 10**6), (_kernels.NOT_SHELLABLE, None, 3)),
     "vdw72-exhausted": (
         ([7, 21, 73, 14, 42, 28, 84, 56, 112], 10**6),
-        (pure.NOT_SHELLABLE, None, 116),
+        (_kernels.NOT_SHELLABLE, None, 116),
     ),
     "vdw92-exhausted": (
         ([7, 21, 73, 273, 14, 42, 146, 28, 84, 292, 56, 168, 112, 336, 224, 448], 10**6),
-        (pure.NOT_SHELLABLE, None, 1459),
+        (_kernels.NOT_SHELLABLE, None, 1459),
     ),
     "vdw83-exhausted": (
         ([15, 85, 30, 170, 60, 120, 240], 10**6),
-        (pure.NOT_SHELLABLE, None, 18),
+        (_kernels.NOT_SHELLABLE, None, 18),
     ),
-    "tetrahedron-budget-1": (([7, 14, 11, 13], 1), (pure.EXHAUSTED, None, 2)),
+    "tetrahedron-budget-1": (([7, 14, 11, 13], 1), (_kernels.EXHAUSTED, None, 2)),
     "vdw72-budget-50": (
         ([7, 21, 73, 14, 42, 28, 84, 56, 112], 50),
-        (pure.EXHAUSTED, None, 51),
+        (_kernels.EXHAUSTED, None, 51),
     ),
-    "budget-0": (([7, 14, 11, 13], 0), (pure.EXHAUSTED, None, 1)),
+    "budget-0": (([7, 14, 11, 13], 0), (_kernels.EXHAUSTED, None, 1)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_SEARCHES))
 def test_pure_search_pinned(case):
     (masks, budget), expected = PINNED_SEARCHES[case]
-    assert pure.search_shelling(masks, budget) == expected
+    assert _kernels.search_shelling(masks, budget) == expected
 
