@@ -41,7 +41,7 @@ EXIT_USAGE = 2
 EXIT_UNDECIDED = 3
 
 CHECKS = ("vd", "shellable", "cm", "linpres")
-SWEEP_LIMITS = {"vd": 30, "shellable": 20, "cm": 21, "linpres": 36}
+SWEEP_LIMITS = {"vd": 40, "shellable": 20, "cm": 21, "linpres": 36}
 
 CSV_COLUMNS = [
     "n",

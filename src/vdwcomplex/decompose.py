@@ -3,8 +3,11 @@
 Vertex decomposability follows the Provan-Billera recursion: a pure
 complex qualifies if it is void, the empty complex, or a simplex, or if
 some support vertex has a pure, vertex-decomposable link and deletion.
-A successful decision is certified by a shedding tree that can be
-replayed independently.
+The link of a pure complex is pure.  Its deletion at x is pure iff x
+lies in every facet or every ridge F - x of a facet F through x lies in
+a second facet, so one count of the ridges per subproblem tests every
+candidate vertex without building its deletion.  A successful decision
+is certified by a shedding tree that can be replayed independently.
 
 Shellability is decided by a depth-first search over facet prefixes: a
 facet may extend a prefix iff its faces already covered by placed
@@ -24,7 +27,7 @@ import json
 from dataclasses import dataclass
 
 from vdwcomplex import _kernels
-from vdwcomplex.complexes import SimplicialComplex, Vertices, _absorb, pack, unpack
+from vdwcomplex.complexes import SimplicialComplex, Vertices, pack, unpack
 from vdwcomplex.homology import CohenMacaulayResult, is_cohen_macaulay
 
 DEFAULT_SHELLING_BUDGET = 5_000_000
@@ -104,59 +107,87 @@ _LEAF_EMPTY = SheddingTree("empty")
 _LEAF_SIMPLEX = SheddingTree("simplex")
 
 
-def _is_pure_masks(masks) -> bool:
-    return len({m.bit_count() for m in masks}) <= 1
+def _compact(masks: tuple[int, ...], support: int) -> tuple[int, ...]:
+    """``masks`` with the support bits squeezed down to bits 0..m-1.
 
-
-def _compress(masks: tuple[int, ...]):
-    """Memo key with support vertices relabelled to 1..m, plus the maps back."""
-    support = 0
-    for m in masks:
-        support |= m
-    verts = unpack(support)
-    old_to_new = {v: i + 1 for i, v in enumerate(verts)}
-    remapped = []
+    A bit moves to the number of support bits below it.  Squeezing keeps
+    the order of the integers.
+    """
+    out = []
     for m in masks:
         nm = 0
-        for v in unpack(m):
-            nm |= 1 << (old_to_new[v] - 1)
-        remapped.append(nm)
-    new_to_old = {i + 1: v for i, v in enumerate(verts)}
-    return tuple(sorted(remapped)), old_to_new, new_to_old
+        while m:
+            low = m & -m
+            nm |= 1 << (support & (low - 1)).bit_count()
+            m ^= low
+        out.append(nm)
+    return tuple(out)
 
 
 def _decide(masks: tuple[int, ...], memo: dict) -> SheddingTree | None:
-    key, old_to_new, new_to_old = _compress(masks)
+    """Memoized :func:`_search`, keyed by ``masks`` on the support relabelled to 1..m.
+
+    ``masks`` is sorted, so the key is too.  When the support already is
+    1..m the key is ``masks`` itself and no tree is relabelled.
+    """
+    support = 0
+    for m in masks:
+        support |= m
+    identity = support & (support + 1) == 0
+    key = masks if identity else _compact(masks, support)
     hit = memo.get(key, _MISSING)
     if hit is not _MISSING:
-        return hit.relabel(new_to_old) if hit is not None else None
-    tree = _search(masks, memo)
-    memo[key] = tree.relabel(old_to_new) if tree is not None else None
+        return hit if identity or hit is None else hit.relabel(dict(enumerate(unpack(support), 1)))
+    tree = _search(masks, support, memo)
+    memo[key] = tree if identity or tree is None else tree.relabel({v: i for i, v in enumerate(unpack(support), 1)})
     return tree
 
 
-def _search(masks: tuple[int, ...], memo: dict) -> SheddingTree | None:
+def _search(masks: tuple[int, ...], support: int, memo: dict) -> SheddingTree | None:
+    """First shedding tree of a sorted, pure facet list, shedding high vertices first.
+
+    For facets of size d, the deletion at x is pure iff every facet
+    contains x (then it equals the link) or every ridge F - x of a facet
+    F containing x lies in a second facet (then it is the facets that
+    avoid x, each absorbing those ridges).  Otherwise the deletion keeps
+    some F - x as a facet of size d - 1 beside facets of size d.
+    """
     if not masks:
         return _LEAF_VOID
     if len(masks) == 1:
         return _LEAF_EMPTY if masks[0] == 0 else _LEAF_SIMPLEX
-    support = 0
+    common = support
+    ridges: dict[int, int] = {}
     for m in masks:
-        support |= m
+        common &= m
+        rest = m
+        while rest:
+            low = rest & -rest
+            ridges[m ^ low] = ridges.get(m ^ low, 0) + 1
+            rest ^= low
+    lonely = 0  # vertices x with some facet F whose ridge F - x lies in F alone
+    for m in masks:
+        rest = m & ~lonely
+        while rest:
+            low = rest & -rest
+            if ridges[m ^ low] == 1:
+                lonely |= low
+            rest ^= low
     # candidates in descending vertex order
-    for x in reversed(unpack(support)):
-        bit = 1 << (x - 1)
-        link = tuple(sorted(m ^ bit for m in masks if m & bit))
-        deletion = tuple(sorted(_absorb(m & ~bit for m in masks)))
-        if not _is_pure_masks(link) or not _is_pure_masks(deletion):
-            continue
+    rest = support & ~(lonely & ~common)
+    while rest:
+        bit = 1 << (rest.bit_length() - 1)
+        rest ^= bit
+        # every facet of the link has the bit cleared: the order is kept
+        link = tuple(m ^ bit for m in masks if m & bit)
         link_tree = _decide(link, memo)
         if link_tree is None:
             continue
+        deletion = link if bit & common else tuple(m for m in masks if not m & bit)
         deletion_tree = _decide(deletion, memo)
         if deletion_tree is None:
             continue
-        return SheddingTree("shed", x, link_tree, deletion_tree)
+        return SheddingTree("shed", bit.bit_length(), link_tree, deletion_tree)
     return None
 
 
@@ -165,7 +196,11 @@ def is_vertex_decomposable(cx: SimplicialComplex, memo: dict | None = None) -> D
 
     Returns a :class:`DecompositionResult`; on success its ``tree``
     certifies the decomposition and replays under
-    :func:`verify_shedding_tree`.  ``memo`` may be supplied to share the
+    :func:`verify_shedding_tree`.  Candidates are tried from the highest
+    vertex down, and a vertex is tried only if its deletion is pure:
+    every facet contains it, or every ridge F - x of a facet F through it
+    lies in a second facet.  Subproblems are memoized on their support
+    relabelled to 1..m; ``memo`` may be supplied to share the
     (single-threaded) cache across calls.
     """
     if not cx.is_pure:

@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from vdwcomplex import _kernels
-from vdwcomplex.complexes import SimplicialComplex, _absorb, _is_connected, unpack
+from vdwcomplex.complexes import MAX_VERTICES, SimplicialComplex, _absorb, _is_connected, unpack
 
 RATIONALS = 0
 
@@ -299,6 +299,22 @@ def reduced_homology(cx: SimplicialComplex, field="Q") -> HomologyProfile:
     return HomologyProfile(field_label(char), _reduced_betti(cx.facet_masks, char, mod_2_first=False))
 
 
+# each byte's complement with its bit order reversed
+_REVERSED_COMPLEMENT = bytes(int(format(b ^ 0xFF, "08b")[::-1], 2) for b in range(256))
+
+
+def _face_order(mask: int) -> int:
+    """Sort key of a face: by size, then lexicographically by vertex tuple.
+
+    Of two faces of one size, the one holding the lowest vertex where
+    they differ comes first.  Reversing the bit order of the complement
+    (bytes in reverse order, bits within each byte by table) turns that
+    vertex into the highest differing bit, held by the smaller key.
+    """
+    word = mask.to_bytes(MAX_VERTICES // 8, "little").translate(_REVERSED_COMPLEMENT)
+    return mask.bit_count() << MAX_VERTICES | int.from_bytes(word, "big")
+
+
 def _first_failure(
     facet_masks,
     dim: int,
@@ -326,7 +342,7 @@ def _first_failure(
         faces = _all_faces(facet_masks)
     else:
         faces = [m for m in _facet_intersections(facet_masks) if m.bit_count() < dim]
-    for fmask in sorted(faces, key=lambda m: (m.bit_count(), unpack(m))):
+    for fmask in sorted(faces, key=_face_order):
         link = [g ^ fmask for g in facet_masks if g & fmask == fmask]
         link_dim = dim - fmask.bit_count()
         top = link_dim if depth is None else min(link_dim, depth - 1)  # degrees below top count

@@ -1,7 +1,8 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's own algorithms:
-minimal non-faces by full subset enumeration, shellability by
+minimal non-faces by full subset enumeration, vertex decomposability by
+the memo-free recursion on literal links and deletions, shellability by
 permutation search, ranks by fraction Gaussian elimination, syzygy
 membership by solving the multidegree-component linear system.
 """
@@ -44,9 +45,9 @@ def complex_from_masks(n: int, masks) -> SimplicialComplex:
     return SimplicialComplex.from_facets(n, [unpack(m) for m in masks])
 
 
-def random_pure_complex(rng, max_vertices: int = 7) -> SimplicialComplex:
+def random_pure_complex(rng, max_vertices: int = 7, min_vertices: int = 3) -> SimplicialComplex:
     """A random pure complex: equal-size facets sampled without replacement."""
-    m = rng.randint(3, max_vertices)
+    m = rng.randint(min_vertices, max_vertices)
     dim = rng.randint(1, min(3, m - 1))
     universe = list(combinations(range(1, m + 1), dim + 1))
     count = rng.randint(1, min(12, len(universe)))
@@ -69,6 +70,33 @@ def brute_force_minimal_nonfaces(cx: SimplicialComplex):
         m for m in nonfaces if not any(o != m and o & m == o for o in nonfaces)
     ]
     return tuple(sorted(unpack(m) for m in minimal))
+
+
+def naive_shedding_tree(cx: SimplicialComplex):
+    """Provan-Billera recursion on literal links and deletions, no memo.
+
+    Candidates are tried in descending vertex order, the link before the
+    deletion.  Returns the shedding tree as ``SheddingTree.to_dict``
+    would, or None when the complex is not vertex decomposable.
+    """
+    if cx.is_void:
+        return {"kind": "void"}
+    if cx.is_empty:
+        return {"kind": "empty"}
+    if len(cx.facets) == 1:
+        return {"kind": "simplex"}
+    for x in reversed(cx.support):
+        link, deletion = cx.link(x), cx.deletion(x)
+        if not link.is_pure or not deletion.is_pure:
+            continue
+        link_tree = naive_shedding_tree(link)
+        if link_tree is None:
+            continue
+        deletion_tree = naive_shedding_tree(deletion)
+        if deletion_tree is None:
+            continue
+        return {"kind": "shed", "vertex": x, "link": link_tree, "deletion": deletion_tree}
+    return None
 
 
 def brute_force_shellable(cx: SimplicialComplex):

@@ -173,6 +173,11 @@ class TestSweep:
         assert code == 2
         assert "--force" in err
 
+    def test_vd_limit_enforced_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "sweep", "41", "--checks", "vd")
+        assert code == 2
+        assert "--force" in err
+
     def test_cm_limit_enforced_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "22", "--checks", "cm")
         assert code == 2

@@ -7,6 +7,7 @@ from conftest import (
     brute_force_shellable,
     complex_from_masks,
     enumerate_antichains,
+    naive_shedding_tree,
     random_pure_complex,
 )
 
@@ -85,6 +86,57 @@ class TestVertexDecomposable:
         tree = is_vertex_decomposable(cx).tree
         wrong = SheddingTree("shed", 1, tree.link, tree.deletion)
         assert not verify_shedding_tree(cx, wrong)
+
+
+class TestSheddingSearchMatchesNaive:
+    """Shared-ridge shedding tests and memo keys change speed, never the tree."""
+
+    @staticmethod
+    def _matches(cx):
+        res = is_vertex_decomposable(cx)
+        expected = naive_shedding_tree(cx)
+        assert res.value is (expected is not None)
+        assert (res.tree.to_dict() if res.tree else None) == expected
+        return res
+
+    @staticmethod
+    def _pure_small():
+        for n in range(1, 6):
+            for masks in enumerate_antichains(n):
+                if len({m.bit_count() for m in masks}) <= 1:
+                    yield complex_from_masks(n, masks)
+
+    @staticmethod
+    def _random_pure():
+        rng = random.Random(53)
+        return [random_pure_complex(rng, 9, min_vertices=6) for _ in range(300)]
+
+    @staticmethod
+    def _vdw_grid():
+        return [vdw_complex(n, k) for n in range(2, 21) for k in range(1, n)]
+
+    def test_every_pure_complex_on_5_vertices(self):
+        decomposable = sum(bool(self._matches(cx)) for cx in self._pure_small())
+        assert decomposable > 1000
+
+    def test_random_pure_on_6_to_9_vertices(self):
+        decomposable = sum(bool(self._matches(cx)) for cx in self._random_pure())
+        assert 50 < decomposable < 250
+
+    def test_vdw_to_n20(self):
+        for cx in self._vdw_grid():
+            self._matches(cx)
+
+    def test_shared_memo_matches_fresh(self):
+        memo = {}
+        for cx in [*self._pure_small(), *self._random_pure(), *self._vdw_grid()]:
+            assert is_vertex_decomposable(cx, memo) == is_vertex_decomposable(cx)
+
+    @pytest.mark.parametrize("n, k, subproblems", [(30, 1, 59), (48, 20, 2047)])
+    def test_subproblem_count(self, n, k, subproblems):
+        memo = {}
+        is_vertex_decomposable(vdw_complex(n, k), memo)
+        assert len(memo) == subproblems
 
 
 class TestShellable:

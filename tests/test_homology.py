@@ -12,7 +12,7 @@ from conftest import (
 )
 
 from vdwcomplex import _kernels, homology
-from vdwcomplex.complexes import SimplicialComplex, pack
+from vdwcomplex.complexes import SimplicialComplex, pack, unpack
 from vdwcomplex.homology import is_cohen_macaulay, parse_field, reduced_homology
 from vdwcomplex.vdw import classify_closed_form, vdw_complex
 
@@ -113,6 +113,25 @@ class TestReducedHomology:
         data = profile.to_dict()
         assert data["field"] == "Fp:2"
         assert data["betti"] == {"-1": 0, "0": 0, "1": 1, "2": 1}
+
+
+class TestFaceOrder:
+    """The traversal key orders faces by size, then by vertex tuple."""
+
+    @staticmethod
+    def _same_order(masks):
+        by_tuple = sorted(masks, key=lambda m: (m.bit_count(), unpack(m)))
+        assert sorted(masks, key=homology._face_order) == by_tuple
+
+    def test_every_mask_on_8_vertices(self):
+        self._same_order(range(1 << 8))
+
+    def test_random_64_bit_masks(self):
+        rng = random.Random(61)
+        masks = [rng.getrandbits(64) for _ in range(1000)]
+        # same-size faces too, where only the vertex tuples decide
+        masks += [pack(rng.sample(range(1, 65), 32)) for _ in range(1000)]
+        self._same_order(masks)
 
 
 class TestCohenMacaulay:
