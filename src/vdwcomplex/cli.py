@@ -16,6 +16,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 from vdwcomplex.complexes import MAX_VERTICES, SimplicialComplex
 from vdwcomplex.decompose import (
@@ -122,41 +123,39 @@ def compute_record(
         "pred_shellable": pred.shellable,
         "pred_cm": pred.cohen_macaulay,
     }
-    ms: dict = {}
     cx = vdw_complex(n, k)
-    mismatch = False
-    undecided = False
+    rows = []  # (record key, predicted flag, decider); an undecided None never agrees
     if "vd" in checks:
-        t0 = time.perf_counter()
-        rec["vd"] = is_vertex_decomposable(cx).value
-        ms["vd"] = round((time.perf_counter() - t0) * 1000.0, 3)
-        mismatch |= rec["vd"] != pred.vertex_decomposable
+        rows.append(("vd", pred.vertex_decomposable, lambda: is_vertex_decomposable(cx)))
     if "shellable" in checks:
-        t0 = time.perf_counter()
-        res = is_shellable(cx, budget)
-        ms["shellable"] = round((time.perf_counter() - t0) * 1000.0, 3)
-        rec["shellable"] = res.value
-        if res.value is None:
-            undecided = True
-        else:
-            mismatch |= res.value != pred.shellable
+        rows.append(("shellable", pred.shellable, lambda: is_shellable(cx, budget)))
     if "cm" in checks:
-        for char in field_chars:
-            t0 = time.perf_counter()
-            value = is_cohen_macaulay(cx, char).value
-            key = "cm_" + field_label(char).replace("Fp:", "f").lower()  # cm_q, cm_f2, ...
-            ms[key] = round((time.perf_counter() - t0) * 1000.0, 3)
-            rec[key] = value
-            mismatch |= value != pred.cohen_macaulay
+        for c in field_chars:
+            rows.append((_cm_key(c), pred.cohen_macaulay, partial(is_cohen_macaulay, cx, c)))
     if "linpres" in checks:
+        rows.append(
+            ("linearly_presented", pred.cohen_macaulay, lambda: is_linearly_presented(dual_ideal(cx)))
+        )
+    ms: dict = {}
+    for key, _, decide in rows:
         t0 = time.perf_counter()
-        rec["linearly_presented"] = is_linearly_presented(dual_ideal(cx)).value
-        ms["linearly_presented"] = round((time.perf_counter() - t0) * 1000.0, 3)
-        mismatch |= rec["linearly_presented"] != pred.cohen_macaulay
-    rec["agreement"] = not mismatch and not undecided
+        rec[key] = decide().value
+        ms[key] = round((time.perf_counter() - t0) * 1000.0, 3)
+    rec["agreement"] = all(rec[key] == predicted for key, predicted, _ in rows)
     if with_timings:
         rec["ms"] = ms
     return rec
+
+
+def _cm_key(char: int) -> str:
+    return "cm_" + field_label(char).replace("Fp:", "f").lower()  # cm_q, cm_f2, cm_f3, ...
+
+
+def _columns(field_chars) -> list[str]:
+    """CSV_COLUMNS plus a verdict and a timing column per odd-prime field."""
+    odd = [_cm_key(c) for c in field_chars if c not in (0, 2)]
+    i, j = CSV_COLUMNS.index("cm_f2") + 1, CSV_COLUMNS.index("ms_cm_f2") + 1
+    return CSV_COLUMNS[:i] + odd + CSV_COLUMNS[i:j] + ["ms_" + c for c in odd] + CSV_COLUMNS[j:]
 
 
 def _record_is_undecided(rec: dict) -> bool:
@@ -171,32 +170,32 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _records_to_csv(records) -> str:
+def _records_to_csv(records, columns) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    writer.writerow(columns)
     for rec in records:
-        ms = rec.get("ms", {})
-        row = []
-        for col in CSV_COLUMNS:
-            if col.startswith("ms_"):
-                row.append(_cell(ms[col[3:]]) if col[3:] in ms else "")
-            elif col in rec:
-                row.append(_cell(rec[col]))
-            else:
-                row.append("")
-        writer.writerow(row)
+        cells = {**rec, **{"ms_" + key: ms for key, ms in rec.get("ms", {}).items()}}
+        writer.writerow([_cell(cells[col]) if col in cells else "" for col in columns])
     return buf.getvalue()
 
 
-def _records_to_text(records) -> str:
-    shown = [c for c in CSV_COLUMNS if not c.startswith("ms_")]
+def _records_to_text(records, columns) -> str:
+    shown = [c for c in columns if not c.startswith("ms_")]
     rows = [shown]
     for rec in records:
         rows.append([_cell(rec[c]) if c in rec else "-" for c in shown])
     widths = [max(len(r[i]) for r in rows) for i in range(len(shown))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def _render(fmt: str, records, field_chars, data) -> str:
+    """``records`` as a CSV or text table, or ``data`` as JSON."""
+    if fmt == "json":
+        return json.dumps(data, separators=(",", ":")) + "\n"
+    render = _records_to_csv if fmt == "csv" else _records_to_text
+    return render(records, _columns(field_chars))
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -240,13 +239,7 @@ def cmd_classify(args) -> int:
     rec = compute_record(
         args.n, args.k, checks, field_chars, args.budget, with_timings=not args.no_timings
     )
-    if args.format == "csv":
-        text = _records_to_csv([rec])
-    elif args.format == "text":
-        text = _records_to_text([rec])
-    else:
-        text = json.dumps(rec, separators=(",", ":")) + "\n"
-    _emit(text, args.output)
+    _emit(_render(args.format, [rec], field_chars, rec), args.output)
     if _record_is_undecided(rec):
         return EXIT_UNDECIDED
     return EXIT_OK if rec["agreement"] else EXIT_DISAGREE
@@ -274,13 +267,7 @@ def cmd_sweep(args) -> int:
             records = list(pool.map(_sweep_worker, tasks))
     else:
         records = [_sweep_worker(t) for t in tasks]
-    if args.format == "csv":
-        text = _records_to_csv(records)
-    elif args.format == "text":
-        text = _records_to_text(records)
-    else:
-        text = json.dumps(records, separators=(",", ":")) + "\n"
-    _emit(text, args.output)
+    _emit(_render(args.format, records, field_chars, records), args.output)
     agree = sum(1 for r in records if r["agreement"])
     sys.stdout.write(f"sweep n<={args.n_max}: {agree}/{len(records)} records agree\n")
     if any(_record_is_undecided(r) for r in records):

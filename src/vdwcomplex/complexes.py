@@ -5,6 +5,12 @@ set iff vertex v belongs to the face), so containment tests are single
 machine-word operations.  A complex is represented by its facets: the
 inclusion-maximal faces, kept as a canonically sorted antichain.
 
+This module owns that face format for the whole package: it packs vertex
+input into masks after checking it (:func:`_pack_checked`), keeps the
+maximal members of a family (:func:`_absorb`), puts masks in canonical
+order (:func:`_canonical`) and validates canonical antichains
+(:func:`_check_antichain`), whose masks the constructors keep.
+
 Two degenerate complexes are distinct values: the *void* complex (no
 facets, not even the empty face) and the *empty* complex ``<()>`` whose
 single facet is the empty face.
@@ -14,7 +20,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable
@@ -42,6 +48,24 @@ def unpack(mask: int) -> Vertices:
         mask >>= 1
         v += 1
     return tuple(out)
+
+
+def _pack_checked(n: int, members: Iterable[Iterable[int]], noun: str) -> list[int]:
+    """Masks of ``members``; reject a vertex that is not an integer in 1..n, naming the ``noun``."""
+    masks = []
+    for m in members:
+        mask = 0
+        for v in m:
+            if isinstance(v, bool) or not isinstance(v, int) or not 0 < v <= n:
+                raise ValueError(f"{noun} {tuple(m)}: vertices must be integers in 1..{n}")
+            mask |= 1 << (v - 1)
+        masks.append(mask)
+    return masks
+
+
+def _canonical(masks: Iterable[int]) -> tuple[Vertices, ...]:
+    """The faces ``masks`` as vertex tuples, in canonical (lexicographic) order."""
+    return tuple(sorted(unpack(m) for m in masks))
 
 
 def _absorb(masks: Iterable[int]) -> list[int]:
@@ -83,26 +107,23 @@ def _is_connected(masks: Iterable[int]) -> bool:
 
 def _check_universe(n: int) -> None:
     """Reject a vertex universe size outside 1..MAX_VERTICES."""
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"vertex universe size must be a positive integer, got {n!r}")
     if n > MAX_VERTICES:
         raise ValueError(f"at most {MAX_VERTICES} vertices are supported, got n={n}")
 
 
-def _check_antichain(n: int, members: tuple[Vertices, ...], noun: str) -> None:
-    """Reject ``members`` unless it is a canonical antichain on 1..n.
+def _check_antichain(n: int, members: tuple[Vertices, ...], noun: str) -> tuple[int, ...]:
+    """Masks of ``members``; reject it unless it is a canonical antichain on 1..n.
 
     Canonical means: vertices in range, each member strictly increasing,
     members pairwise inclusion-incomparable and sorted lexicographically.
     ``noun`` ("facet", "generator") names a member in the messages.
     """
-    masks = []
+    masks = tuple(_pack_checked(n, members, noun))
     for m in members:
-        if any(not isinstance(v, int) or v < 1 or v > n for v in m):
-            raise ValueError(f"{noun} {m} has vertices outside 1..{n}")
         if any(a >= b for a, b in zip(m, m[1:])):
             raise ValueError(f"{noun} {m} is not strictly increasing")
-        masks.append(pack(m))
     # distinct members of one size are incomparable: a pure complex needs no pairwise test
     if len({len(m) for m in members}) > 1 or len(set(masks)) < len(masks):
         for i, a in enumerate(masks):
@@ -111,6 +132,7 @@ def _check_antichain(n: int, members: tuple[Vertices, ...], noun: str) -> None:
                     raise ValueError(f"{noun}s must be pairwise inclusion-incomparable")
     if list(members) != sorted(members):
         raise ValueError(f"{noun}s must be sorted lexicographically")
+    return masks
 
 
 @dataclass(frozen=True)
@@ -120,14 +142,16 @@ class SimplicialComplex:
     ``facets`` is a tuple of strictly increasing vertex tuples, pairwise
     inclusion-incomparable, sorted lexicographically.  Use
     :meth:`from_facets` to build one from arbitrary generating faces.
+    ``facet_masks`` holds the facets as the masks that validated them.
     """
 
     n: int
     facets: tuple[Vertices, ...]
+    facet_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_universe(self.n)
-        _check_antichain(self.n, self.facets, "facet")
+        object.__setattr__(self, "facet_masks", _check_antichain(self.n, self.facets, "facet"))
 
     # -- construction ------------------------------------------------
 
@@ -135,18 +159,7 @@ class SimplicialComplex:
     def from_facets(cls, n: int, faces: Iterable[Iterable[int]]) -> "SimplicialComplex":
         """Complex generated by ``faces``; non-maximal faces are discarded."""
         _check_universe(n)
-        masks = []
-        for face in faces:
-            fs = tuple(face)
-            if any(not isinstance(v, int) or v < 1 or v > n for v in fs):
-                raise ValueError(f"face {tuple(fs)} has vertices outside 1..{n}")
-            masks.append(pack(fs))
-        return cls._from_masks(n, masks)
-
-    @classmethod
-    def _from_masks(cls, n: int, masks: Iterable[int], antichain: bool = False) -> "SimplicialComplex":
-        kept = list(masks) if antichain else _absorb(masks)
-        return cls(n, tuple(sorted(unpack(m) for m in kept)))
+        return cls(n, _canonical(_absorb(_pack_checked(n, faces, "face"))))
 
     @classmethod
     def simplex(cls, n: int) -> "SimplicialComplex":
@@ -154,10 +167,6 @@ class SimplicialComplex:
         return cls.from_facets(n, [range(1, n + 1)])
 
     # -- basic structure ---------------------------------------------
-
-    @cached_property
-    def facet_masks(self) -> tuple[int, ...]:
-        return tuple(pack(f) for f in self.facets)
 
     @property
     def is_void(self) -> bool:
@@ -189,9 +198,7 @@ class SimplicialComplex:
         return unpack(mask)
 
     def _check_vertex(self, x: int) -> int:
-        if not isinstance(x, int) or x < 1 or x > self.n:
-            raise ValueError(f"vertex {x!r} out of range 1..{self.n}")
-        return 1 << (x - 1)
+        return _pack_checked(self.n, [(x,)], "vertex")[0]
 
     # -- local structure ---------------------------------------------
 
@@ -201,15 +208,13 @@ class SimplicialComplex:
         The void complex is returned when x lies in no face.
         """
         bit = self._check_vertex(x)
-        masks = [m ^ bit for m in self.facet_masks if m & bit]
         # Facets containing x stay incomparable after removing x.
-        return SimplicialComplex._from_masks(self.n, masks, antichain=True)
+        return SimplicialComplex(self.n, _canonical(m ^ bit for m in self.facet_masks if m & bit))
 
     def deletion(self, x: int) -> "SimplicialComplex":
         """All faces avoiding x, on the same universe."""
         bit = self._check_vertex(x)
-        masks = [m & ~bit for m in self.facet_masks]
-        return SimplicialComplex._from_masks(self.n, masks)
+        return SimplicialComplex(self.n, _canonical(_absorb(m & ~bit for m in self.facet_masks)))
 
     def is_connected(self) -> bool:
         """True iff any two support vertices are joined through shared facets."""
@@ -229,7 +234,6 @@ class SimplicialComplex:
         if self.is_void:
             raise ValueError("the void complex has no non-face lattice")
         found: list[int] = []
-        out: list[Vertices] = []
         max_size = min(self.n, (self.dim if self.dim is not None else -1) + 2)
         for size in range(1, max_size + 1):
             for combo in combinations(range(1, self.n + 1), size):
@@ -238,8 +242,7 @@ class SimplicialComplex:
                     continue
                 if not any(cand & fm == cand for fm in self.facet_masks):
                     found.append(cand)
-                    out.append(combo)
-        return tuple(sorted(out))
+        return _canonical(found)
 
     def alexander_dual(self) -> "SimplicialComplex":
         """Complex whose facets are complements of the minimal non-faces.
@@ -258,8 +261,8 @@ class SimplicialComplex:
             )
             return SimplicialComplex(self.n, ())
         full = (1 << self.n) - 1
-        masks = [full & ~pack(nf) for nf in nonfaces]
-        return SimplicialComplex._from_masks(self.n, masks, antichain=True)
+        # complements of an antichain form an antichain
+        return SimplicialComplex(self.n, _canonical(full & ~pack(nf) for nf in nonfaces))
 
     # -- serialization -----------------------------------------------
 

@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass
 
 from vdwcomplex import _kernels
-from vdwcomplex.complexes import SimplicialComplex, Vertices, pack, unpack
+from vdwcomplex.complexes import SimplicialComplex, Vertices, _pack_checked, unpack
 from vdwcomplex.homology import CohenMacaulayResult, is_cohen_macaulay
 
 DEFAULT_SHELLING_BUDGET = 5_000_000
@@ -317,10 +317,9 @@ def verify_shelling(cx: SimplicialComplex, order) -> bool:
     vertex x in F_j minus F_i must satisfy F_j minus F_l = {x} for a
     previous F_l.
     """
-    facets = [tuple(sorted(f)) for f in order]
-    if sorted(facets) != sorted(cx.facets):
+    masks = _pack_checked(cx.n, order, "facet")
+    if sorted(masks) != sorted(cx.facet_masks):
         raise ValueError("order is not a permutation of the complex's facets")
-    masks = [pack(f) for f in facets]
     for j in range(1, len(masks)):
         fj = masks[j]
         singles = 0

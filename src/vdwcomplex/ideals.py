@@ -38,19 +38,27 @@ path: the graph search on every pair, in order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from vdwcomplex.complexes import (
     SimplicialComplex,
     Vertices,
+    _absorb,
+    _canonical,
     _check_antichain,
+    _check_universe,
     _component,
-    pack,
+    _pack_checked,
     unpack,
 )
 from vdwcomplex.homology import _first_failure
-from vdwcomplex.vdw import ProgressionFacet, max_increment, max_odd_increment, progression_facets
+from vdwcomplex.vdw import (
+    ProgressionFacet,
+    _validate_params,
+    max_increment,
+    max_odd_increment,
+    progression_facets,
+)
 
 
 @dataclass(frozen=True)
@@ -59,28 +67,26 @@ class MonomialIdeal:
 
     Generators are canonically sorted and pairwise non-dividing; use
     :meth:`from_supports` to minimalize an arbitrary generating set.
+    ``generator_masks`` holds the generators as the masks that validated them.
     """
 
     n: int
     generators: tuple[Vertices, ...]
+    generator_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"variable count must be a positive integer, got {self.n!r}")
-        _check_antichain(self.n, self.generators, "generator")
+        _check_universe(self.n)
+        masks = _check_antichain(self.n, self.generators, "generator")
+        object.__setattr__(self, "generator_masks", masks)
 
     @classmethod
     def from_supports(cls, n: int, supports) -> "MonomialIdeal":
-        masks = sorted({pack(s) for s in supports}, key=lambda m: m.bit_count())
-        kept: list[int] = []
-        for m in masks:
-            if not any(k & m == k for k in kept):
-                kept.append(m)
-        return cls(n, tuple(sorted(unpack(m) for m in kept)))
-
-    @cached_property
-    def generator_masks(self) -> tuple[int, ...]:
-        return tuple(pack(g) for g in self.generators)
+        """Ideal generated by the monomials with these supports, minimalized."""
+        _check_universe(n)
+        full = (1 << n) - 1
+        # the minimal supports are the complements of the maximal complements
+        complements = _absorb(full ^ m for m in _pack_checked(n, supports, "support"))
+        return cls(n, _canonical(full ^ m for m in complements))
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -137,12 +143,11 @@ def dual_ideal(cx: SimplicialComplex) -> MonomialIdeal:
     if cx.is_void:
         raise ValueError("the void complex has no dual ideal")
     full = (1 << cx.n) - 1
-    masks = [full & ~m for m in cx.facet_masks]
-    if any(m == 0 for m in masks):
+    if cx.facet_masks == (full,):
         # only the full simplex complements to nothing
         return MonomialIdeal(cx.n, ())
     # complements of an antichain form an antichain
-    return MonomialIdeal(cx.n, tuple(sorted(unpack(m) for m in masks)))
+    return MonomialIdeal(cx.n, _canonical(full & ~m for m in cx.facet_masks))
 
 
 def taylor_syzygies(ideal: MonomialIdeal) -> tuple[TaylorSyzygy, ...]:
@@ -278,8 +283,7 @@ def nonlinear_obstruction_vdw(n: int, k: int) -> ObstructionWitness:
     facet with any other increment.  The overlap bounds force both
     sigma-coefficients of the (F, G) syzygy to have degree >= 2.
     """
-    if not (isinstance(n, int) and isinstance(k, int)):
-        raise ValueError(f"n and k must be integers, got n={n!r}, k={k!r}")
+    _validate_params(n, k)
     if not (n > 6 and 2 <= k and 2 * k < n):
         raise ValueError(f"the obstruction needs n > 6 and 2 <= k < n/2, got n={n}, k={k}")
     facets = progression_facets(n, k)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from vdwcomplex.complexes import SimplicialComplex, pack
+from vdwcomplex.complexes import SimplicialComplex
 
 
 def _validate_params(n: int, k: int) -> None:
@@ -86,9 +86,8 @@ def facet_count(n: int, k: int) -> int:
 
 def vdw_complex(n: int, k: int) -> SimplicialComplex:
     """vdW(n, k) as a facet-list complex on {1, ..., n}."""
-    facets = progression_facets(n, k)
     # progressions of equal length are never nested
-    return SimplicialComplex._from_masks(n, [pack(f.vertices) for f in facets], antichain=True)
+    return SimplicialComplex(n, tuple(sorted(f.vertices for f in progression_facets(n, k))))
 
 
 def max_increment(n: int, k: int) -> int:

@@ -124,6 +124,38 @@ class TestClassify:
         assert code == 0
         assert json.loads(out)["cm_f5"] is True
 
+    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    def test_odd_prime_field_columns(self, capsys, fmt):
+        code, out, _ = run_cli(
+            capsys, "classify", "7", "2", "--checks", "cm", "--field", "Fp:3", "--format", fmt
+        )
+        assert code == 0
+        header, row = out.splitlines()
+        if fmt == "csv":
+            cells = dict(zip(header.split(","), row.split(",")))
+            columns = list(cells)
+            assert columns.index("cm_f3") == columns.index("cm_f2") + 1
+            assert columns.index("ms_cm_f3") == columns.index("ms_cm_f2") + 1
+            assert float(cells["ms_cm_f3"]) >= 0 and cells["ms_cm_f2"] == ""
+        else:
+            cells = dict(zip(header.split(), row.split()))
+            assert "ms_cm_f3" not in cells
+        assert cells["cm_f3"] == "false" and cells["agreement"] == "true"
+
+    def test_odd_prime_fields_keep_requested_order(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "classify", "6", "2", "--checks", "cm", "--no-timings", "--format", "csv",
+            "--field", "Fp:5", "--field", "Q", "--field", "Fp:3",
+        )
+        assert code == 0
+        header, row = out.splitlines()
+        assert header == (
+            "n,k,pred_vd,pred_shellable,pred_cm,vd,shellable,cm_q,cm_f2,cm_f5,cm_f3,"
+            "linearly_presented,agreement,ms_vd,ms_shellable,ms_cm_q,ms_cm_f2,ms_cm_f5,ms_cm_f3,"
+            "ms_linearly_presented"
+        )
+        assert row == "6,2,true,true,true,,,true,,true,true,,true,,,,,,,"
+
     def test_large_prime_field(self, capsys):
         code, out, _ = run_cli(
             capsys, "classify", "5", "2", "--checks", "cm", "--no-timings",
@@ -359,8 +391,10 @@ class TestVerifyShelling:
             ({"facets": [[1, 2, 3]]}, [[1, 2, 3]]),
             ({"n": 5, "facets": [[1, 2, 3]]}, {"orders": [[1, 2, 3]]}),
             ({"n": 5, "facets": [[1, 2, 3]]}, [1, 2, 3]),
+            ({"n": 5, "facets": [[1, 2], [2, 3]]}, [[1, "a"], [2, 3]]),
+            ({"n": 5, "facets": [[1, 2], [2, 3]]}, [[1.5, 2], [2, 3]]),
         ],
-        ids=["no-facets", "no-n", "no-order", "order-not-facets"],
+        ids=["no-facets", "no-n", "no-order", "order-not-facets", "str-vertex", "float-vertex"],
     )
     def test_malformed_input_exit_2(self, capsys, tmp_path, complex_data, order_data):
         cf = tmp_path / "cx.json"

@@ -6,8 +6,8 @@ import random
 import pytest
 from conftest import brute_force_minimal_nonfaces, complex_from_masks, enumerate_antichains
 
-from vdwcomplex.complexes import SimplicialComplex
-from vdwcomplex.ideals import MonomialIdeal
+from vdwcomplex.complexes import SimplicialComplex, pack
+from vdwcomplex.ideals import MonomialIdeal, dual_ideal
 from vdwcomplex.vdw import vdw_complex
 
 VDW52_FACETS = ((1, 2, 3), (1, 3, 5), (2, 3, 4), (3, 4, 5))
@@ -57,6 +57,7 @@ class TestConstruction:
             ((1,), (1, 2)),  # comparable
             ((1, 2), (1, 2)),  # repeated member
             ((2, 3), (1, 2)),  # not sorted
+            ((True, 2),),  # bool vertex
         ],
     )
     def test_canonical_antichain_enforced(self, cls, members):
@@ -70,6 +71,9 @@ class TestConstruction:
             {"n": 3},
             [[1, 2]],
             {"n": 3, "facets": [1, 2]},
+            {"n": True, "facets": [[1]]},
+            {"n": 3, "facets": [[True, 2]]},
+            {"n": 3, "facets": [[1, "2"]]},
         ],
     )
     def test_malformed_dict_rejected(self, data):
@@ -134,6 +138,8 @@ class TestLinkDeletion:
             cx.link(6)
         with pytest.raises(ValueError):
             cx.deletion(0)
+        with pytest.raises(ValueError):
+            cx.link(True)
 
     def test_link_deletion_are_subcomplexes(self):
         rng = random.Random(11)
@@ -267,6 +273,39 @@ class TestAlexanderDual:
         # the enumeration really is exhaustive (antichain counts)
         assert counts[4] == 168
         assert counts[5] == 7581
+
+
+class TestCanonicalForm:
+    """The constructors keep the masks they validate, in facet order."""
+
+    @staticmethod
+    def _assert_masks_match(cx):
+        assert cx.facet_masks == tuple(pack(f) for f in cx.facets)
+        if not cx.is_void:
+            ideal = dual_ideal(cx)
+            assert ideal.generator_masks == tuple(pack(g) for g in ideal.generators)
+
+    def test_vdw_complexes(self):
+        for n in range(2, 21):
+            for k in range(1, n):
+                self._assert_masks_match(vdw_complex(n, k))
+
+    def test_all_complexes_on_five_vertices(self):
+        for n in range(1, 6):
+            for masks in enumerate_antichains(n):
+                cx = complex_from_masks(n, masks)
+                self._assert_masks_match(cx)
+                for x in cx.support:
+                    self._assert_masks_match(cx.link(x))
+                    self._assert_masks_match(cx.deletion(x))
+
+    def test_masks_not_compared(self):
+        cx = vdw_complex(6, 2)
+        assert "facet_masks" not in repr(cx)
+        rebuilt = SimplicialComplex(6, cx.facets)
+        assert rebuilt == cx and hash(rebuilt) == hash(cx)
+        with pytest.raises(TypeError):
+            SimplicialComplex(6, cx.facets, cx.facet_masks)
 
 
 class TestSerialization:

@@ -286,3 +286,12 @@ class TestVerifyShelling:
             verify_shelling(cx, [(1, 2, 3)])
         with pytest.raises(ValueError):
             verify_shelling(cx, [(1, 2, 3)] * 4)
+
+    @pytest.mark.parametrize("bad", [(1, "a", 3), (1.0, 2, 3), (True, 2, 3)])
+    def test_malformed_vertices_rejected(self, bad):
+        cx = vdw_complex(5, 2)
+        with pytest.raises(ValueError):
+            verify_shelling(cx, [bad, (1, 3, 5), (2, 3, 4), (3, 4, 5)])
+
+    def test_facet_vertex_order_ignored(self):
+        assert verify_shelling(vdw_complex(5, 2), [(5, 4, 3), (4, 3, 2), (3, 2, 1), (5, 3, 1)])

@@ -35,6 +35,34 @@ class TestMonomialIdeal:
         ideal = MonomialIdeal.from_supports(5, [(4, 5), (1, 5)])
         assert ideal.to_json() == '{"n":5,"generators":[[1,5],[4,5]]}'
 
+    def test_from_supports_matches_minimal_elements(self):
+        # oracle: the supports with no proper subset among the supports
+        rng = random.Random(23)
+        for trial in range(300):
+            n = rng.randint(1, 7)
+            used = rng.randint(1, n)  # variables above `used` never occur
+            supports = [
+                rng.sample(range(1, used + 1), rng.randint(0 if trial % 10 == 0 else 1, used))
+                for _ in range(rng.randint(1, 8))
+            ]
+            supports += rng.sample(supports, rng.randint(0, len(supports)))  # duplicates
+            sets = {frozenset(s) for s in supports}
+            minimal = sorted(tuple(sorted(s)) for s in sets if not any(t < s for t in sets))
+            ideal = MonomialIdeal.from_supports(n, supports)
+            assert ideal.generators == tuple(minimal)
+            assert ideal.generator_masks == tuple(pack(g) for g in minimal)
+
+    def test_from_supports_edge_cases(self):
+        assert MonomialIdeal.from_supports(3, [(1, 2), (), (3,)]).generators == ((),)
+        assert MonomialIdeal.from_supports(3, []).generators == ()
+        assert MonomialIdeal.from_supports(6, [(2, 1), (1, 2), (2,)]).generators == ((2,),)
+        with pytest.raises(ValueError):
+            MonomialIdeal.from_supports(3, [(1, 2), (3, 4)])
+        with pytest.raises(ValueError):
+            MonomialIdeal.from_supports(3, [(0,)])
+        with pytest.raises(ValueError):
+            MonomialIdeal.from_supports(3, [(False, 2)])
+
 
 class TestDualIdeal:
     def test_vdw52(self):
@@ -253,7 +281,7 @@ class TestObstruction:
                 assert w.sigma_degrees[0] == w.generator_degree - w.gcd_degree
 
     def test_preconditions(self):
-        for n, k in [(6, 2), (7, 1), (8, 4), (10, 5)]:
+        for n, k in [(6, 2), (7, 1), (8, 4), (10, 5), (9.0, 2), ("9", 2), (9, None)]:
             with pytest.raises(ValueError):
                 nonlinear_obstruction_vdw(n, k)
 

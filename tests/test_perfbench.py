@@ -40,3 +40,12 @@ def test_trace_target_resolves(module_name, attr):
 
 def test_kernels_named_pure():
     assert vdwcomplex.implementation_name() == "pure"
+
+
+def test_mask_attributes_read_by_benchmark():
+    # spans._note reads MonomialIdeal.generator_masks; run.py reads SimplicialComplex.facet_masks
+    cx = vdwcomplex.vdw_complex(7, 2)
+    ideal = vdwcomplex.dual_ideal(cx)
+    for masks in (cx.facet_masks, ideal.generator_masks):
+        assert isinstance(masks, tuple) and masks
+        assert all(type(m) is int for m in masks)
