@@ -108,7 +108,10 @@ def search_shelling(masks: list[int], budget: int) -> tuple[int, list[int] | Non
     """Depth-first search for a shelling order of a pure facet list.
 
     A facet extends a prefix iff the set of its faces already covered by
-    placed facets is a nonempty union of its codimension-1 faces.  States
+    placed facets is a nonempty union of its codimension-1 faces.  For an
+    antichain this is a pairwise test: with ``shed`` the vertices x such
+    that F minus some placed g is exactly {x}, F extends iff ``shed`` meets
+    F minus g for every placed g (so ``shed`` is nonempty).  States
     (sets of placed facets) that exhausted without completing are
     memoized, so the search never revisits a dead prefix.
 
@@ -124,22 +127,16 @@ def search_shelling(masks: list[int], budget: int) -> tuple[int, list[int] | Non
     visited: set[int] = set()
 
     def extendable(fm: int) -> bool:
+        # The ridge fm - x lies in a placed g iff fm & ~g is exactly x
+        # (never empty: fm is in no other facet), so ``shed`` collects the
+        # vertices whose ridge is covered.  The intersection fm & g lies in
+        # a covered ridge iff shed & ~(fm & g) = fm & ~g & shed is nonzero.
+        outs = [fm & ~g for g in placed]
         shed = 0
-        rest = fm
-        while rest:
-            bit = rest & -rest
-            face = fm ^ bit
-            for g in placed:
-                if face & ~g == 0:
-                    shed |= bit
-                    break
-            rest ^= bit
-        if shed == 0:
-            return False
-        for g in placed:
-            if shed & ~(fm & g) == 0:
-                return False
-        return True
+        for out in outs:
+            if out & (out - 1) == 0:
+                shed |= out
+        return all(out & shed for out in outs)
 
     # An explicit stack, not recursion: one frame per placed facet would
     # overflow the interpreter's stack (vdW(50, 1) has 1225 facets).

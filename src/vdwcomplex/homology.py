@@ -2,10 +2,12 @@
 
 Homology is computed from integer boundary matrices of the augmented
 chain complex (the empty face is a (-1)-chain, so Betti numbers are
-reduced).  Ranks are exact: fraction-free integer elimination for the
-rationals, modular elimination for prime fields.  Cohen-Macaulayness is
-decided by Reisner's criterion: every face link must have vanishing
-reduced homology below its dimension.
+reduced).  One top-down pass yields the faces, the signed sparse boundary
+columns and their mod-2 bitmasks, numbering each face's row when a column
+first meets it; row order does not change a rank.  Ranks are exact:
+fraction-free integer elimination for the rationals, modular elimination
+for prime fields.  Cohen-Macaulayness is decided by Reisner's criterion:
+every face link must have vanishing reduced homology below its dimension.
 
 Only links that can fail are measured.  A nonempty face F that is not an
 intersection of facets has a vertex v in the intersection of the facets
@@ -55,6 +57,8 @@ def parse_field(field) -> int:
 
     Accepts 0/None, a prime integer, or the strings "Q", "F2", "Fp:<p>".
     """
+    if isinstance(field, bool):
+        raise ValueError(f"unrecognized field descriptor {field!r}; use Q, F2 or Fp:<p>")
     if field is None or field == RATIONALS:
         return RATIONALS
     if isinstance(field, int):
@@ -138,37 +142,6 @@ class CohenMacaulayResult:
         }
 
 
-def _all_faces(facet_masks) -> set[int]:
-    """Downward closure of a facet list, as masks (including the empty face)."""
-    seen = {0}
-    stack = [m for m in facet_masks if m]
-    seen.update(stack)
-    while stack:
-        m = stack.pop()
-        rest = m
-        while rest:
-            bit = rest & -rest
-            sub = m ^ bit
-            if sub and sub not in seen:
-                seen.add(sub)
-                stack.append(sub)
-            rest ^= bit
-    return seen
-
-
-def _faces_by_dim(facet_masks) -> list[list[int]]:
-    """Faces grouped by dimension, each level sorted by mask."""
-    if not facet_masks:
-        return []
-    top = max(m.bit_count() for m in facet_masks)
-    levels: list[list[int]] = [[] for _ in range(top + 1)]
-    for m in _all_faces(facet_masks):
-        levels[m.bit_count()].append(m)
-    for level in levels:
-        level.sort()
-    return levels  # levels[c] = faces with c vertices (dimension c-1)
-
-
 def _facet_intersections(facet_masks) -> set[int]:
     """The empty face and every intersection of a nonempty set of facets."""
     closed = {0}
@@ -180,54 +153,59 @@ def _facet_intersections(facet_masks) -> set[int]:
 
 def _nerve(facet_masks) -> list[int]:
     """Facets of the nerve: bit i is facet i; vertex v gives the facets holding v."""
-    support = 0
-    for m in facet_masks:
-        support |= m
-    members = []
-    while support:
-        bit = support & -support
-        members.append(sum(1 << i for i, m in enumerate(facet_masks) if m & bit))
-        support ^= bit
-    return _absorb(members)
+    holders: dict[int, int] = {}  # vertex bit -> the facets holding it
+    for i, m in enumerate(facet_masks):
+        rest = m
+        while rest:
+            bit = rest & -rest
+            holders[bit] = holders.get(bit, 0) | 1 << i
+            rest ^= bit
+    return _absorb(holders.values())
 
 
 def _size_bound(facet_masks) -> int:
     return sum(1 << m.bit_count() for m in facet_masks)
 
 
-def _boundary_columns(
-    lower: list[int], upper: list[int]
-) -> tuple[list[list[tuple[int, int]]], list[int]]:
-    """Sparse signed incidence from (i)-faces (columns) to (i-1)-faces (rows).
+def _chain_complex(facet_masks) -> tuple[list[list[int]], list, list[list[int]]]:
+    """The augmented chain complex of a nonvoid antichain, in one top-down pass.
 
-    Also returns each column mod 2 as an int bitmask over the rows.
+    Returns ``(levels, boundaries, masks)``: ``levels[c]`` lists the faces
+    with c vertices (``levels[0] == [0]``, the empty face), ``boundaries[j]``
+    holds the signed sparse columns of the map from ``levels[j + 1]`` to
+    ``levels[j]``, and ``masks[j]`` the same columns mod 2 as int bitmasks
+    over the rows.  Level c - 1 starts as the facets with c - 1 vertices;
+    every other face gets its row the first time a column of level c meets
+    it, so rows are in order of discovery, which no rank depends on.
     """
-    index = {m: r for r, m in enumerate(lower)}
-    columns = []
-    masks = []
-    for m in upper:
-        column = []
-        mask = 0
-        sign = 1
-        rest = m
-        while rest:
-            bit = rest & -rest
-            r = index[m ^ bit]
-            column.append((r, sign))
-            mask |= 1 << r
-            sign = -sign
-            rest ^= bit
-        columns.append(column)
-        masks.append(mask)
-    return columns, masks
-
-
-def _dense(columns: list[list[tuple[int, int]]], nrows: int) -> list[list[int]]:
-    rows = [[0] * len(columns) for _ in range(nrows)]
-    for col, column in enumerate(columns):
-        for r, sign in column:
-            rows[r][col] = sign
-    return rows
+    top = max(m.bit_count() for m in facet_masks)
+    levels: list[list[int]] = [[] for _ in range(top + 1)]
+    for m in facet_masks:
+        levels[m.bit_count()].append(m)
+    boundaries: list = [None] * top
+    masks: list = [None] * top
+    for c in range(top, 0, -1):
+        index = {m: r for r, m in enumerate(levels[c - 1])}
+        columns = []
+        column_masks = []
+        for m in levels[c]:
+            column = []
+            mask = 0
+            sign = 1
+            rest = m
+            while rest:
+                bit = rest & -rest
+                r = index.setdefault(m ^ bit, len(index))
+                column.append((r, sign))
+                mask |= 1 << r
+                sign = -sign
+                rest ^= bit
+            columns.append(column)
+            column_masks.append(mask)
+        levels[c - 1] = list(index)
+        boundaries[c - 1] = columns
+        masks[c - 1] = column_masks
+    return levels, boundaries, masks
 
 
 def _assert_chain_complex(boundaries: list[list[list[tuple[int, int]]]]) -> None:
@@ -252,16 +230,8 @@ def _reduced_betti(facet_masks, char: int, mod_2_first: bool = True) -> dict[int
     most its face count, so a degree with no mod-2 homology pins both
     neighbouring rational ranks to their mod-2 values.
     """
-    levels = _faces_by_dim(facet_masks)
-    top = len(levels) - 1  # number of vertices in a top face
-    counts = [1] + [len(level) for level in levels[1:]]  # counts[c] = #(c-1)-dim faces
-    boundaries = []  # boundaries[j]: faces with j+1 vertices -> faces with j vertices
-    masks = []
-    for c in range(1, top + 1):
-        lower = levels[c - 1] if c > 1 else [0]
-        columns, column_masks = _boundary_columns(lower, levels[c])
-        boundaries.append(columns)
-        masks.append(column_masks)
+    levels, boundaries, masks = _chain_complex(facet_masks)
+    counts = [len(level) for level in levels]  # counts[c] = #(c-1)-dim faces
     _assert_chain_complex(boundaries)
     filtered = char == RATIONALS and mod_2_first
     if char == 2 or filtered:  # no dense matrix
@@ -279,10 +249,13 @@ def _reduced_betti(facet_masks, char: int, mod_2_first: bool = True) -> dict[int
 
 def _dense_rank(counts: list[int], j: int, columns, char: int) -> int:
     """Rank of the boundary from faces with j+1 vertices to faces with j vertices."""
-    mat = _dense(columns, counts[j])
+    rows = [[0] * counts[j + 1] for _ in range(counts[j])]
+    for col, column in enumerate(columns):
+        for r, sign in column:
+            rows[r][col] = sign
     if char == RATIONALS:
-        return _kernels.rank_bareiss(mat, counts[j + 1])
-    return _kernels.rank_mod_p(mat, counts[j + 1], char)
+        return _kernels.rank_bareiss(rows, counts[j + 1])
+    return _kernels.rank_mod_p(rows, counts[j + 1], char)
 
 
 def _betti(counts: list[int], ranks: list[int]) -> dict[int, int]:
@@ -339,7 +312,7 @@ def _first_failure(
     face, its literal link, no nerve, no shortcut.
     """
     if check_all_faces:
-        faces = _all_faces(facet_masks)
+        faces = [m for level in _chain_complex(facet_masks)[0] for m in level]
     else:
         faces = [m for m in _facet_intersections(facet_masks) if m.bit_count() < dim]
     for fmask in sorted(faces, key=_face_order):

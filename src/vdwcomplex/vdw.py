@@ -17,7 +17,7 @@ from vdwcomplex.complexes import SimplicialComplex
 
 
 def _validate_params(n: int, k: int) -> None:
-    if not (isinstance(n, int) and isinstance(k, int)):
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in (n, k)):
         raise ValueError(f"n and k must be integers, got n={n!r}, k={k!r}")
     if not 0 < k < n:
         raise ValueError(f"parameters must satisfy 0 < k < n, got n={n}, k={k}")

@@ -15,6 +15,15 @@ from itertools import combinations, permutations
 from vdwcomplex.complexes import SimplicialComplex, unpack
 from vdwcomplex.decompose import verify_shelling
 
+# antipodally identified icosahedron: the 6-vertex projective plane
+RP2 = SimplicialComplex.from_facets(
+    6,
+    [
+        [1, 2, 4], [1, 2, 6], [1, 3, 4], [1, 3, 5], [1, 5, 6],
+        [2, 3, 5], [2, 3, 6], [2, 4, 5], [3, 4, 6], [4, 5, 6],
+    ],
+)
+
 # -- enumeration ------------------------------------------------------
 
 

@@ -1,10 +1,12 @@
 """Exact reduced homology and the Reisner Cohen-Macaulay criterion."""
 
+import copy
 import random
 from itertools import combinations
 
 import pytest
 from conftest import (
+    RP2,
     complex_from_masks,
     enumerate_antichains,
     random_pure_complex,
@@ -16,14 +18,6 @@ from vdwcomplex.complexes import SimplicialComplex, pack, unpack
 from vdwcomplex.homology import is_cohen_macaulay, parse_field, reduced_homology
 from vdwcomplex.vdw import classify_closed_form, vdw_complex
 
-# antipodally identified icosahedron: the 6-vertex projective plane
-RP2 = SimplicialComplex.from_facets(
-    6,
-    [
-        [1, 2, 4], [1, 2, 6], [1, 3, 4], [1, 3, 5], [1, 5, 6],
-        [2, 3, 5], [2, 3, 6], [2, 4, 5], [3, 4, 6], [4, 5, 6],
-    ],
-)
 # its suspension, with apexes 7 and 8: F2 homology in degrees 2 and 3
 SUSPENDED_RP2 = SimplicialComplex.from_facets(
     8, [f + (apex,) for f in RP2.facets for apex in (7, 8)]
@@ -57,8 +51,9 @@ class TestFieldParsing:
             parse_field(2**64 + 13)
 
     def test_garbage_rejected(self):
-        with pytest.raises(ValueError):
-            parse_field("GF(2)")
+        for bad in ("GF(2)", False, True):
+            with pytest.raises(ValueError):
+                parse_field(bad)
 
 
 class TestReducedHomology:
@@ -113,6 +108,46 @@ class TestReducedHomology:
         data = profile.to_dict()
         assert data["field"] == "Fp:2"
         assert data["betti"] == {"-1": 0, "0": 0, "1": 1, "2": 1}
+
+
+class TestChainComplex:
+    def test_levels_columns_and_masks_agree(self):
+        rng = random.Random(67)
+        for _ in range(60):
+            n = rng.randint(1, 7)
+            faces = [
+                rng.sample(range(1, n + 1), rng.randint(1, min(4, n)))
+                for _ in range(rng.randint(1, 6))
+            ]
+            masks = list(SimplicialComplex.from_facets(n, faces).facet_masks)
+            levels, boundaries, column_masks = homology._chain_complex(masks)
+            closure = {sub for f in masks for sub in range(f + 1) if sub & f == sub}
+            assert sorted(m for level in levels for m in level) == sorted(closure)
+            assert all(m.bit_count() == c for c, level in enumerate(levels) for m in level)
+            for j, columns in enumerate(boundaries):
+                for face, column, mask in zip(levels[j + 1], columns, column_masks[j]):
+                    ridges = {face ^ 1 << v for v in range(n) if face >> v & 1}
+                    assert {levels[j][r] for r, _ in column} == ridges
+                    assert [s for _, s in column] == [(-1) ** i for i in range(len(column))]
+                    assert mask == sum(1 << r for r, _ in column)
+
+    @pytest.mark.parametrize(
+        "cx", [SimplicialComplex.simplex(3), RP2], ids=["2-simplex", "RP2"]
+    )
+    def test_boundary_guard_fires(self, cx):
+        levels, boundaries, _ = homology._chain_complex(list(cx.facet_masks))
+        homology._assert_chain_complex(boundaries)
+        # the map from edges to vertices, with a map on each side
+        r, sign = boundaries[-2][0][0]
+        flipped = copy.deepcopy(boundaries)
+        flipped[-2][0][0] = (r, -sign)
+        moved = copy.deepcopy(boundaries)
+        rows = {row for row, _ in boundaries[-2][0]}
+        moved[-2][0][0] = (next(row for row in range(len(levels[-3])) if row not in rows), sign)
+        for broken in (flipped, moved):
+            with pytest.raises(AssertionError):
+                homology._assert_chain_complex(broken)
+        homology._assert_chain_complex(boundaries)
 
 
 class TestFaceOrder:

@@ -137,7 +137,9 @@ class TestSearchShelling:
 
 
 # (masks, budget) -> (status, order, nodes), recorded from the recursive
-# search that the explicit-stack one replaced.
+# search that the explicit-stack one replaced; the vdw102 and nonpure
+# records were recorded from the ridge-by-ridge step test that the
+# pairwise one replaced.
 PINNED_SEARCHES = {
     "tetrahedron-boundary": (([7, 14, 11, 13], 10**6), (_kernels.FOUND, [0, 1, 2, 3], 4)),
     "found-after-backtrack": (
@@ -152,6 +154,17 @@ PINNED_SEARCHES = {
     "vdw92-exhausted": (
         ([7, 21, 73, 273, 14, 42, 146, 28, 84, 292, 56, 168, 112, 336, 224, 448], 10**6),
         (_kernels.NOT_SHELLABLE, None, 1459),
+    ),
+    "vdw102-exhausted": (
+        (
+            [7, 21, 73, 273, 14, 42, 146, 546, 28, 84, 292, 56, 168, 584, 112, 336, 224, 672, 448, 896],
+            10**6,
+        ),
+        (_kernels.NOT_SHELLABLE, None, 5551),
+    ),
+    "nonpure-found-after-backtrack": (
+        ([6, 49, 21, 19, 35, 84, 114, 67], 10**6),
+        (_kernels.FOUND, [6, 1, 2, 0, 3, 4, 5, 7], 89),
     ),
     "vdw83-exhausted": (
         ([15, 85, 30, 170, 60, 120, 240], 10**6),

@@ -11,8 +11,10 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+from conftest import RP2
 
 import vdwcomplex
+from vdwcomplex import _kernels
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -49,3 +51,27 @@ def test_mask_attributes_read_by_benchmark():
     for masks in (cx.facet_masks, ideal.generator_masks):
         assert isinstance(masks, tuple) and masks
         assert all(type(m) is int for m in masks)
+
+
+def test_rank_kernels_get_dense_rows(monkeypatch):
+    # spans._cells reads len(args[0]) * args[1], and rank_mod_p's p as args[2]
+    calls = []
+    for name in ("rank_bareiss", "rank_mod_p"):
+
+        def recording(*args, _name=name, _kernel=getattr(_kernels, name), **kwargs):
+            calls.append((_name, args, kwargs))
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(_kernels, name, recording)
+    for field, name, tail in (("Q", "rank_bareiss", ()), ("Fp:3", "rank_mod_p", (3,))):
+        calls.clear()
+        vdwcomplex.reduced_homology(RP2, field)
+        shapes = []
+        for called, (rows, ncols, *rest), kwargs in calls:
+            assert called == name and tuple(rest) == tail and not kwargs
+            assert isinstance(rows, list) and isinstance(ncols, int)
+            assert all(isinstance(row, list) and len(row) == ncols for row in rows)
+            assert all(type(x) is int for row in rows for x in row)
+            shapes.append((len(rows), ncols))
+        # RP^2 has 1, 6, 15 and 10 faces with 0, 1, 2 and 3 vertices
+        assert shapes == [(1, 6), (6, 15), (15, 10)]

@@ -32,9 +32,13 @@ class TestFacets:
             assert faces[0].vertices == tuple(range(1, n + 1))
 
     def test_invalid_params(self):
-        for n, k in [(2, 2), (5, 0), (3, 5), (1, 1)]:
+        for n, k in [(2, 2), (5, 0), (3, 5), (1, 1), (5, True), (2, True)]:
             with pytest.raises(ValueError):
                 progression_facets(n, k)
+        with pytest.raises(ValueError):
+            vdw_complex(5, True)
+        with pytest.raises(ValueError):
+            classify_closed_form(7, True)
 
     def test_count_identity(self):
         # |facets| equals the increment-summation formula for all 0 < k < n <= 30
