@@ -44,26 +44,6 @@ EXIT_UNDECIDED = 3
 CHECKS = ("vd", "shellable", "cm", "linpres")
 SWEEP_LIMITS = {"vd": 40, "shellable": 20, "cm": 21, "linpres": 36}
 
-CSV_COLUMNS = [
-    "n",
-    "k",
-    "pred_vd",
-    "pred_shellable",
-    "pred_cm",
-    "vd",
-    "shellable",
-    "cm_q",
-    "cm_f2",
-    "linearly_presented",
-    "agreement",
-    "ms_vd",
-    "ms_shellable",
-    "ms_cm_q",
-    "ms_cm_f2",
-    "ms_linearly_presented",
-]
-
-
 def _parse_checks(text: str) -> list[str]:
     checks = [c.strip() for c in text.split(",") if c.strip()]
     for c in checks:
@@ -152,10 +132,11 @@ def _cm_key(char: int) -> str:
 
 
 def _columns(field_chars) -> list[str]:
-    """CSV_COLUMNS plus a verdict and a timing column per odd-prime field."""
+    """The record keys in column order, with a verdict and a timing column per odd-prime field."""
     odd = [_cm_key(c) for c in field_chars if c not in (0, 2)]
-    i, j = CSV_COLUMNS.index("cm_f2") + 1, CSV_COLUMNS.index("ms_cm_f2") + 1
-    return CSV_COLUMNS[:i] + odd + CSV_COLUMNS[i:j] + ["ms_" + c for c in odd] + CSV_COLUMNS[j:]
+    verdicts = ["vd", "shellable", "cm_q", "cm_f2", *odd, "linearly_presented"]
+    timings = ["ms_" + v for v in verdicts]
+    return ["n", "k", "pred_vd", "pred_shellable", "pred_cm", *verdicts, "agreement", *timings]
 
 
 def _record_is_undecided(rec: dict) -> bool:
@@ -204,11 +185,6 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _sweep_worker(args) -> dict:
-    n, k, checks, field_chars, budget, with_timings = args
-    return compute_record(n, k, checks, field_chars, budget, with_timings)
 
 
 # -- subcommands -----------------------------------------------------
@@ -264,9 +240,9 @@ def cmd_sweep(args) -> int:
     workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_sweep_worker, tasks))
+            records = list(pool.map(compute_record, *zip(*tasks)))
     else:
-        records = [_sweep_worker(t) for t in tasks]
+        records = [compute_record(*t) for t in tasks]
     _emit(_render(args.format, records, field_chars, records), args.output)
     agree = sum(1 for r in records if r["agreement"])
     sys.stdout.write(f"sweep n<={args.n_max}: {agree}/{len(records)} records agree\n")

@@ -6,8 +6,13 @@ some support vertex has a pure, vertex-decomposable link and deletion.
 The link of a pure complex is pure.  Its deletion at x is pure iff x
 lies in every facet or every ridge F - x of a facet F through x lies in
 a second facet, so one count of the ridges per subproblem tests every
-candidate vertex without building its deletion.  A successful decision
-is certified by a shedding tree that can be replayed independently.
+candidate vertex without building its deletion.  Subproblems are
+memoized on their support relabelled to 1..m.  Link, deletion and that
+relabel all keep the canonical facet order, so equal subproblems meet
+under equal keys.  The memo holds each shedding tree in the labels it
+was found in, with its support, and a failure as ``None``.  A successful
+decision is certified by a shedding tree that can be replayed
+independently.
 
 Shellability is decided by a depth-first search over facet prefixes: a
 facet may extend a prefix iff its faces already covered by placed
@@ -110,9 +115,12 @@ _LEAF_SIMPLEX = SheddingTree("simplex")
 def _compact(masks: tuple[int, ...], support: int) -> tuple[int, ...]:
     """``masks`` with the support bits squeezed down to bits 0..m-1.
 
-    A bit moves to the number of support bits below it.  Squeezing keeps
-    the order of the integers.
+    A bit moves to the number of support bits below it.  Squeezing is an
+    order-keeping relabel, so the canonical order of ``masks`` survives.
+    When the support already is 1..m, ``masks`` itself is returned.
     """
+    if support & (support + 1) == 0:
+        return masks
     out = []
     for m in masks:
         nm = 0
@@ -127,24 +135,28 @@ def _compact(masks: tuple[int, ...], support: int) -> tuple[int, ...]:
 def _decide(masks: tuple[int, ...], memo: dict) -> SheddingTree | None:
     """Memoized :func:`_search`, keyed by ``masks`` on the support relabelled to 1..m.
 
-    ``masks`` is sorted, so the key is too.  When the support already is
-    1..m the key is ``masks`` itself and no tree is relabelled.
+    ``masks`` is in canonical order, so the key is too.  The memo holds
+    each tree in the labels it was found in, with the support it was
+    found on, and a failure as ``None``; a hit from another support
+    relabels the tree once.
     """
     support = 0
     for m in masks:
         support |= m
-    identity = support & (support + 1) == 0
-    key = masks if identity else _compact(masks, support)
+    key = _compact(masks, support)
     hit = memo.get(key, _MISSING)
+    if hit is None:
+        return None
     if hit is not _MISSING:
-        return hit if identity or hit is None else hit.relabel(dict(enumerate(unpack(support), 1)))
+        tree, seen = hit
+        return tree if seen == support else tree.relabel(dict(zip(unpack(seen), unpack(support))))
     tree = _search(masks, support, memo)
-    memo[key] = tree if identity or tree is None else tree.relabel({v: i for i, v in enumerate(unpack(support), 1)})
+    memo[key] = None if tree is None else (tree, support)
     return tree
 
 
 def _search(masks: tuple[int, ...], support: int, memo: dict) -> SheddingTree | None:
-    """First shedding tree of a sorted, pure facet list, shedding high vertices first.
+    """First shedding tree of a canonical, pure facet list, shedding high vertices first.
 
     For facets of size d, the deletion at x is pure iff every facet
     contains x (then it equals the link) or every ridge F - x of a facet
@@ -207,7 +219,7 @@ def is_vertex_decomposable(cx: SimplicialComplex, memo: dict | None = None) -> D
         raise ValueError("vertex decomposability is defined for pure complexes")
     if memo is None:
         memo = {}
-    tree = _decide(tuple(sorted(cx.facet_masks)), memo)
+    tree = _decide(cx.facet_masks, memo)
     return DecompositionResult(tree is not None, tree)
 
 
@@ -286,8 +298,8 @@ def is_shellable(cx: SimplicialComplex, budget: int | None = DEFAULT_SHELLING_BU
     again under ``budget``.  ``nodes`` counts the states expanded by the
     last search that ran.  "undecided" (budget exhausted) is distinct
     from "not-shellable", which requires the search space to be
-    exhausted or a Reisner witness.  A negative ``budget`` raises
-    ValueError.
+    exhausted or a Reisner witness.  A ``budget`` that is not None or
+    an integer at least 0 raises ValueError.
     """
     if cx.is_void:
         raise ValueError("shellability of the void complex is undefined")
@@ -295,8 +307,8 @@ def is_shellable(cx: SimplicialComplex, budget: int | None = DEFAULT_SHELLING_BU
         raise ValueError("shellability is defined for pure complexes")
     if budget is None:
         budget = 1 << 62
-    if budget < 0:
-        raise ValueError(f"the shelling budget must be at least 0, got {budget}")
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
+        raise ValueError(f"the shelling budget must be None or an integer >= 0, got {budget!r}")
     masks = list(cx.facet_masks)
     probe_budget = min(budget, len(masks))
     status, idx_order, nodes = _kernels.search_shelling(masks, probe_budget)

@@ -57,11 +57,11 @@ def parse_field(field) -> int:
 
     Accepts 0/None, a prime integer, or the strings "Q", "F2", "Fp:<p>".
     """
-    if isinstance(field, bool):
-        raise ValueError(f"unrecognized field descriptor {field!r}; use Q, F2 or Fp:<p>")
-    if field is None or field == RATIONALS:
+    if field is None:
         return RATIONALS
-    if isinstance(field, int):
+    if isinstance(field, int) and not isinstance(field, bool):
+        if field == RATIONALS:
+            return RATIONALS
         if field >= _PRIME_LIMIT:
             raise ValueError(f"prime fields are supported for p < 2**64, got {field}")
         if not _is_prime(field):

@@ -131,6 +131,16 @@ class TestSheddingSearchMatchesNaive:
         memo = {}
         for cx in [*self._pure_small(), *self._random_pure(), *self._vdw_grid()]:
             assert is_vertex_decomposable(cx, memo) == is_vertex_decomposable(cx)
+        # shifted up one vertex, a complex meets its top-level key from another support
+        for k in (3, 5):  # vdW(9, 3) is not vertex decomposable, vdW(9, 5) is
+            cx = vdw_complex(9, k)
+            shifted = SimplicialComplex.from_facets(10, [[v + 1 for v in f] for f in cx.facets])
+            is_vertex_decomposable(cx, memo)
+            size = len(memo)
+            res = is_vertex_decomposable(shifted, memo)
+            assert len(memo) == size
+            assert res == is_vertex_decomposable(shifted)
+            assert res.tree is None or verify_shedding_tree(shifted, res.tree)
 
     @pytest.mark.parametrize("n, k, subproblems", [(30, 1, 59), (48, 20, 2047)])
     def test_subproblem_count(self, n, k, subproblems):
@@ -175,6 +185,9 @@ class TestShellable:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             is_shellable(vdw_complex(6, 2), budget=-1)
+        for bad in (True, 2.5, float("nan")):
+            with pytest.raises(ValueError):
+                is_shellable(vdw_complex(6, 2), budget=bad)
         assert is_shellable(vdw_complex(6, 2), budget=0).status == "undecided"
 
     def test_more_facets_than_the_recursion_limit(self):

@@ -2,6 +2,7 @@
 
 import copy
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -51,7 +52,7 @@ class TestFieldParsing:
             parse_field(2**64 + 13)
 
     def test_garbage_rejected(self):
-        for bad in ("GF(2)", False, True):
+        for bad in ("GF(2)", False, True, 0.0, 0j, Fraction(0)):
             with pytest.raises(ValueError):
                 parse_field(bad)
 

@@ -53,6 +53,17 @@ def test_mask_attributes_read_by_benchmark():
         assert all(type(m) is int for m in masks)
 
 
+def test_vd_subproblems_from_memo_growth():
+    # spans._vd_prepare and spans._note count the entries a call adds to the memo
+    spans = _load_spans()
+    cx = vdwcomplex.vdw_complex(30, 1)
+    kwargs = {}
+    state = spans._vd_prepare((cx,), kwargs)
+    result = vdwcomplex.is_vertex_decomposable(cx, **kwargs)
+    note = spans._note("decompose.is_vertex_decomposable", (cx,), kwargs, result, state)
+    assert note == {"subproblems": 59}
+
+
 def test_rank_kernels_get_dense_rows(monkeypatch):
     # spans._cells reads len(args[0]) * args[1], and rank_mod_p's p as args[2]
     calls = []
