@@ -3,7 +3,8 @@
 Subcommands: generate, classify, sweep, inspect, verify-shelling.
 
 Exit codes (stable): 0 success / agreement, 1 disagreement (or invalid
-shelling order), 2 usage error, 3 decision budget exhausted.
+shelling order), 2 usage error, 3 decision budget exhausted, 4 internal
+error (any other exception, so a crash never reads as a verdict).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
@@ -40,6 +42,7 @@ EXIT_OK = 0
 EXIT_DISAGREE = 1
 EXIT_USAGE = 2
 EXIT_UNDECIDED = 3
+EXIT_ERROR = 4
 
 CHECKS = ("vd", "shellable", "cm", "linpres")
 SWEEP_LIMITS = {"vd": 40, "shellable": 20, "cm": 21, "linpres": 36}
@@ -259,6 +262,8 @@ def cmd_inspect(args) -> int:
             raise ValueError(f"inspect {args.what} needs a vertex argument")
         sub = cx.link(args.vertex) if args.what == "link" else cx.deletion(args.vertex)
         text = sub.to_json() + "\n"
+    elif args.vertex is not None:
+        raise ValueError(f"inspect {args.what} takes no vertex argument")
     elif args.what == "dual":
         text = cx.alexander_dual().to_json() + "\n"
     elif args.what == "ideal":
@@ -390,6 +395,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except Exception as exc:  # a crash, not a verdict; KeyboardInterrupt is not an Exception
+        traceback.print_exc()
+        sys.stderr.write(f"error: internal: {type(exc).__name__}: {exc}\n")
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

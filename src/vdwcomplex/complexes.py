@@ -14,6 +14,10 @@ order (:func:`_canonical`) and validates canonical antichains
 Two degenerate complexes are distinct values: the *void* complex (no
 facets, not even the empty face) and the *empty* complex ``<()>`` whose
 single facet is the empty face.
+
+Minimal non-faces are the minimal transversals of the facet complements, by
+Berge's recurrence: an extension t | v of a transversal can only contain a kept
+h with h - t == {v}, and two extensions never contain one another.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable
 
 MAX_VERTICES = 64
@@ -180,9 +183,7 @@ class SimplicialComplex:
     @property
     def dim(self) -> int | None:
         """Max facet dimension; None for the void complex; -1 for ``<()>``."""
-        if self.is_void:
-            return None
-        return max(len(f) for f in self.facets) - 1
+        return max((len(f) - 1 for f in self.facets), default=None)
 
     @property
     def is_pure(self) -> bool:
@@ -227,22 +228,21 @@ class SimplicialComplex:
     def minimal_nonfaces(self) -> tuple[Vertices, ...]:
         """Inclusion-minimal subsets of 1..n contained in no facet.
 
-        Candidates are enumerated by increasing cardinality up to
-        dim + 2 (no minimal non-face can be larger), pruning supersets
-        of non-faces already found.
+        These are the minimal sets meeting every facet's complement, built one
+        complement at a time (Berge).  A transversal t meeting the next one is
+        kept; one missing it grows to t | v for each v in it, unless t | v holds
+        a kept h.  As t is minimal so far, no kept h lies inside t, so that means
+        h - t == {v}.  No extension contains another: no other check is needed.
         """
         if self.is_void:
             raise ValueError("the void complex has no non-face lattice")
-        found: list[int] = []
-        max_size = min(self.n, (self.dim if self.dim is not None else -1) + 2)
-        for size in range(1, max_size + 1):
-            for combo in combinations(range(1, self.n + 1), size):
-                cand = pack(combo)
-                if any(nf & cand == nf for nf in found):
-                    continue
-                if not any(cand & fm == cand for fm in self.facet_masks):
-                    found.append(cand)
-        return _canonical(found)
+        transversals = [0]
+        for f in self.facet_masks:
+            gap = [1 << i for i in range(self.n) if not f >> i & 1]  # the complement, by vertex
+            kept = [t for t in transversals if t & ~f]
+            missed = ((t, {h & ~t for h in kept}) for t in transversals if not t & ~f)
+            transversals = kept + [t | v for t, outside in missed for v in gap if v not in outside]
+        return _canonical(transversals)
 
     def alexander_dual(self) -> "SimplicialComplex":
         """Complex whose facets are complements of the minimal non-faces.

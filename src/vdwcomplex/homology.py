@@ -15,7 +15,7 @@ containing F but not in F; every facet of lk F contains v, so lk F is a
 cone and acyclic.  A link's homology is computed on the smaller of the
 link and the nerve of its facets: every nonempty intersection of facets
 is a simplex, so by the nerve theorem both have the same reduced Betti
-numbers.
+numbers.  ``reduced_homology`` chooses the same way for the whole complex.
 
 Two more rules spare most links their elimination.  A 1-dimensional
 link is a nonempty graph, so H~_-1 vanishes and H~_0 vanishes iff the
@@ -163,8 +163,15 @@ def _nerve(facet_masks) -> list[int]:
     return _absorb(holders.values())
 
 
-def _size_bound(facet_masks) -> int:
-    return sum(1 << m.bit_count() for m in facet_masks)
+def _nerve_if_smaller(facet_masks) -> list[int]:
+    """The nerve of ``facet_masks`` if it bounds fewer faces (sum of 2^|facet|), else the masks.
+
+    Both have the same reduced Betti numbers, except that the nerve of
+    ``<()>`` is void, so ``<()>`` is kept.
+    """
+    nerve = _nerve(facet_masks)
+    bounds = [sum(1 << m.bit_count() for m in masks) for masks in (nerve, facet_masks)]
+    return nerve if nerve and bounds[0] < bounds[1] else list(facet_masks)
 
 
 def _chain_complex(facet_masks) -> tuple[list[list[int]], list, list[list[int]]]:
@@ -265,11 +272,16 @@ def _betti(counts: list[int], ranks: list[int]) -> dict[int, int]:
 
 
 def reduced_homology(cx: SimplicialComplex, field="Q") -> HomologyProfile:
-    """Reduced Betti numbers of a nonvoid complex over Q or F_p."""
+    """Reduced Betti numbers of a nonvoid complex over Q or F_p, in degrees -1 .. dim.
+
+    They are measured on the complex or on its facet nerve, whichever is
+    smaller; a degree the nerve does not reach has Betti number 0.
+    """
     if cx.is_void:
         raise ValueError("reduced homology of the void complex is undefined")
     char = parse_field(field)
-    return HomologyProfile(field_label(char), _reduced_betti(cx.facet_masks, char, mod_2_first=False))
+    betti = _reduced_betti(_nerve_if_smaller(cx.facet_masks), char, mod_2_first=False)
+    return HomologyProfile(field_label(char), {i: betti.get(i, 0) for i in range(-1, cx.dim + 1)})
 
 
 # each byte's complement with its bit order reversed
@@ -328,10 +340,7 @@ def _first_failure(
                 continue
             return fmask, 0
         else:
-            nerve = _nerve(link)
-            if _size_bound(nerve) < _size_bound(link):
-                link = nerve
-            betti = _reduced_betti(link, char)
+            betti = _reduced_betti(_nerve_if_smaller(link), char)
         for i in range(-1, top):
             if betti.get(i, 0) != 0:
                 return fmask, i

@@ -51,6 +51,11 @@ class TestGenerate:
         assert err.strip().startswith("error:")
         assert len(err.strip().splitlines()) == 1
 
+    def test_too_many_vertices_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "generate", "65", "2", "--format", "text")
+        assert code == 2
+        assert out == "" and "at most 64" in err
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "c.json"
         code, out, _ = run_cli(capsys, "generate", "5", "2", "--output", str(target))
@@ -116,6 +121,19 @@ class TestClassify:
     def test_unknown_check_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "classify", "5", "2", "--checks", "bogus")
         assert code == 2
+
+    def test_no_check_selected_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "classify", "7", "2", "--checks", ",")
+        assert code == 2
+        assert out == "" and "no checks selected" in err
+
+    def test_undecided_csv_cell(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "classify", "6", "2", "--checks", "shellable", "--budget", "0", "--format", "csv"
+        )
+        assert code == 3
+        header, row = out.splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["shellable"] == "undecided"
 
     def test_custom_field(self, capsys):
         code, out, _ = run_cli(
@@ -279,6 +297,17 @@ class TestSweep:
         assert code == 2
         assert out == "" and "--budget" in err
 
+    def test_n_max_below_one_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "0")
+        assert code == 2
+        assert out == "" and "n_max" in err
+
+    def test_undecided_sweep_exit_3(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "6", "--checks", "shellable", "--budget", "0")
+        assert code == 3
+        records = json.loads(out.splitlines()[0])
+        assert any(r["shellable"] is None for r in records)
+
     def test_jobs_below_one_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "3", "--jobs", "0")
         assert code == 2
@@ -350,9 +379,21 @@ class TestInspect:
         assert data["chosen_increment"] == 3
         assert data["increments"] == [1, 2, 3]
 
+    def test_lemmas_max_increment_overlap(self, capsys):
+        code, out, _ = run_cli(capsys, "inspect", "9", "3", "lemmas")
+        assert code == 0
+        data = json.loads(out)
+        assert data["kind"] == "max-increment-overlap" and data["holds"] is True
+
     def test_lemmas_k1_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "inspect", "7", "1", "lemmas")
         assert code == 2
+
+    @pytest.mark.parametrize("what", ["ideal", "dual"])
+    def test_vertex_not_read_is_rejected(self, capsys, what):
+        code, out, err = run_cli(capsys, "inspect", "9", "2", what, "5")
+        assert code == 2
+        assert out == "" and "takes no vertex" in err
 
 
 class TestVerifyShelling:
@@ -427,6 +468,32 @@ class TestOptions:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert "unrecognized arguments" in err
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize("exc", [RuntimeError, AssertionError])
+    @pytest.mark.parametrize(
+        "argv",
+        [["classify", "7", "2", "--checks", "vd"], ["sweep", "4", "--checks", "vd"]],
+        ids=" ".join,
+    )
+    def test_crash_exits_4_not_a_verdict(self, capsys, monkeypatch, argv, exc):
+        def crashing(cx):
+            raise exc("decider crashed")
+
+        monkeypatch.setattr(cli, "is_vertex_decomposable", crashing)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == cli.EXIT_ERROR == 4
+        assert out == "" and err.startswith("Traceback")
+        assert err.endswith(f"\nerror: internal: {exc.__name__}: decider crashed\n")
+
+    def test_keyboard_interrupt_propagates(self, capsys, monkeypatch):
+        def interrupted(cx):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "is_vertex_decomposable", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["classify", "7", "2", "--checks", "vd"])
 
 
 def _checkout_env() -> dict:

@@ -225,6 +225,13 @@ class TestMinimalNonfaces:
             if cx.is_void:
                 continue
             assert cx.minimal_nonfaces() == brute_force_minimal_nonfaces(cx)
+        checked = 0
+        for n in range(1, 6):  # every complex on at most 5 vertices
+            for masks in enumerate_antichains(n)[1:]:  # the void complex comes first
+                cx = complex_from_masks(n, masks)
+                assert cx.minimal_nonfaces() == brute_force_minimal_nonfaces(cx), cx.facets
+                checked += 1
+        assert checked == 7773
 
     def test_antichain_and_disjoint_from_faces(self):
         rng = random.Random(31)
@@ -273,6 +280,13 @@ class TestAlexanderDual:
         # the enumeration really is exhaustive (antichain counts)
         assert counts[4] == 168
         assert counts[5] == 7581
+
+    def test_involution_on_vdw(self):
+        # k <= n - 2 leaves out the simplex vdW(n, n - 1), whose dual is void
+        for n in range(3, 19):
+            for k in range(1, n - 1):
+                cx = vdw_complex(n, k)
+                assert cx.alexander_dual().alexander_dual() == cx, (n, k)
 
 
 class TestCanonicalForm:

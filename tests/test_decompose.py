@@ -87,6 +87,17 @@ class TestVertexDecomposable:
         wrong = SheddingTree("shed", 1, tree.link, tree.deletion)
         assert not verify_shedding_tree(cx, wrong)
 
+    def test_forged_leaves_rejected(self):
+        cx = vdw_complex(5, 2)
+        assert not verify_shedding_tree(cx, SheddingTree("void"))
+        assert not verify_shedding_tree(cx, SheddingTree("bogus"))
+
+    def test_nonpure_deletion_rejected(self):
+        # the path 1-2-3-4: lk 2 = {1}, {3} is pure, del 2 = {1}, {3, 4} is not
+        path = SimplicialComplex.from_facets(4, [[1, 2], [2, 3], [3, 4]])
+        leaf = SheddingTree("simplex")
+        assert not verify_shedding_tree(path, SheddingTree("shed", 2, leaf, leaf))
+
 
 class TestSheddingSearchMatchesNaive:
     """Shared-ridge shedding tests and memo keys change speed, never the tree."""
@@ -189,6 +200,11 @@ class TestShellable:
             with pytest.raises(ValueError):
                 is_shellable(vdw_complex(6, 2), budget=bad)
         assert is_shellable(vdw_complex(6, 2), budget=0).status == "undecided"
+
+    def test_no_budget_is_the_default_result(self):
+        cx = vdw_complex(6, 2)
+        assert is_shellable(cx, None) == is_shellable(cx)
+        assert is_shellable(cx, None).status == "shellable"
 
     def test_more_facets_than_the_recursion_limit(self):
         cx = vdw_complex(50, 1)  # 1225 facets

@@ -104,6 +104,46 @@ class TestReducedHomology:
             assert all(b >= 0 for b in betti.values())
             assert max(betti) == cx.dim and min(betti) == -1
 
+    @pytest.mark.parametrize("k", [11, 10])
+    def test_near_simplex_measured_on_its_nerve(self, monkeypatch, k):
+        # vdW(12, 11) is the 12-vertex simplex and vdW(12, 10) two facets
+        # sharing ten vertices: their nerves have one and two vertices
+        seen = []
+        original = homology._reduced_betti
+
+        def recording(facet_masks, char, *args, **kwargs):
+            support = 0
+            for m in facet_masks:
+                support |= m
+            seen.append(support.bit_count())
+            return original(facet_masks, char, *args, **kwargs)
+
+        monkeypatch.setattr(homology, "_reduced_betti", recording)
+        cx = vdw_complex(12, k)
+        for field in ("Q", "F2", "Fp:3"):
+            assert reduced_homology(cx, field).betti == {i: 0 for i in range(-1, cx.dim + 1)}
+        assert len(seen) == 3 and max(seen) <= 2
+
+    def test_matches_the_literal_complex(self):
+        # every degree from -1 to dim, whether the nerve or the complex is measured
+        rng = random.Random(89)
+        cxs = [SimplicialComplex.from_facets(3, [[]]), RP2, SUSPENDED_RP2]
+        for _ in range(150):
+            n = rng.randint(1, 7)
+            faces = [
+                rng.sample(range(1, n + 1), rng.randint(0, min(4, n)))
+                for _ in range(rng.randint(1, 7))
+            ]
+            cxs.append(SimplicialComplex.from_facets(n, faces))
+        on_nerve = 0
+        for cx in cxs:
+            masks = list(cx.facet_masks)
+            on_nerve += homology._nerve_if_smaller(masks) != masks
+            for char in (0, 2, 3):
+                literal = homology._reduced_betti(masks, char, mod_2_first=False)
+                assert reduced_homology(cx, char).betti == literal, (cx.facets, char)
+        assert on_nerve > 50
+
     def test_profile_serialization(self):
         profile = reduced_homology(RP2, "F2")
         data = profile.to_dict()
