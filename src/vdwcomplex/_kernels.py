@@ -90,6 +90,67 @@ def rank_mod_p(rows: list[list[int]], ncols: int, p: int) -> int:
     return rank
 
 
+def rank_unit_pivots(columns) -> tuple[int, list[dict[int, int]]]:
+    """Eliminate a sparse integer matrix on its +-1 entries only.
+
+    ``columns`` lists each column as (row, value) pairs.  A pivot on a unit
+    entry (r, c) clears row r from every other column by an integer column
+    operation; with the pivot's column and row dropped, that is a
+    unimodular step, so the rank over Q and over every F_p is the number
+    of pivots plus the rank of what is left.  Returns ``(pivots, rest)``:
+    ``rest`` holds the nonzero leftover columns as {row: value} dicts, none
+    with a +-1 entry.  Columns are taken in order, each on its unit entry
+    whose row has the fewest entries (linear in the column), and a column
+    with no unit entry is retried after the pass that changed it.
+    """
+    cols: dict[int, dict[int, int]] = {}
+    holders: dict[int, set[int]] = {}  # row -> the columns with an entry there
+    for c, column in enumerate(columns):
+        col = {r: x for r, x in column if x}
+        cols[c] = col
+        for r in col:
+            holders.setdefault(r, set()).add(c)
+    pivots = 0
+    queue = list(cols)
+    while queue:
+        retry = []
+        for c in queue:
+            col = cols[c]
+            best = -1
+            fewest = 0
+            for r, x in col.items():
+                if (x == 1 or x == -1) and (best < 0 or len(holders[r]) < fewest):
+                    best = r
+                    fewest = len(holders[r])
+            if best < 0:
+                if col:
+                    retry.append(c)
+                continue
+            del cols[c]
+            pivot = col.pop(best)
+            for r in col:
+                holders[r].discard(c)
+            holders_best = holders.pop(best)
+            holders_best.discard(c)
+            for d in holders_best:
+                other = cols[d]
+                factor = other.pop(best) * pivot  # pivot * pivot == 1
+                for r, x in col.items():
+                    y = other.get(r, 0) - factor * x
+                    if y:
+                        if r not in other:
+                            holders[r].add(d)
+                        other[r] = y
+                    elif r in other:
+                        del other[r]
+                        holders[r].discard(d)
+            pivots += 1
+        if len(retry) == len(queue):
+            break
+        queue = retry
+    return pivots, [col for col in cols.values() if col]
+
+
 def rank_mod_2_masks(masks) -> int:
     """Rank over F2 of the vectors given as int bitmasks (bit j = entry j)."""
     pivots: dict[int, int] = {}

@@ -17,6 +17,7 @@ import os
 import sys
 import time
 import traceback
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
@@ -45,7 +46,7 @@ EXIT_UNDECIDED = 3
 EXIT_ERROR = 4
 
 CHECKS = ("vd", "shellable", "cm", "linpres")
-SWEEP_LIMITS = {"vd": 40, "shellable": 20, "cm": 21, "linpres": 36}
+SWEEP_LIMITS = {"vd": 40, "shellable": 20, "cm": 30, "linpres": 36}
 
 def _parse_checks(text: str) -> list[str]:
     checks = [c.strip() for c in text.split(",") if c.strip()]
@@ -265,7 +266,12 @@ def cmd_inspect(args) -> int:
     elif args.vertex is not None:
         raise ValueError(f"inspect {args.what} takes no vertex argument")
     elif args.what == "dual":
-        text = cx.alexander_dual().to_json() + "\n"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            dual = cx.alexander_dual()
+        for warning in caught:  # the message, without Python's source location
+            sys.stderr.write(f"warning: {warning.message}\n")
+        text = dual.to_json() + "\n"
     elif args.what == "ideal":
         text = dual_ideal(cx).to_json() + "\n"
     elif args.what == "syzygies":

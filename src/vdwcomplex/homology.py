@@ -4,20 +4,30 @@ Homology is computed from integer boundary matrices of the augmented
 chain complex (the empty face is a (-1)-chain, so Betti numbers are
 reduced).  One top-down pass yields the faces, the signed sparse boundary
 columns and their mod-2 bitmasks, numbering each face's row when a column
-first meets it; row order does not change a rank.  Ranks are exact:
-fraction-free integer elimination for the rationals, modular elimination
-for prime fields.  Cohen-Macaulayness is decided by Reisner's criterion:
-every face link must have vanishing reduced homology below its dimension.
+first meets it; row order does not change a rank.  Every boundary built
+is checked: boundary composed with boundary vanishes.  Ranks are exact.  Cohen-Macaulayness is decided by Reisner's
+criterion: every face link must have vanishing reduced homology below
+its dimension.
 
 Only links that can fail are measured.  A nonempty face F that is not an
 intersection of facets has a vertex v in the intersection of the facets
 containing F but not in F; every facet of lk F contains v, so lk F is a
-cone and acyclic.  A link's homology is computed on the smaller of the
-link and the nerve of its facets: every nonempty intersection of facets
-is a simplex, so by the nerve theorem both have the same reduced Betti
-numbers.  ``reduced_homology`` chooses the same way for the whole complex.
+cone and acyclic.
 
-Two more rules spare most links their elimination.  A 1-dimensional
+Each measured complex is first shrunk to its core (``_core``), which
+has the same reduced Betti numbers over every field (Barmak-Minian,
+*Strong homotopy types, nerves and collapses*, DCG 47, 2012).  Two
+steps alternate.  A vertex v is dominated when the facets holding v
+share some other vertex w; then lk v is a cone, deleting v is a strong
+collapse, and only the facets cut by the deletion need a second look.
+Once no vertex is dominated, the nerve of the facets replaces the
+complex if it bounds fewer faces (sum of 2^|facet|): every nonempty
+intersection of facets is a simplex, so the nerve theorem keeps the
+homotopy type.  A cone ends as one vertex, so a link whose core is one
+simplex passes unmeasured.  ``reduced_homology`` measures the core too;
+``<()>``, whose nerve is void, is kept as it is.
+
+Three more rules spare most links their elimination.  A 1-dimensional
 link is a nonempty graph, so H~_-1 vanishes and H~_0 vanishes iff the
 graph is connected, over every field; a connectivity test on masks
 decides it.  Over Q, each link is first measured mod 2: by universal
@@ -26,15 +36,22 @@ homology below its dimension passes.  More precisely, a rational rank
 is at least the mod-2 rank, and the ranks of the two boundary maps
 around a degree sum to at most its face count, so a degree with no
 mod-2 homology pins both neighbouring rational ranks to their mod-2
-values.  Fraction-free elimination runs only on a boundary map whose
-two neighbouring degrees both have mod-2 homology, which happens only
-in links that fail mod 2 (torsion such as RP^2's, or a witness with
+values.  A rational rank is needed only for a boundary map whose two
+neighbouring degrees both have mod-2 homology, which happens only in
+links that fail mod 2 (torsion such as RP^2's, or a witness with
 homology in two adjacent degrees).
 Mod 2 is the cheapest field here: each sparse boundary column becomes
 one int bitmask and rows are eliminated by XOR, with no dense matrix.
-Odd p gets no such filter, since mod-2 and mod-p Betti numbers cannot
+Ranks over Q and odd p start with unit pivots over Z
+(``_kernels.rank_unit_pivots``; Dumas-Saunders-Villard, JSC 32, 2001):
+pivoting only on +-1 entries is unimodular, so the pivots count towards
+the rank over every field, and only the block they leave goes to
+fraction-free or modular elimination.  They leave none in
+``vdw sweep 40 --checks cm``, and always some where there is torsion.
+Odd p gets no mod-2 filter, since mod-2 and mod-p Betti numbers cannot
 be compared.  ``is_cohen_macaulay(..., check_all_faces=True)`` is the
-naive oracle: every face, its literal link, no nerve, no shortcut.
+naive oracle: every face, its literal link, no core, no shortcut,
+dense elimination.
 
 The face traversal, ``_first_failure``, takes a depth target: Reisner's
 test asks every link for vanishing homology below its dimension, and
@@ -163,15 +180,68 @@ def _nerve(facet_masks) -> list[int]:
     return _absorb(holders.values())
 
 
-def _nerve_if_smaller(facet_masks) -> list[int]:
-    """The nerve of ``facet_masks`` if it bounds fewer faces (sum of 2^|facet|), else the masks.
+def _strip_dominated(facet_masks) -> list[int]:
+    """Delete dominated vertices until none is left.
 
-    Both have the same reduced Betti numbers, except that the nerve of
-    ``<()>`` is void, so ``<()>`` is kept.
+    A vertex v is dominated when the AND of the facets holding v is more
+    than v: every such facet also holds some w != v, and deleting v is a
+    strong collapse, which keeps the homotopy type.  Deleting v cuts each
+    facet m holding v to m ^ v.  Cut facets stay incomparable with each
+    other and no untouched facet lies in one, so only a cut facet inside
+    an untouched facet (one through w) is absorbed.  Only the vertices of
+    the cut facets change holders, so only they are checked again.
     """
-    nerve = _nerve(facet_masks)
-    bounds = [sum(1 << m.bit_count() for m in masks) for masks in (nerve, facet_masks)]
-    return nerve if nerve and bounds[0] < bounds[1] else list(facet_masks)
+    facets = list(facet_masks)
+    pending = 0
+    for m in facets:
+        pending |= m
+    while pending:
+        bit = pending & -pending
+        pending ^= bit
+        holding = []
+        rest = []
+        common = -1
+        for m in facets:
+            if m & bit:
+                holding.append(m)
+                common &= m
+            else:
+                rest.append(m)
+        if common == bit:
+            continue
+        w = (common ^ bit) & -(common ^ bit)  # a vertex dominating v
+        around = [g for g in rest if g & w]
+        touched = 0
+        for m in holding:
+            touched |= m
+            cut = m ^ bit
+            if not any(cut & g == cut for g in around):
+                rest.append(cut)
+        facets = rest
+        pending |= touched ^ bit
+    return facets
+
+
+def _bound(facet_masks) -> int:
+    """Sum of 2^|facet|: an upper bound on the number of faces."""
+    return sum(1 << m.bit_count() for m in facet_masks)
+
+
+def _core(facet_masks) -> list[int]:
+    """A facet list with the reduced Betti numbers of ``facet_masks`` over every field.
+
+    Alternates deleting dominated vertices with taking the facet nerve
+    while that strictly lowers the sum of 2^|facet|, so it terminates;
+    both steps keep the homotopy type (Barmak-Minian, strong collapses).
+    A cone ends as one vertex.  ``<()>``, whose nerve is void, is kept.
+    """
+    facets = list(facet_masks)
+    while True:
+        facets = _strip_dominated(facets)
+        nerve = _nerve(facets)
+        if not nerve or _bound(nerve) >= _bound(facets):
+            return facets
+        facets = nerve
 
 
 def _chain_complex(facet_masks) -> tuple[list[list[int]], list, list[list[int]]]:
@@ -227,42 +297,59 @@ def _assert_chain_complex(boundaries: list[list[list[tuple[int, int]]]]) -> None
                 raise AssertionError("boundary composed with boundary is nonzero")
 
 
-def _reduced_betti(facet_masks, char: int, mod_2_first: bool = True) -> dict[int, int]:
+def _reduced_betti(facet_masks, char: int, naive: bool = False) -> dict[int, int]:
     """Reduced Betti numbers of a nonvoid facet list over the given field.
 
-    Over Q with ``mod_2_first``, every rank is first taken mod 2, and
-    fraction-free elimination runs only on a boundary map whose two
-    neighbouring degrees both have mod-2 homology.  A rational rank is
-    at least the mod-2 rank, and the two ranks around a degree sum to at
-    most its face count, so a degree with no mod-2 homology pins both
-    neighbouring rational ranks to their mod-2 values.
+    Over Q, every rank is first taken mod 2, and a rational rank is
+    computed only for a boundary map whose two neighbouring degrees both
+    have mod-2 homology.  A rational rank is at least the mod-2 rank, and
+    the two ranks around a degree sum to at most its face count, so a
+    degree with no mod-2 homology pins both neighbouring rational ranks
+    to their mod-2 values.  Ranks over Q and odd p go through unit pivots
+    first (``_rank``).  ``naive`` is the reference path: no mod-2 filter,
+    no unit pivots, every map over Q or odd p ranked as a dense matrix.
     """
     levels, boundaries, masks = _chain_complex(facet_masks)
     counts = [len(level) for level in levels]  # counts[c] = #(c-1)-dim faces
     _assert_chain_complex(boundaries)
-    filtered = char == RATIONALS and mod_2_first
+    filtered = char == RATIONALS and not naive
     if char == 2 or filtered:  # no dense matrix
         ranks = [_kernels.rank_mod_2_masks(column_masks) for column_masks in masks]
     else:
-        ranks = [_dense_rank(counts, j, columns, char) for j, columns in enumerate(boundaries)]
+        ranks = [_rank(columns, char, naive) for columns in boundaries]
     betti = _betti(counts, ranks)
     if filtered:
         for j, columns in enumerate(boundaries):
             if betti[j] and betti[j - 1]:
-                ranks[j] = _dense_rank(counts, j, columns, RATIONALS)
+                ranks[j] = _rank(columns, RATIONALS)
         betti = _betti(counts, ranks)
     return betti
 
 
-def _dense_rank(counts: list[int], j: int, columns, char: int) -> int:
-    """Rank of the boundary from faces with j+1 vertices to faces with j vertices."""
-    rows = [[0] * counts[j + 1] for _ in range(counts[j])]
-    for col, column in enumerate(columns):
-        for r, sign in column:
-            rows[r][col] = sign
+def _rank(columns, char: int, naive: bool = False) -> int:
+    """Rank of signed sparse columns over Q (``char`` 0) or F_p for odd p.
+
+    Unit pivots over Z come first, unless ``naive``; only the block they
+    leave, if any, is made dense and ranked by fraction-free or modular
+    elimination.
+    """
+    if naive:
+        rank, rest = 0, [dict(column) for column in columns]
+    else:
+        rank, rest = _kernels.rank_unit_pivots(columns)
+    if not rest:
+        return rank
+    index: dict[int, int] = {}  # the rows the block meets, in order of discovery
+    for column in rest:
+        for r in column:
+            index.setdefault(r, len(index))
+    rows = [[0] * len(rest) for _ in index]
+    for col, column in enumerate(rest):
+        for r, x in column.items():
+            rows[index[r]][col] = x
     if char == RATIONALS:
-        return _kernels.rank_bareiss(rows, counts[j + 1])
-    return _kernels.rank_mod_p(rows, counts[j + 1], char)
+        return rank + _kernels.rank_bareiss(rows, len(rest))
+    return rank + _kernels.rank_mod_p(rows, len(rest), char)
 
 
 def _betti(counts: list[int], ranks: list[int]) -> dict[int, int]:
@@ -274,13 +361,14 @@ def _betti(counts: list[int], ranks: list[int]) -> dict[int, int]:
 def reduced_homology(cx: SimplicialComplex, field="Q") -> HomologyProfile:
     """Reduced Betti numbers of a nonvoid complex over Q or F_p, in degrees -1 .. dim.
 
-    They are measured on the complex or on its facet nerve, whichever is
-    smaller; a degree the nerve does not reach has Betti number 0.
+    They are measured on the complex's core (``_core``), by dense
+    elimination on every boundary map; a degree the core does not reach
+    has Betti number 0.
     """
     if cx.is_void:
         raise ValueError("reduced homology of the void complex is undefined")
     char = parse_field(field)
-    betti = _reduced_betti(_nerve_if_smaller(cx.facet_masks), char, mod_2_first=False)
+    betti = _reduced_betti(_core(cx.facet_masks), char, naive=True)
     return HomologyProfile(field_label(char), {i: betti.get(i, 0) for i in range(-1, cx.dim + 1)})
 
 
@@ -319,9 +407,10 @@ def _first_failure(
     and intersections of facets with fewer than ``dim`` vertices are
     visited (any other link is a cone or has dimension < 1).  A link
     whose only testable degrees are -1 and 0 is decided by connectivity;
-    any other is measured over ``char`` on itself or on its facet nerve,
-    whichever is smaller.  ``check_all_faces`` is the naive oracle: every
-    face, its literal link, no nerve, no shortcut.
+    any other is reduced to its core, passes if that is one simplex, and
+    is measured over ``char`` on the core otherwise.  ``check_all_faces``
+    is the naive oracle: every face, its literal link measured by
+    ``_reduced_betti(..., naive=True)``, no core, no shortcut.
     """
     if check_all_faces:
         faces = [m for level in _chain_complex(facet_masks)[0] for m in level]
@@ -334,13 +423,16 @@ def _first_failure(
         if check_all_faces:
             if link_dim < 0 and fmask != 0:
                 continue  # link of a facet: nothing below dimension -1
-            betti = _reduced_betti(link, char, mod_2_first=False)
+            betti = _reduced_betti(link, char, naive=True)
         elif top == 1:  # a nonempty link: only H~_0 can fail
             if _is_connected(link):
                 continue
             return fmask, 0
         else:
-            betti = _reduced_betti(_nerve_if_smaller(link), char)
+            core = _core(link)
+            if len(core) == 1:  # a nonempty simplex: acyclic
+                continue
+            betti = _reduced_betti(core, char)
         for i in range(-1, top):
             if betti.get(i, 0) != 0:
                 return fmask, i
@@ -357,13 +449,13 @@ def is_cohen_macaulay(cx: SimplicialComplex, field="Q", check_all_faces: bool = 
     are visited: the link of any other face is a cone, hence acyclic.
     Faces whose link is at most 0-dimensional are skipped (their
     condition is vacuous), a 1-dimensional link passes iff it is
-    connected, each link's homology is computed on its facet nerve when
-    that is smaller, and over Q ranks are taken mod 2 first, so a link
-    with no mod-2 homology below its dimension passes without rational
-    elimination.  All of these are exact, and every failing face is an
-    intersection, so the witness is the one the full traversal finds.
-    ``check_all_faces`` is the naive oracle: every face, its literal
-    link, no nerve, no shortcut.
+    connected, each other link's homology is computed on its core (a link
+    whose core is one simplex passes unmeasured), and over Q ranks are
+    taken mod 2 first, so a link with no mod-2 homology below its
+    dimension passes without rational elimination.  All of these are
+    exact, and every failing face is an intersection, so the witness is
+    the one the full traversal finds.  ``check_all_faces`` is the naive
+    oracle: every face, its literal link, no core, no shortcut.
     """
     if cx.is_void:
         raise ValueError("Cohen-Macaulayness of the void complex is undefined")

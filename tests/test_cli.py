@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from vdwcomplex import cli
+from vdwcomplex import _kernels, cli
 from vdwcomplex.cli import main
 from vdwcomplex.ideals import LinearPresentationResult
 
@@ -229,7 +229,7 @@ class TestSweep:
         assert "--force" in err
 
     def test_cm_limit_enforced_exit_2(self, capsys):
-        code, _, err = run_cli(capsys, "sweep", "22", "--checks", "cm")
+        code, _, err = run_cli(capsys, "sweep", "31", "--checks", "cm")
         assert code == 2
         assert "--force" in err
 
@@ -239,6 +239,24 @@ class TestSweep:
         records = json.loads(out.splitlines()[0])
         assert len(records) == 55
         assert all(r["agreement"] for r in records)
+
+    def test_cm_sweep_21_over_q_needs_no_bareiss(self, capsys, monkeypatch, tmp_path):
+        # unit pivots decide every rational rank the mod-2 filter leaves open
+        calls = []
+        bareiss = _kernels.rank_bareiss
+
+        def counting(rows, ncols):
+            calls.append((len(rows), ncols))
+            return bareiss(rows, ncols)
+
+        monkeypatch.setattr(_kernels, "rank_bareiss", counting)
+        out_file = tmp_path / "sweep.json"
+        code, out, _ = run_cli(
+            capsys, "sweep", "21", "--checks", "cm", "--field", "Q", "--no-timings",
+            "--output", str(out_file),
+        )
+        assert code == 0 and out == "sweep n<=21: 210/210 records agree\n"
+        assert calls == []
 
     def test_shellable_sweep_16_within_limit(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "16", "--checks", "shellable", "--no-timings")
@@ -514,6 +532,17 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["n"] == 5
+
+    def test_dual_of_the_simplex_warns_in_one_line(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "vdwcomplex.cli", "inspect", "13", "12", "dual"],
+            capture_output=True,
+            text=True,
+            env=_checkout_env(),
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == '{"n":13,"facets":[]}\n'
+        assert proc.stderr == "warning: Alexander dual of the full simplex is the void complex\n"
 
     def test_usage_error_exit_2(self):
         proc = subprocess.run(

@@ -107,7 +107,7 @@ class TestReducedHomology:
     @pytest.mark.parametrize("k", [11, 10])
     def test_near_simplex_measured_on_its_nerve(self, monkeypatch, k):
         # vdW(12, 11) is the 12-vertex simplex and vdW(12, 10) two facets
-        # sharing ten vertices: their nerves have one and two vertices
+        # sharing ten vertices: both are cones, whose core is one vertex
         seen = []
         original = homology._reduced_betti
 
@@ -122,10 +122,10 @@ class TestReducedHomology:
         cx = vdw_complex(12, k)
         for field in ("Q", "F2", "Fp:3"):
             assert reduced_homology(cx, field).betti == {i: 0 for i in range(-1, cx.dim + 1)}
-        assert len(seen) == 3 and max(seen) <= 2
+        assert seen == [1, 1, 1]
 
     def test_matches_the_literal_complex(self):
-        # every degree from -1 to dim, whether the nerve or the complex is measured
+        # every degree from -1 to dim, whether the core is smaller or the complex itself
         rng = random.Random(89)
         cxs = [SimplicialComplex.from_facets(3, [[]]), RP2, SUSPENDED_RP2]
         for _ in range(150):
@@ -135,14 +135,14 @@ class TestReducedHomology:
                 for _ in range(rng.randint(1, 7))
             ]
             cxs.append(SimplicialComplex.from_facets(n, faces))
-        on_nerve = 0
+        smaller = 0
         for cx in cxs:
             masks = list(cx.facet_masks)
-            on_nerve += homology._nerve_if_smaller(masks) != masks
+            smaller += homology._bound(homology._core(masks)) < homology._bound(masks)
             for char in (0, 2, 3):
-                literal = homology._reduced_betti(masks, char, mod_2_first=False)
+                literal = homology._reduced_betti(masks, char, naive=True)
                 assert reduced_homology(cx, char).betti == literal, (cx.facets, char)
-        assert on_nerve > 50
+        assert smaller > 100
 
     def test_profile_serialization(self):
         profile = reduced_homology(RP2, "F2")
@@ -302,22 +302,18 @@ class TestCohenMacaulay:
     @pytest.mark.parametrize("k", [11, 10])
     def test_near_simplex_measures_only_tiny_complexes(self, monkeypatch, k):
         # vdW(12, k) has one or two facets.  Only the empty face's link
-        # can fail; it is measured once per field, on a nerve of <= 2
-        # vertices, instead of thousands of links on up to 12 vertices.
+        # can fail, and its core is one vertex, so no link is measured
         seen = []
         original = homology._reduced_betti
 
         def recording(facet_masks, char):
-            support = 0
-            for m in facet_masks:
-                support |= m
-            seen.append(support.bit_count())
+            seen.append(facet_masks)
             return original(facet_masks, char)
 
         monkeypatch.setattr(homology, "_reduced_betti", recording)
         for field in ("Q", "F2"):
             assert is_cohen_macaulay(vdw_complex(12, k), field).value
-        assert len(seen) == 2 and max(seen) <= 2
+        assert seen == []
 
     def test_no_rational_elimination_on_cm_vdw(self, monkeypatch):
         calls = _record_rational_eliminations(monkeypatch)
@@ -333,7 +329,7 @@ class TestCohenMacaulay:
     def test_rational_elimination_only_where_mod_2_fails(self, monkeypatch, cx):
         calls = _record_rational_eliminations(monkeypatch)
         assert is_cohen_macaulay(cx, "Q").value
-        assert calls  # torsion: mod 2 alone cannot pass these links
+        assert calls  # torsion: mod 2 cannot pass these links, and unit pivots leave a block
         for facet_masks in calls:
             betti = homology._reduced_betti(facet_masks, 2)
             # homology mod 2 in two adjacent degrees, so the link fails mod 2
@@ -345,7 +341,7 @@ class TestCohenMacaulay:
         for cx in cxs:
             masks = list(cx.facet_masks)
             assert homology._reduced_betti(masks, 0) == homology._reduced_betti(
-                masks, 0, mod_2_first=False
+                masks, 0, naive=True
             ), cx.facets
 
     def test_disconnected_graph_link_by_connectivity(self, monkeypatch):
@@ -364,7 +360,8 @@ class TestCohenMacaulay:
             monkeypatch.setattr(homology, "_reduced_betti", recording)
             assert is_cohen_macaulay(cx, field).to_dict() == slow
             monkeypatch.undo()
-            assert len(measured) == 1  # the empty face's link; lk {1} is not measured
+            # the empty face's link collapses to a vertex; lk {1} goes by connectivity
+            assert measured == []
 
 
 def _record_rational_eliminations(monkeypatch):
@@ -421,3 +418,71 @@ class TestNerve:
     def test_nerve_of_disjoint_simplices_is_points(self):
         masks = [pack([1, 2, 3]), pack([4, 5])]
         assert sorted(homology._nerve(masks)) == [0b01, 0b10]
+
+
+def _pure_facet_lists(max_vertices):
+    """Every pure facet list on 1..n for n <= max_vertices, as masks."""
+    for n in range(1, max_vertices + 1):
+        for size in range(n + 1):
+            faces = [pack(f) for f in combinations(range(1, n + 1), size)]
+            for count in range(1, len(faces) + 1):
+                yield from (list(chosen) for chosen in combinations(faces, count))
+
+
+class TestCore:
+    """The core against the literal complex: every pruning rule, cross-checked."""
+
+    @staticmethod
+    def _same_homology(masks):
+        stripped = homology._strip_dominated(masks)
+        support = 0
+        for m in stripped:
+            support |= m
+        for v in unpack(support):  # the worklist missed no dominated vertex
+            common = -1
+            for m in stripped:
+                if m >> (v - 1) & 1:
+                    common &= m
+            assert common == 1 << (v - 1), (masks, stripped, v)
+        core = homology._core(masks)
+        assert homology._bound(core) <= homology._bound(masks)
+        assert all(a & b != a for a in core for b in core if a != b), core  # an antichain
+        top = max(m.bit_count() for m in masks)
+        for char in (0, 2, 3):
+            betti = homology._reduced_betti(core, char)
+            literal = homology._reduced_betti(masks, char, naive=True)
+            assert _nonzero(betti) == _nonzero(literal), (masks, core, char)
+            assert max(betti) <= top - 1
+        return core
+
+    def test_every_pure_complex_on_5_vertices(self):
+        shrunk = checked = 0
+        for masks in _pure_facet_lists(5):
+            core = self._same_homology(masks)
+            shrunk += homology._bound(core) < homology._bound(masks)
+            checked += 1
+        assert checked == 2228 and shrunk > 1000
+
+    def test_projective_planes_and_random_complexes(self):
+        rng = random.Random(97)
+        cxs = [RP2, SUSPENDED_RP2] + [random_pure_complex(rng, 8) for _ in range(150)]
+        for _ in range(150):
+            n = rng.randint(2, 9)
+            faces = [
+                rng.sample(range(1, n + 1), rng.randint(1, min(5, n)))
+                for _ in range(rng.randint(1, 9))
+            ]
+            cxs.append(SimplicialComplex.from_facets(n, faces))
+        for cx in cxs:
+            self._same_homology(list(cx.facet_masks))
+        # no vertex of RP^2 is dominated and its nerve is larger
+        assert sorted(homology._core(list(RP2.facet_masks))) == sorted(RP2.facet_masks)
+
+    def test_cones_end_as_one_vertex(self):
+        for cx in (SimplicialComplex.simplex(5), vdw_complex(12, 10), vdw_complex(9, 4)):
+            cone = [m | 1 << cx.n for m in cx.facet_masks]  # apex n + 1
+            core = homology._core(cone)
+            assert len(core) == 1 and core[0].bit_count() == 1
+
+    def test_empty_complex_kept(self):
+        assert homology._core([0]) == [0]

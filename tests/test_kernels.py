@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from conftest import fraction_rank, modp_rank
+from conftest import RP2, fraction_rank, modp_rank
 
 from vdwcomplex import _kernels, homology
 from vdwcomplex.complexes import SimplicialComplex
@@ -65,6 +65,70 @@ class TestRanks:
         m = [[2]]
         assert _kernels.rank_bareiss(m, 1) == 1
         assert _kernels.rank_mod_p(m, 1, 2) == 0
+
+
+def random_sparse_columns(rng, nrows, ncols, values):
+    """Columns as (row, value) pairs, each entry drawn from ``values`` or left out."""
+    return [
+        [(r, x) for r in range(nrows) if rng.random() < 0.4 and (x := rng.choice(values))]
+        for _ in range(ncols)
+    ]
+
+
+def _dense(columns, nrows):
+    rows = [[0] * len(columns) for _ in range(nrows)]
+    for c, column in enumerate(columns):
+        for r, x in column:
+            rows[r][c] = x
+    return rows
+
+
+class TestUnitPivots:
+    @pytest.mark.parametrize(
+        "values", [(1, -1), (1, -1, 2), (1, -1, 2, -3, 4), (2, -2, 3)], ids=str
+    )
+    def test_rank_matches_dense_elimination(self, values):
+        rng = random.Random(151)
+        left = 0
+        for _ in range(150):
+            nrows, ncols = rng.randint(0, 12), rng.randint(0, 12)
+            columns = random_sparse_columns(rng, nrows, ncols, values)
+            rows = _dense(columns, nrows)
+            pivots, rest = _kernels.rank_unit_pivots(columns)
+            assert all(x not in (0, 1, -1) for column in rest for x in column.values())
+            assert pivots + len(rest) <= ncols
+            left += bool(rest)
+            assert homology._rank(columns, 0) == _kernels.rank_bareiss(rows, ncols)
+            assert homology._rank(columns, 3) == _kernels.rank_mod_p(rows, ncols, 3)
+            if not rest:  # unimodular: one rank for every field
+                assert pivots == _kernels.rank_mod_p(rows, ncols, 2)
+        assert left > 0  # the leftover block is exercised, even from +-1 entries
+
+    def test_boundary_maps_match_dense_elimination(self):
+        rng = random.Random(157)
+        for _ in range(40):
+            n = rng.randint(2, 8)
+            faces = [
+                rng.sample(range(1, n + 1), rng.randint(1, min(5, n)))
+                for _ in range(rng.randint(1, 8))
+            ]
+            masks = list(SimplicialComplex.from_facets(n, faces).facet_masks)
+            levels, boundaries, _ = homology._chain_complex(masks)
+            for j, columns in enumerate(boundaries):
+                rows = _dense(columns, len(levels[j]))
+                pivots, rest = _kernels.rank_unit_pivots(columns)
+                assert pivots + len(rest) <= len(columns)
+                assert homology._rank(columns, 0) == _kernels.rank_bareiss(rows, len(columns))
+
+    def test_torsion_leaves_a_block(self):
+        # RP^2's 10 triangles have independent boundaries over Q and F3 but
+        # not over F2 (Z/2 torsion), which no unimodular step can hide
+        _, boundaries, masks = homology._chain_complex(list(RP2.facet_masks))
+        pivots, rest = _kernels.rank_unit_pivots(boundaries[-1])
+        assert rest and pivots + len(rest) == 10
+        assert homology._rank(boundaries[-1], 0) == 10
+        assert homology._rank(boundaries[-1], 3) == 10
+        assert _kernels.rank_mod_2_masks(masks[-1]) == 9
 
 
 def _row_masks(rows):
