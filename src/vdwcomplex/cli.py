@@ -46,7 +46,7 @@ EXIT_UNDECIDED = 3
 EXIT_ERROR = 4
 
 CHECKS = ("vd", "shellable", "cm", "linpres")
-SWEEP_LIMITS = {"vd": 40, "shellable": 20, "cm": 30, "linpres": 36}
+SWEEP_LIMITS = {"vd": 55, "shellable": 20, "cm": 30, "linpres": 36}
 
 def _parse_checks(text: str) -> list[str]:
     checks = [c.strip() for c in text.split(",") if c.strip()]

@@ -7,10 +7,9 @@ The link of a pure complex is pure.  Its deletion at x is pure iff x
 lies in every facet or every ridge F - x of a facet F through x lies in
 a second facet, so one count of the ridges per subproblem tests every
 candidate vertex without building its deletion.  Subproblems are
-memoized on their support relabelled to 1..m.  Link, deletion and that
-relabel all keep the canonical facet order, so equal subproblems meet
-under equal keys.  The memo holds each shedding tree in the labels it
-was found in, with its support, and a failure as ``None``.  A successful
+memoized on their facet masks, which link and deletion keep in canonical
+order, so equal subproblems meet under equal keys; the memo maps each
+key to its shedding tree, or to ``None`` on failure.  A successful
 decision is certified by a shedding tree that can be replayed
 independently.
 
@@ -32,7 +31,7 @@ import json
 from dataclasses import dataclass
 
 from vdwcomplex import _kernels
-from vdwcomplex.complexes import SimplicialComplex, Vertices, _pack_checked, unpack
+from vdwcomplex.complexes import SimplicialComplex, Vertices, _pack_checked
 from vdwcomplex.homology import CohenMacaulayResult, is_cohen_macaulay
 
 DEFAULT_SHELLING_BUDGET = 5_000_000
@@ -53,16 +52,6 @@ class SheddingTree:
     vertex: int | None = None
     link: "SheddingTree | None" = None
     deletion: "SheddingTree | None" = None
-
-    def relabel(self, mapping: dict[int, int]) -> "SheddingTree":
-        if self.kind != "shed":
-            return self
-        return SheddingTree(
-            "shed",
-            mapping[self.vertex],
-            self.link.relabel(mapping),
-            self.deletion.relabel(mapping),
-        )
 
     def shedding_vertices(self) -> tuple[int, ...]:
         """Vertices shed along the leftmost (deletion-first) spine."""
@@ -112,50 +101,19 @@ _LEAF_EMPTY = SheddingTree("empty")
 _LEAF_SIMPLEX = SheddingTree("simplex")
 
 
-def _compact(masks: tuple[int, ...], support: int) -> tuple[int, ...]:
-    """``masks`` with the support bits squeezed down to bits 0..m-1.
-
-    A bit moves to the number of support bits below it.  Squeezing is an
-    order-keeping relabel, so the canonical order of ``masks`` survives.
-    When the support already is 1..m, ``masks`` itself is returned.
-    """
-    if support & (support + 1) == 0:
-        return masks
-    out = []
-    for m in masks:
-        nm = 0
-        while m:
-            low = m & -m
-            nm |= 1 << (support & (low - 1)).bit_count()
-            m ^= low
-        out.append(nm)
-    return tuple(out)
-
-
 def _decide(masks: tuple[int, ...], memo: dict) -> SheddingTree | None:
-    """Memoized :func:`_search`, keyed by ``masks`` on the support relabelled to 1..m.
+    """Memoized :func:`_search`, keyed by the canonical facet masks.
 
-    ``masks`` is in canonical order, so the key is too.  The memo holds
-    each tree in the labels it was found in, with the support it was
-    found on, and a failure as ``None``; a hit from another support
-    relabels the tree once.
+    The memo maps ``masks`` to its shedding tree, or to ``None`` when
+    the complex is not vertex decomposable.
     """
-    support = 0
-    for m in masks:
-        support |= m
-    key = _compact(masks, support)
-    hit = memo.get(key, _MISSING)
-    if hit is None:
-        return None
-    if hit is not _MISSING:
-        tree, seen = hit
-        return tree if seen == support else tree.relabel(dict(zip(unpack(seen), unpack(support))))
-    tree = _search(masks, support, memo)
-    memo[key] = None if tree is None else (tree, support)
+    tree = memo.get(masks, _MISSING)
+    if tree is _MISSING:
+        tree = memo[masks] = _search(masks, memo)
     return tree
 
 
-def _search(masks: tuple[int, ...], support: int, memo: dict) -> SheddingTree | None:
+def _search(masks: tuple[int, ...], memo: dict) -> SheddingTree | None:
     """First shedding tree of a canonical, pure facet list, shedding high vertices first.
 
     For facets of size d, the deletion at x is pure iff every facet
@@ -168,9 +126,11 @@ def _search(masks: tuple[int, ...], support: int, memo: dict) -> SheddingTree | 
         return _LEAF_VOID
     if len(masks) == 1:
         return _LEAF_EMPTY if masks[0] == 0 else _LEAF_SIMPLEX
-    common = support
+    support = 0
+    common = masks[0]
     ridges: dict[int, int] = {}
     for m in masks:
+        support |= m
         common &= m
         rest = m
         while rest:
@@ -211,8 +171,9 @@ def is_vertex_decomposable(cx: SimplicialComplex, memo: dict | None = None) -> D
     :func:`verify_shedding_tree`.  Candidates are tried from the highest
     vertex down, and a vertex is tried only if its deletion is pure:
     every facet contains it, or every ridge F - x of a facet F through it
-    lies in a second facet.  Subproblems are memoized on their support
-    relabelled to 1..m; ``memo`` may be supplied to share the
+    lies in a second facet.  Subproblems are memoized on their facet
+    masks: ``memo`` maps each to its shedding tree, or to ``None`` when
+    it is not vertex decomposable, and may be supplied to share the
     (single-threaded) cache across calls.
     """
     if not cx.is_pure:

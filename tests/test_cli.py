@@ -224,7 +224,7 @@ class TestSweep:
         assert "--force" in err
 
     def test_vd_limit_enforced_exit_2(self, capsys):
-        code, _, err = run_cli(capsys, "sweep", "41", "--checks", "vd")
+        code, _, err = run_cli(capsys, "sweep", "56", "--checks", "vd")
         assert code == 2
         assert "--force" in err
 
