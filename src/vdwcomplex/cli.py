@@ -29,7 +29,7 @@ from vdwcomplex.decompose import (
     verify_shelling,
 )
 from vdwcomplex.homology import field_label, is_cohen_macaulay, parse_field
-from vdwcomplex.ideals import dual_ideal, is_linearly_presented, taylor_syzygies
+from vdwcomplex.ideals import LinearPresentationResult, _s2_witness, dual_ideal, taylor_syzygies
 from vdwcomplex.vdw import _validate_params as _validate_vdw_params
 from vdwcomplex.vdw import (
     check_max_increment_overlap,
@@ -46,7 +46,7 @@ EXIT_UNDECIDED = 3
 EXIT_ERROR = 4
 
 CHECKS = ("vd", "shellable", "cm", "linpres")
-SWEEP_LIMITS = {"vd": 55, "shellable": 20, "cm": 30, "linpres": 36}
+SWEEP_LIMITS = {"vd": 55, "shellable": 34, "cm": 30, "linpres": 64}
 
 def _parse_checks(text: str) -> list[str]:
     checks = [c.strip() for c in text.split(",") if c.strip()]
@@ -117,9 +117,8 @@ def compute_record(
         for c in field_chars:
             rows.append((_cm_key(c), pred.cohen_macaulay, partial(is_cohen_macaulay, cx, c)))
     if "linpres" in checks:
-        rows.append(
-            ("linearly_presented", pred.cohen_macaulay, lambda: is_linearly_presented(dual_ideal(cx)))
-        )
+        presented = lambda: LinearPresentationResult(_s2_witness(cx.facet_masks, cx.dim) is None)
+        rows.append(("linearly_presented", pred.cohen_macaulay, presented))  # (S2) on cx, no ideal
     ms: dict = {}
     for key, _, decide in rows:
         t0 = time.perf_counter()
@@ -226,8 +225,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {args.n_max}")
+    if not 1 <= args.n_max <= MAX_VERTICES:
+        raise ValueError(f"n_max must be in 1..{MAX_VERTICES}, got {args.n_max}")
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     checks = _parse_checks(args.checks)

@@ -8,7 +8,8 @@ inclusion-maximal faces, kept as a canonically sorted antichain.
 This module owns that face format for the whole package: it packs vertex
 input into masks after checking it (:func:`_pack_checked`), keeps the
 maximal members of a family (:func:`_absorb`), puts masks in canonical
-order (:func:`_canonical`) and validates canonical antichains
+order (:func:`_canonical`), orders faces for the link walks
+(:func:`_face_order`) and validates canonical antichains
 (:func:`_check_antichain`), whose masks the constructors keep.
 
 Two degenerate complexes are distinct values: the *void* complex (no
@@ -69,6 +70,22 @@ def _pack_checked(n: int, members: Iterable[Iterable[int]], noun: str) -> list[i
 def _canonical(masks: Iterable[int]) -> tuple[Vertices, ...]:
     """The faces ``masks`` as vertex tuples, in canonical (lexicographic) order."""
     return tuple(sorted(unpack(m) for m in masks))
+
+
+# each byte's complement with its bit order reversed
+_REVERSED_COMPLEMENT = bytes(int(format(b ^ 0xFF, "08b")[::-1], 2) for b in range(256))
+
+
+def _face_order(mask: int) -> int:
+    """Sort key of a face: by size, then lexicographically by vertex tuple.
+
+    Of two faces of one size, the one holding the lowest vertex where
+    they differ comes first.  Reversing the bit order of the complement
+    (bytes in reverse order, bits within each byte by table) turns that
+    vertex into the highest differing bit, held by the smaller key.
+    """
+    word = mask.to_bytes(MAX_VERTICES // 8, "little").translate(_REVERSED_COMPLEMENT)
+    return mask.bit_count() << MAX_VERTICES | int.from_bytes(word, "big")
 
 
 def _absorb(masks: Iterable[int]) -> list[int]:

@@ -52,11 +52,6 @@ Odd p gets no mod-2 filter, since mod-2 and mod-p Betti numbers cannot
 be compared.  ``is_cohen_macaulay(..., check_all_faces=True)`` is the
 naive oracle: every face, its literal link, no core, no shortcut,
 dense elimination.
-
-The face traversal, ``_first_failure``, takes a depth target: Reisner's
-test asks every link for vanishing homology below its dimension, and
-Serre's (S2), which ``ideals.is_linearly_presented`` decides, asks only
-for H~_-1 and H~_0, so every link it visits is decided by connectivity.
 """
 
 from __future__ import annotations
@@ -64,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from vdwcomplex import _kernels
-from vdwcomplex.complexes import MAX_VERTICES, SimplicialComplex, _absorb, _is_connected, unpack
+from vdwcomplex.complexes import SimplicialComplex, _absorb, _face_order, _is_connected, unpack
 
 RATIONALS = 0
 
@@ -90,7 +85,7 @@ def parse_field(field) -> int:
             return RATIONALS
         if text.upper().startswith("F"):
             digits = text[1:].lstrip("pP").lstrip(":")
-            if digits.isdigit():
+            if digits.isdigit() and int(digits):  # "F0" is no field
                 return parse_field(int(digits))
     raise ValueError(f"unrecognized field descriptor {field!r}; use Q, F2 or Fp:<p>")
 
@@ -372,45 +367,22 @@ def reduced_homology(cx: SimplicialComplex, field="Q") -> HomologyProfile:
     return HomologyProfile(field_label(char), {i: betti.get(i, 0) for i in range(-1, cx.dim + 1)})
 
 
-# each byte's complement with its bit order reversed
-_REVERSED_COMPLEMENT = bytes(int(format(b ^ 0xFF, "08b")[::-1], 2) for b in range(256))
-
-
-def _face_order(mask: int) -> int:
-    """Sort key of a face: by size, then lexicographically by vertex tuple.
-
-    Of two faces of one size, the one holding the lowest vertex where
-    they differ comes first.  Reversing the bit order of the complement
-    (bytes in reverse order, bits within each byte by table) turns that
-    vertex into the highest differing bit, held by the smaller key.
-    """
-    word = mask.to_bytes(MAX_VERTICES // 8, "little").translate(_REVERSED_COMPLEMENT)
-    return mask.bit_count() << MAX_VERTICES | int.from_bytes(word, "big")
-
-
 def _first_failure(
-    facet_masks,
-    dim: int,
-    char: int = 2,
-    depth: int | None = None,
-    check_all_faces: bool = False,
+    facet_masks, dim: int, char: int, check_all_faces: bool = False
 ) -> tuple[int, int] | None:
-    """First face whose link fails, with the failing degree, or None.
+    """First face whose link fails Reisner's test, with the failing degree, or None.
 
     ``facet_masks`` is a pure complex of dimension ``dim``.  The link of
     a face F fails in degree i when H~_i(lk F) != 0 for some
-    i < min(dim lk F, depth - 1); ``depth=None`` leaves the minimum at
-    dim lk F, which is Reisner's test for Cohen-Macaulayness, and
-    ``depth=2`` is Serre's (S2): every link of dimension >= 1 is
-    connected, over every field.  Faces are visited by increasing
-    dimension, then lexicographically.  By default only the empty face
-    and intersections of facets with fewer than ``dim`` vertices are
-    visited (any other link is a cone or has dimension < 1).  A link
-    whose only testable degrees are -1 and 0 is decided by connectivity;
-    any other is reduced to its core, passes if that is one simplex, and
-    is measured over ``char`` on the core otherwise.  ``check_all_faces``
-    is the naive oracle: every face, its literal link measured by
-    ``_reduced_betti(..., naive=True)``, no core, no shortcut.
+    i < dim lk F.  Faces are visited by increasing dimension, then
+    lexicographically.  By default only the empty face and intersections
+    of facets with fewer than ``dim`` vertices are visited (any other
+    link is a cone or has dimension < 1).  A 1-dimensional link is
+    decided by connectivity; any other is reduced to its core, passes if
+    that is one simplex, and is measured over ``char`` on the core
+    otherwise.  ``check_all_faces`` is the naive oracle: every face, its
+    literal link measured by ``_reduced_betti(..., naive=True)``, no
+    core, no shortcut.
     """
     if check_all_faces:
         faces = [m for level in _chain_complex(facet_masks)[0] for m in level]
@@ -419,12 +391,11 @@ def _first_failure(
     for fmask in sorted(faces, key=_face_order):
         link = [g ^ fmask for g in facet_masks if g & fmask == fmask]
         link_dim = dim - fmask.bit_count()
-        top = link_dim if depth is None else min(link_dim, depth - 1)  # degrees below top count
         if check_all_faces:
             if link_dim < 0 and fmask != 0:
                 continue  # link of a facet: nothing below dimension -1
             betti = _reduced_betti(link, char, naive=True)
-        elif top == 1:  # a nonempty link: only H~_0 can fail
+        elif link_dim == 1:  # a nonempty graph: only H~_0 can fail
             if _is_connected(link):
                 continue
             return fmask, 0
@@ -433,7 +404,7 @@ def _first_failure(
             if len(core) == 1:  # a nonempty simplex: acyclic
                 continue
             betti = _reduced_betti(core, char)
-        for i in range(-1, top):
+        for i in range(-1, link_dim):
             if betti.get(i, 0) != 0:
                 return fmask, i
     return None

@@ -18,11 +18,13 @@ pure complex D whose facets are the generator complements, of
 dimension n - d - 1.  The ideal is linearly presented iff k[D] satisfies
 Serre's (S2) (Yanagawa, J. Algebra 225 (2000); Terai's (S_r) form of
 Eagon-Reiner), which holds iff every face link of dimension >= 1 is
-connected, over every field.  A nonempty face that is not an
-intersection of facets has a cone as its link, so only the empty face
-and the facet intersections with fewer than dim D vertices are visited,
-by the face traversal of the Reisner test (``homology._first_failure``
-with depth 2).
+connected, over every field.  Only the pairwise intersections of
+facets with fewer than dim D vertices need a visit: if lk F has
+dimension >= 1 and is disconnected, facets g1, g2 through F in two of
+its components meet exactly in F, since a further common vertex would
+join the components (for F empty, lk F is D and g1, g2 are disjoint).
+So ``_s2_witness`` visits those faces in ``_face_order`` and finds the
+first failing face of the full traversal.
 
 A face F whose link is disconnected is mapped to a witness pair (i, j):
 i is the first facet containing F and j the first facet containing F in
@@ -48,10 +50,11 @@ from vdwcomplex.complexes import (
     _check_antichain,
     _check_universe,
     _component,
+    _face_order,
+    _is_connected,
     _pack_checked,
     unpack,
 )
-from vdwcomplex.homology import _first_failure
 from vdwcomplex.vdw import (
     ProgressionFacet,
     _validate_params,
@@ -211,11 +214,8 @@ def is_linearly_presented(
                     return LinearPresentationResult(False, (i, j))
         return LinearPresentationResult(True)
     full = (1 << ideal.n) - 1
-    facets = [full & ~m for m in masks]
-    failure = _first_failure(facets, ideal.n - masks[0].bit_count() - 1, depth=2)
-    if failure is None:
-        return LinearPresentationResult(True)
-    return LinearPresentationResult(False, _witness_pair(facets, failure[0]))
+    witness = _s2_witness([full & ~m for m in masks], ideal.n - masks[0].bit_count() - 1)
+    return LinearPresentationResult(witness is None, witness)
 
 
 def _linearly_joined(masks, i: int, j: int) -> bool:
@@ -238,17 +238,23 @@ def _linearly_joined(masks, i: int, j: int) -> bool:
     return j in reached
 
 
-def _witness_pair(facets, face: int) -> tuple[int, int]:
-    """The pair syzygy that a face with a disconnected link cannot generate.
+def _s2_witness(facets, dim: int) -> tuple[int, int] | None:
+    """Witness pair of the first face whose link fails (S2), or None.
 
-    i is the first facet containing ``face``; j is the first facet
-    containing it in another component of the link.
+    ``facets`` is a pure complex of dimension ``dim``.  The pairwise
+    intersections with fewer than ``dim`` vertices are visited in
+    ``_face_order``; the first whose link is disconnected gives (i, j):
+    i is the first facet containing it, j the first one containing it in
+    another component of the link.
     """
-    holders = [p for p, g in enumerate(facets) if g & face == face]
-    i = holders[0]
-    reach = _component([facets[p] ^ face for p in holders], facets[i] ^ face)
-    j = next(p for p in holders if not facets[p] & reach)
-    return i, j
+    faces = {f & g for p, f in enumerate(facets) for g in facets[:p]}
+    for face in sorted((m for m in faces if m.bit_count() < dim), key=_face_order):
+        holders = [p for p, g in enumerate(facets) if g & face == face]
+        link = [facets[p] ^ face for p in holders]
+        if not _is_connected(link):
+            reach = _component(link, link[0])
+            return holders[0], next(p for p, m in zip(holders, link) if not m & reach)
+    return None
 
 
 @dataclass(frozen=True)

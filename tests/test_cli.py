@@ -10,7 +10,6 @@ import pytest
 
 from vdwcomplex import _kernels, cli
 from vdwcomplex.cli import main
-from vdwcomplex.ideals import LinearPresentationResult
 
 
 def run_cli(capsys, *argv):
@@ -219,7 +218,7 @@ class TestSweep:
         assert json.loads(out.splitlines()[0]) == []
 
     def test_limit_enforced_exit_2(self, capsys):
-        code, _, err = run_cli(capsys, "sweep", "21", "--checks", "shellable")
+        code, _, err = run_cli(capsys, "sweep", "35", "--checks", "shellable")
         assert code == 2
         assert "--force" in err
 
@@ -266,9 +265,19 @@ class TestSweep:
         assert all(r["agreement"] for r in records)
 
     def test_linpres_limit_enforced_exit_2(self, capsys):
-        code, _, err = run_cli(capsys, "sweep", "37", "--checks", "linpres")
+        # the linpres limit is the vertex bound, so the vertex-bound error comes first
+        code, _, err = run_cli(capsys, "sweep", "65", "--checks", "linpres")
         assert code == 2
-        assert "--force" in err
+        assert "n_max must be in 1..64" in err
+
+    def test_above_vertex_bound_exit_2_before_any_record(self, capsys, monkeypatch):
+        def no_record(*args):
+            raise AssertionError("a record was computed")
+
+        monkeypatch.setattr(cli, "compute_record", no_record)
+        code, out, err = run_cli(capsys, "sweep", "65", "--checks", "linpres", "--force")
+        assert code == 2
+        assert out == "" and "n_max must be in 1..64" in err
 
     def test_linpres_sweep_24_within_limit(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "24", "--checks", "linpres", "--no-timings")
@@ -279,10 +288,10 @@ class TestSweep:
         assert any(r["linearly_presented"] is False for r in records)
 
     def test_wrong_linpres_verdict_disagrees(self, capsys, monkeypatch):
-        def always_true(ideal):
-            return LinearPresentationResult(True)
+        def never_a_witness(facets, dim):
+            return None
 
-        monkeypatch.setattr(cli, "is_linearly_presented", always_true)
+        monkeypatch.setattr(cli, "_s2_witness", never_a_witness)
         code, out, _ = run_cli(capsys, "sweep", "7", "--checks", "linpres", "--no-timings")
         assert code == 1
         records = json.loads(out.splitlines()[0])

@@ -14,7 +14,7 @@ from conftest import (
     reduced_euler_characteristic,
 )
 
-from vdwcomplex import _kernels, homology
+from vdwcomplex import _kernels, complexes, homology
 from vdwcomplex.complexes import SimplicialComplex, pack, unpack
 from vdwcomplex.homology import is_cohen_macaulay, parse_field, reduced_homology
 from vdwcomplex.vdw import classify_closed_form, vdw_complex
@@ -29,6 +29,7 @@ class TestFieldParsing:
     def test_descriptors(self):
         assert parse_field("Q") == 0
         assert parse_field(None) == 0
+        assert parse_field(0) == parse_field("0") == parse_field("QQ") == 0
         assert parse_field("F2") == 2
         assert parse_field("Fp:7") == 7
         assert parse_field(13) == 13
@@ -52,7 +53,7 @@ class TestFieldParsing:
             parse_field(2**64 + 13)
 
     def test_garbage_rejected(self):
-        for bad in ("GF(2)", False, True, 0.0, 0j, Fraction(0)):
+        for bad in ("GF(2)", False, True, 0.0, 0j, Fraction(0), "F0", "Fp:0", "F00"):
             with pytest.raises(ValueError):
                 parse_field(bad)
 
@@ -197,7 +198,7 @@ class TestFaceOrder:
     @staticmethod
     def _same_order(masks):
         by_tuple = sorted(masks, key=lambda m: (m.bit_count(), unpack(m)))
-        assert sorted(masks, key=homology._face_order) == by_tuple
+        assert sorted(masks, key=complexes._face_order) == by_tuple
 
     def test_every_mask_on_8_vertices(self):
         self._same_order(range(1 << 8))

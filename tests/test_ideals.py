@@ -6,10 +6,12 @@ from itertools import combinations
 import pytest
 from conftest import complex_from_masks, enumerate_antichains, linear_presentation_oracle
 
-from vdwcomplex.complexes import SimplicialComplex, pack
+from vdwcomplex.complexes import SimplicialComplex, _face_order, _is_connected, pack
+from vdwcomplex.homology import _chain_complex
 from vdwcomplex.ideals import (
     MonomialIdeal,
     _linearly_joined,
+    _s2_witness,
     dual_ideal,
     is_linearly_presented,
     nonlinear_obstruction_vdw,
@@ -242,6 +244,36 @@ class TestSerreFastPath:
         ideal = dual_ideal(SimplicialComplex.from_facets(6, [[1, 2, 3], [4, 5, 6]]))
         assert is_linearly_presented(ideal).witness == (0, 1)
         assert not is_linearly_presented(ideal, check_all_pairs=True).value
+
+    def test_pairwise_walk_matches_every_face(self):
+        # the first face, over all faces in _face_order, whose link has
+        # dimension >= 1 and is disconnected, against the pairwise walk
+        def first_disconnected(facets, dim):
+            faces = sorted((m for level in _chain_complex(facets)[0] for m in level), key=_face_order)
+            for face in faces:
+                link = [g ^ face for g in facets if g & face == face]
+                if dim - face.bit_count() >= 1 and not _is_connected(link):
+                    return face
+            return None
+
+        complexes = [
+            complex_from_masks(n, masks)
+            for n in range(1, 6)
+            for masks in enumerate_antichains(n)
+            if masks and len({m.bit_count() for m in masks}) == 1
+        ]
+        complexes += [vdw_complex(n, k) for n in range(2, 13) for k in range(1, n)]
+        # lk {1, 2} and lk {3} are disconnected; plain mask order visits {1, 2} first
+        tetrahedra = [[1, 2, 4, 5], [1, 2, 6, 7], [3, 4, 6, 8], [3, 5, 7, 9]]
+        complexes.append(SimplicialComplex.from_facets(9, tetrahedra))
+        failures = 0
+        for cx in complexes:
+            facets = cx.facet_masks
+            witness = _s2_witness(facets, cx.dim)
+            walked = None if witness is None else facets[witness[0]] & facets[witness[1]]
+            assert walked == first_disconnected(facets, cx.dim), cx.facets
+            failures += witness is not None
+        assert failures > 100
 
     def test_graph_link_witness(self):
         # two tetrahedra sharing the edge {1, 2}: every vertex link is
