@@ -1,16 +1,25 @@
 """Facet-list simplicial complexes on the vertex universe {1, ..., n}.
 
-Faces are sets of vertex indices, stored internally as bitmasks (bit v-1
-set iff vertex v belongs to the face), so containment tests are single
+Faces are sets of vertex indices, stored as bitmasks (bit v-1 set iff
+vertex v belongs to the face), so containment tests are single
 machine-word operations.  A complex is represented by its facets: the
-inclusion-maximal faces, kept as a canonically sorted antichain.
+inclusion-maximal faces, kept as a canonical antichain of masks.  The
+masks are the stored form; the vertex tuples of ``facets`` are a view
+built from them on first read.
 
-This module owns that face format for the whole package: it packs vertex
-input into masks after checking it (:func:`_pack_checked`), keeps the
-maximal members of a family (:func:`_absorb`), puts masks in canonical
-order (:func:`_canonical`), orders faces for the link walks
-(:func:`_face_order`) and validates canonical antichains
-(:func:`_check_antichain`), whose masks the constructors keep.
+This module owns that face format for the whole package: it packs and
+checks vertex input from callers (:func:`_pack_checked`, the one
+tuple-checking path), keeps the maximal members of a family
+(:func:`_absorb`), puts masks in canonical order (:func:`_canonical`),
+orders faces for the link walks (:func:`_face_order`) and validates
+canonical antichains of masks (:func:`_check_antichain`), which every
+complex and ideal passes, however it was built.
+
+Canonical order is the lexicographic order of the vertex tuples.  In an
+antichain no member is a prefix of another, so of two members the one
+holding the lowest vertex where they differ comes first.  Removing a
+vertex from members that all hold it keeps that order, and complementing
+every member of an antichain reverses it.
 
 Two degenerate complexes are distinct values: the *void* complex (no
 facets, not even the empty face) and the *empty* complex ``<()>`` whose
@@ -25,7 +34,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -54,36 +63,49 @@ def unpack(mask: int) -> Vertices:
     return tuple(out)
 
 
-def _pack_checked(n: int, members: Iterable[Iterable[int]], noun: str) -> list[int]:
-    """Masks of ``members``; reject a vertex that is not an integer in 1..n, naming the ``noun``."""
+def _pack_checked(
+    n: int, members: Iterable[Iterable[int]], noun: str, increasing: bool = False
+) -> list[int]:
+    """Masks of ``members``; reject a vertex that is not an integer in 1..n, naming the ``noun``.
+
+    With ``increasing``, also reject a member that is not strictly increasing.
+    """
     masks = []
     for m in members:
+        m = tuple(m)
         mask = 0
         for v in m:
             if isinstance(v, bool) or not isinstance(v, int) or not 0 < v <= n:
-                raise ValueError(f"{noun} {tuple(m)}: vertices must be integers in 1..{n}")
+                raise ValueError(f"{noun} {m}: vertices must be integers in 1..{n}")
             mask |= 1 << (v - 1)
+        if increasing and any(a >= b for a, b in zip(m, m[1:])):
+            raise ValueError(f"{noun} {m} is not strictly increasing")
         masks.append(mask)
     return masks
-
-
-def _canonical(masks: Iterable[int]) -> tuple[Vertices, ...]:
-    """The faces ``masks`` as vertex tuples, in canonical (lexicographic) order."""
-    return tuple(sorted(unpack(m) for m in masks))
 
 
 # each byte's complement with its bit order reversed
 _REVERSED_COMPLEMENT = bytes(int(format(b ^ 0xFF, "08b")[::-1], 2) for b in range(256))
 
 
-def _face_order(mask: int) -> int:
-    """Sort key of a face: by size, then lexicographically by vertex tuple.
+def _lex_order(mask: int) -> bytes:
+    """Sort key of a member of an antichain: lexicographic by vertex tuple.
 
-    Of two faces of one size, the one holding the lowest vertex where
-    they differ comes first.  Reversing the bit order of the complement
-    (bytes in reverse order, bits within each byte by table) turns that
-    vertex into the highest differing bit, held by the smaller key.
+    The member holding the lowest vertex where two differ comes first.
+    Reversing the bit order of the complement (bytes in reverse order,
+    bits within each byte by table) turns that vertex into the first
+    differing bit, clear in the smaller key.
     """
+    return mask.to_bytes(MAX_VERTICES // 8, "little").translate(_REVERSED_COMPLEMENT)
+
+
+def _canonical(masks: Iterable[int]) -> tuple[int, ...]:
+    """The members of an antichain ``masks`` in canonical (lexicographic) order."""
+    return tuple(sorted(masks, key=_lex_order))
+
+
+def _face_order(mask: int) -> int:
+    """Sort key of a face: by size, then lexicographically (see :func:`_lex_order`)."""
     word = mask.to_bytes(MAX_VERTICES // 8, "little").translate(_REVERSED_COMPLEMENT)
     return mask.bit_count() << MAX_VERTICES | int.from_bytes(word, "big")
 
@@ -133,43 +155,63 @@ def _check_universe(n: int) -> None:
         raise ValueError(f"at most {MAX_VERTICES} vertices are supported, got n={n}")
 
 
-def _check_antichain(n: int, members: tuple[Vertices, ...], noun: str) -> tuple[int, ...]:
-    """Masks of ``members``; reject it unless it is a canonical antichain on 1..n.
+def _check_antichain(n: int, masks: tuple[int, ...], noun: str) -> None:
+    """Reject ``masks`` unless it is a canonical antichain on 1..n.
 
-    Canonical means: vertices in range, each member strictly increasing,
-    members pairwise inclusion-incomparable and sorted lexicographically.
-    ``noun`` ("facet", "generator") names a member in the messages.
+    Canonical means: vertices in range, members pairwise
+    inclusion-incomparable and in lexicographic order.  ``noun``
+    ("facet", "generator") names a member in the messages.
     """
-    masks = tuple(_pack_checked(n, members, noun))
-    for m in members:
-        if any(a >= b for a, b in zip(m, m[1:])):
-            raise ValueError(f"{noun} {m} is not strictly increasing")
+    _check_universe(n)
+    if any(m >> n for m in masks):
+        raise ValueError(f"{noun}s must have their vertices in 1..{n}")
     # distinct members of one size are incomparable: a pure complex needs no pairwise test
-    if len({len(m) for m in members}) > 1 or len(set(masks)) < len(masks):
+    if len({m.bit_count() for m in masks}) > 1 or len(set(masks)) < len(masks):
         if len(_absorb(masks)) < len(masks):
             raise ValueError(f"{noun}s must be pairwise inclusion-incomparable")
-    if list(members) != sorted(members):
+    # of two members of an antichain, the earlier holds the lowest vertex where they differ
+    if not all((a ^ b) & -(a ^ b) & a for a, b in zip(masks, masks[1:])):
         raise ValueError(f"{noun}s must be sorted lexicographically")
-    return masks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class SimplicialComplex:
     """A simplicial complex given by its facet list.
 
-    ``facets`` is a tuple of strictly increasing vertex tuples, pairwise
-    inclusion-incomparable, sorted lexicographically.  Use
-    :meth:`from_facets` to build one from arbitrary generating faces.
-    ``facet_masks`` holds the facets as the masks that validated them.
+    ``facet_masks`` holds the facets: pairwise inclusion-incomparable
+    masks in canonical (lexicographic) order.  ``facets`` is the same
+    list as strictly increasing vertex tuples, built on first read.
+    ``SimplicialComplex(n, facets)`` takes that tuple form and rejects
+    anything not canonical; use :meth:`from_facets` to build one from
+    arbitrary generating faces.
     """
 
     n: int
-    facets: tuple[Vertices, ...]
-    facet_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    facet_masks: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        _check_universe(self.n)
-        object.__setattr__(self, "facet_masks", _check_antichain(self.n, self.facets, "facet"))
+    def __init__(self, n: int, facets: Iterable[Iterable[int]]) -> None:
+        _check_universe(n)
+        self._hold(n, tuple(_pack_checked(n, facets, "facet", increasing=True)))
+
+    @classmethod
+    def _from_masks(cls, n: int, masks: tuple[int, ...]) -> "SimplicialComplex":
+        """The complex whose facet masks are ``masks``, validated as they are."""
+        cx = cls.__new__(cls)
+        cx._hold(n, masks)
+        return cx
+
+    def _hold(self, n: int, masks: tuple[int, ...]) -> None:
+        _check_antichain(n, masks, "facet")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "facet_masks", masks)
+
+    @cached_property
+    def facets(self) -> tuple[Vertices, ...]:
+        """The facets as vertex tuples, in canonical order."""
+        return tuple(map(unpack, self.facet_masks))
+
+    def __repr__(self) -> str:
+        return f"SimplicialComplex(n={self.n!r}, facets={self.facets!r})"
 
     # -- construction ------------------------------------------------
 
@@ -177,7 +219,7 @@ class SimplicialComplex:
     def from_facets(cls, n: int, faces: Iterable[Iterable[int]]) -> "SimplicialComplex":
         """Complex generated by ``faces``; non-maximal faces are discarded."""
         _check_universe(n)
-        return cls(n, _canonical(_absorb(_pack_checked(n, faces, "face"))))
+        return cls._from_masks(n, _canonical(_absorb(_pack_checked(n, faces, "face"))))
 
     @classmethod
     def simplex(cls, n: int) -> "SimplicialComplex":
@@ -188,22 +230,22 @@ class SimplicialComplex:
 
     @property
     def is_void(self) -> bool:
-        return not self.facets
+        return not self.facet_masks
 
     @property
     def is_empty(self) -> bool:
         """True for the empty complex ``<()>`` (single empty facet)."""
-        return self.facets == ((),)
+        return self.facet_masks == (0,)
 
     @property
     def dim(self) -> int | None:
         """Max facet dimension; None for the void complex; -1 for ``<()>``."""
-        return max((len(f) - 1 for f in self.facets), default=None)
+        return max(m.bit_count() for m in self.facet_masks) - 1 if self.facet_masks else None
 
     @property
     def is_pure(self) -> bool:
         """True iff all facets share one dimension (void and ``<()>`` are pure)."""
-        return len({len(f) for f in self.facets}) <= 1
+        return len({m.bit_count() for m in self.facet_masks}) <= 1
 
     @cached_property
     def support(self) -> Vertices:
@@ -224,13 +266,17 @@ class SimplicialComplex:
         The void complex is returned when x lies in no face.
         """
         bit = self._check_vertex(x)
-        # Facets containing x stay incomparable after removing x.
-        return SimplicialComplex(self.n, _canonical(m ^ bit for m in self.facet_masks if m & bit))
+        # facets containing x stay incomparable, and in order, after removing x
+        return SimplicialComplex._from_masks(
+            self.n, tuple(m ^ bit for m in self.facet_masks if m & bit)
+        )
 
     def deletion(self, x: int) -> "SimplicialComplex":
         """All faces avoiding x, on the same universe."""
         bit = self._check_vertex(x)
-        return SimplicialComplex(self.n, _canonical(_absorb(m & ~bit for m in self.facet_masks)))
+        return SimplicialComplex._from_masks(
+            self.n, _canonical(_absorb(m & ~bit for m in self.facet_masks))
+        )
 
     def is_connected(self) -> bool:
         """True iff any two support vertices are joined through shared facets."""
@@ -249,6 +295,10 @@ class SimplicialComplex:
         a kept h.  As t is minimal so far, no kept h lies inside t, so that means
         h - t == {v}.  No extension contains another: no other check is needed.
         """
+        return tuple(map(unpack, _canonical(self._minimal_nonface_masks())))
+
+    def _minimal_nonface_masks(self) -> list[int]:
+        """The masks of :meth:`minimal_nonfaces`, in no particular order."""
         if self.is_void:
             raise ValueError("the void complex has no non-face lattice")
         transversals = [0]
@@ -257,7 +307,7 @@ class SimplicialComplex:
             kept = [t for t in transversals if t & ~f]
             missed = ((t, {h & ~t for h in kept}) for t in transversals if not t & ~f)
             transversals = kept + [t | v for t, outside in missed for v in gap if v not in outside]
-        return _canonical(transversals)
+        return transversals
 
     def alexander_dual(self) -> "SimplicialComplex":
         """Complex whose facets are complements of the minimal non-faces.
@@ -267,17 +317,17 @@ class SimplicialComplex:
         """
         if self.is_void:
             raise ValueError("the void complex has no Alexander dual")
-        nonfaces = self.minimal_nonfaces()
+        nonfaces = self._minimal_nonface_masks()
         if not nonfaces:
             warnings.warn(
                 "Alexander dual of the full simplex is the void complex",
                 RuntimeWarning,
                 stacklevel=2,
             )
-            return SimplicialComplex(self.n, ())
+            return SimplicialComplex._from_masks(self.n, ())
         full = (1 << self.n) - 1
         # complements of an antichain form an antichain
-        return SimplicialComplex(self.n, _canonical(full & ~pack(nf) for nf in nonfaces))
+        return SimplicialComplex._from_masks(self.n, _canonical(full ^ t for t in nonfaces))
 
     # -- serialization -----------------------------------------------
 

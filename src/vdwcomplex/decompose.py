@@ -191,7 +191,7 @@ def verify_shedding_tree(cx: SimplicialComplex, tree: SheddingTree) -> bool:
     if tree.kind == "empty":
         return cx.is_empty
     if tree.kind == "simplex":
-        return len(cx.facets) == 1 and cx.facets[0] != ()
+        return len(cx.facet_masks) == 1 and cx.facet_masks[0] != 0
     if tree.kind != "shed":
         return False
     x = tree.vertex

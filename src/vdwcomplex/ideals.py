@@ -40,7 +40,9 @@ path: the graph search on every pair, in order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable
 
 from vdwcomplex.complexes import (
     SimplicialComplex,
@@ -64,23 +66,44 @@ from vdwcomplex.vdw import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class MonomialIdeal:
     """A squarefree monomial ideal given by its minimal generating supports.
 
-    Generators are canonically sorted and pairwise non-dividing; use
-    :meth:`from_supports` to minimalize an arbitrary generating set.
-    ``generator_masks`` holds the generators as the masks that validated them.
+    ``generator_masks`` holds the generators: pairwise non-dividing masks
+    in canonical (lexicographic) order.  ``generators`` is the same list
+    as strictly increasing vertex tuples, built on first read.
+    ``MonomialIdeal(n, generators)`` takes that tuple form and rejects
+    anything not canonical; use :meth:`from_supports` to minimalize an
+    arbitrary generating set.
     """
 
     n: int
-    generators: tuple[Vertices, ...]
-    generator_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    generator_masks: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        _check_universe(self.n)
-        masks = _check_antichain(self.n, self.generators, "generator")
+    def __init__(self, n: int, generators: Iterable[Iterable[int]]) -> None:
+        _check_universe(n)
+        self._hold(n, tuple(_pack_checked(n, generators, "generator", increasing=True)))
+
+    @classmethod
+    def _from_masks(cls, n: int, masks: tuple[int, ...]) -> "MonomialIdeal":
+        """The ideal whose generator masks are ``masks``, validated as they are."""
+        ideal = cls.__new__(cls)
+        ideal._hold(n, masks)
+        return ideal
+
+    def _hold(self, n: int, masks: tuple[int, ...]) -> None:
+        _check_antichain(n, masks, "generator")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "generator_masks", masks)
+
+    @cached_property
+    def generators(self) -> tuple[Vertices, ...]:
+        """The generator supports as vertex tuples, in canonical order."""
+        return tuple(map(unpack, self.generator_masks))
+
+    def __repr__(self) -> str:
+        return f"MonomialIdeal(n={self.n!r}, generators={self.generators!r})"
 
     @classmethod
     def from_supports(cls, n: int, supports) -> "MonomialIdeal":
@@ -89,11 +112,11 @@ class MonomialIdeal:
         full = (1 << n) - 1
         # the minimal supports are the complements of the maximal complements
         complements = _absorb(full ^ m for m in _pack_checked(n, supports, "support"))
-        return cls(n, _canonical(full ^ m for m in complements))
+        return cls._from_masks(n, _canonical(full ^ m for m in complements))
 
     @property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(g) for g in self.generators)
+        return tuple(m.bit_count() for m in self.generator_masks)
 
     @property
     def is_equigenerated(self) -> bool:
@@ -148,9 +171,9 @@ def dual_ideal(cx: SimplicialComplex) -> MonomialIdeal:
     full = (1 << cx.n) - 1
     if cx.facet_masks == (full,):
         # only the full simplex complements to nothing
-        return MonomialIdeal(cx.n, ())
-    # complements of an antichain form an antichain
-    return MonomialIdeal(cx.n, _canonical(full & ~m for m in cx.facet_masks))
+        return MonomialIdeal._from_masks(cx.n, ())
+    # complements of an antichain form an antichain, in reverse canonical order
+    return MonomialIdeal._from_masks(cx.n, tuple(full ^ m for m in reversed(cx.facet_masks)))
 
 
 def taylor_syzygies(ideal: MonomialIdeal) -> tuple[TaylorSyzygy, ...]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from vdwcomplex.complexes import SimplicialComplex
+from vdwcomplex.complexes import SimplicialComplex, _check_universe
 
 
 def _validate_params(n: int, k: int) -> None:
@@ -85,9 +85,19 @@ def facet_count(n: int, k: int) -> int:
 
 
 def vdw_complex(n: int, k: int) -> SimplicialComplex:
-    """vdW(n, k) as a facet-list complex on {1, ..., n}."""
-    # progressions of equal length are never nested
-    return SimplicialComplex(n, tuple(sorted(f.vertices for f in progression_facets(n, k))))
+    """vdW(n, k) as a facet-list complex on {1, ..., n}.
+
+    The progression of start i and increment d is the mask base_d << (i - 1),
+    where base_d has the bits 0, d, ..., kd.  Two progressions first differ
+    in their start or in their second vertex, so by start, then increment,
+    they come in canonical (lexicographic) order; and progressions of equal
+    length are never nested.
+    """
+    _validate_params(n, k)
+    _check_universe(n)  # before the masks of a universe too large are built
+    bases = [sum(1 << j * d for j in range(k + 1)) for d in range(1, (n - 1) // k + 1)]
+    masks = tuple(base << i for i in range(n - k) for base in bases[: (n - 1 - i) // k])
+    return SimplicialComplex._from_masks(n, masks)
 
 
 def max_increment(n: int, k: int) -> int:

@@ -6,9 +6,10 @@ import random
 import pytest
 from conftest import brute_force_minimal_nonfaces, complex_from_masks, enumerate_antichains
 
-from vdwcomplex.complexes import SimplicialComplex, pack
-from vdwcomplex.ideals import MonomialIdeal, dual_ideal
-from vdwcomplex.vdw import vdw_complex
+from vdwcomplex.complexes import SimplicialComplex, _face_order, pack, unpack
+from vdwcomplex.decompose import is_vertex_decomposable
+from vdwcomplex.ideals import MonomialIdeal, dual_ideal, is_linearly_presented
+from vdwcomplex.vdw import classify_closed_form, progression_facets, vdw_complex
 
 VDW52_FACETS = ((1, 2, 3), (1, 3, 5), (2, 3, 4), (3, 4, 5))
 
@@ -39,6 +40,12 @@ class TestConstruction:
             SimplicialComplex.from_facets(3, [[1, 4]])
         with pytest.raises(ValueError):
             SimplicialComplex.from_facets(3, [[0, 1]])
+
+    def test_iterator_member_named_whole(self):
+        with pytest.raises(ValueError, match=r"face \(1, 5\): vertices must be integers in 1\.\.3"):
+            SimplicialComplex.from_facets(3, [iter([1, 5])])
+        cx = SimplicialComplex.from_facets(3, [iter([3, 1]), iter([2])])
+        assert cx.facets == ((1, 3), (2,))
 
     def test_bad_universe(self):
         with pytest.raises(ValueError):
@@ -289,29 +296,92 @@ class TestAlexanderDual:
                 assert cx.alexander_dual().alexander_dual() == cx, (n, k)
 
 
-class TestCanonicalForm:
-    """The constructors keep the masks they validate, in facet order."""
+def _assert_same(built, expected_tuples, cls=SimplicialComplex):
+    """``built`` is the object the tuple constructor makes of ``expected_tuples``."""
+    expected = cls(built.n, tuple(expected_tuples))
+    if cls is SimplicialComplex:
+        views, masks = (built.facets, expected.facets), (built.facet_masks, expected.facet_masks)
+    else:
+        views = (built.generators, expected.generators)
+        masks = (built.generator_masks, expected.generator_masks)
+    assert type(built) is cls
+    assert views[0] == views[1] == tuple(expected_tuples)
+    assert masks[0] == masks[1] == tuple(pack(t) for t in expected_tuples)
+    assert built == expected and hash(built) == hash(expected)
+    assert repr(built) == repr(expected)
+    assert built.to_json() == expected.to_json()
 
-    @staticmethod
-    def _assert_masks_match(cx):
-        assert cx.facet_masks == tuple(pack(f) for f in cx.facets)
-        if not cx.is_void:
-            ideal = dual_ideal(cx)
-            assert ideal.generator_masks == tuple(pack(g) for g in ideal.generators)
+
+def _maximal(sets):
+    return sorted(tuple(sorted(s)) for s in sets if not any(s < t for t in sets))
+
+
+class TestCanonicalForm:
+    """Masks are the stored form: every constructor builds the object the
+    tuple constructor makes of the same facets, and no decider reads tuples."""
 
     def test_vdw_complexes(self):
-        for n in range(2, 21):
+        for n in range(2, 65):
             for k in range(1, n):
-                self._assert_masks_match(vdw_complex(n, k))
+                masks = [pack(f.vertices) for f in progression_facets(n, k)]
+                canonical = tuple(sorted(masks, key=_face_order))
+                assert vdw_complex(n, k).facet_masks == canonical, (n, k)
 
     def test_all_complexes_on_five_vertices(self):
+        checked = not_face_ordered = 0
         for n in range(1, 6):
+            full = (1 << n) - 1
             for masks in enumerate_antichains(n):
+                facets = sorted(unpack(m) for m in masks)
                 cx = complex_from_masks(n, masks)
-                self._assert_masks_match(cx)
-                for x in cx.support:
-                    self._assert_masks_match(cx.link(x))
-                    self._assert_masks_match(cx.deletion(x))
+                _assert_same(cx, facets)
+                # on a nonpure complex, face order (size first) is not the canonical order
+                not_face_ordered += tuple(sorted(cx.facet_masks, key=_face_order)) != cx.facet_masks
+                for x in range(1, n + 1):
+                    link = sorted(tuple(v for v in f if v != x) for f in facets if x in f)
+                    _assert_same(cx.link(x), link)
+                    _assert_same(cx.deletion(x), _maximal({frozenset(f) - {x} for f in facets}))
+                # adding supersets of the facets leaves the minimal supports alone
+                supports = facets + [unpack(m | 1 << (n - 1)) for m in masks]
+                _assert_same(MonomialIdeal.from_supports(n, supports), facets, MonomialIdeal)
+                if not masks:
+                    continue
+                if masks != (full,):
+                    nonfaces = brute_force_minimal_nonfaces(cx)
+                    dual = sorted(unpack(full & ~pack(nf)) for nf in nonfaces)
+                    _assert_same(cx.alexander_dual(), dual)
+                complements = [] if masks == (full,) else sorted(unpack(full & ~m) for m in masks)
+                _assert_same(dual_ideal(cx), complements, MonomialIdeal)
+                checked += 1
+        assert checked == 7773
+        assert not_face_ordered > 0
+
+    @pytest.mark.parametrize("cls", [SimplicialComplex, MonomialIdeal])
+    @pytest.mark.parametrize(
+        "masks",
+        [
+            (0b1001,),  # vertex 4 beyond n = 3
+            (0b001, 0b011),  # comparable
+            (0b011, 0b011),  # repeated
+            (0b110, 0b011),  # not in canonical order
+        ],
+    )
+    def test_mask_validator_rejects(self, cls, masks):
+        with pytest.raises(ValueError):
+            cls._from_masks(3, masks)
+
+    def test_deciders_build_no_tuples(self, monkeypatch):
+        def tuple_view(self):
+            raise AssertionError("the vertex tuples were built")
+
+        monkeypatch.setattr(SimplicialComplex, "facets", property(tuple_view))
+        monkeypatch.setattr(MonomialIdeal, "generators", property(tuple_view))
+        for n in range(2, 15):
+            for k in range(1, n):
+                pred = classify_closed_form(n, k)
+                assert is_vertex_decomposable(vdw_complex(n, k)).value == pred.vertex_decomposable
+                presented = is_linearly_presented(dual_ideal(vdw_complex(n, k)))
+                assert presented.value == pred.cohen_macaulay
 
     def test_masks_not_compared(self):
         cx = vdw_complex(6, 2)
