@@ -46,7 +46,7 @@ EXIT_UNDECIDED = 3
 EXIT_ERROR = 4
 
 CHECKS = ("vd", "shellable", "cm", "linpres")
-SWEEP_LIMITS = {"vd": 55, "shellable": 34, "cm": 30, "linpres": 64}
+SWEEP_LIMITS = {"vd": 64, "shellable": 34, "cm": 30, "linpres": 64}
 
 def _parse_checks(text: str) -> list[str]:
     checks = [c.strip() for c in text.split(",") if c.strip()]
@@ -89,6 +89,7 @@ def compute_record(
     field_chars,
     budget: int = DEFAULT_SHELLING_BUDGET,
     with_timings: bool = True,
+    memo: dict | None = None,
 ) -> dict:
     """Run the selected deciders on vdW(n, k) against the closed form.
 
@@ -97,8 +98,12 @@ def compute_record(
     every selected check.  Linear presentation is compared with the
     predicted Cohen-Macaulayness: for vdW(n, k) the two coincide, by
     Eagon-Reiner in one direction and the paper's obstruction in the
-    other.
+    other.  ``memo`` is the vertex-decomposability memo to share with
+    other calls (see :func:`is_vertex_decomposable`); a fresh one is
+    used when it is None.
     """
+    if memo is None:
+        memo = {}
     pred = classify_closed_form(n, k)
     rec: dict = {
         "n": n,
@@ -110,7 +115,7 @@ def compute_record(
     cx = vdw_complex(n, k)
     rows = []  # (record key, predicted flag, decider); an undecided None never agrees
     if "vd" in checks:
-        rows.append(("vd", pred.vertex_decomposable, lambda: is_vertex_decomposable(cx)))
+        rows.append(("vd", pred.vertex_decomposable, lambda: is_vertex_decomposable(cx, memo)))
     if "shellable" in checks:
         rows.append(("shellable", pred.shellable, lambda: is_shellable(cx, budget)))
     if "cm" in checks:
@@ -128,6 +133,21 @@ def compute_record(
     if with_timings:
         rec["ms"] = ms
     return rec
+
+
+def _sweep_column(k: int, n_max: int, checks, field_chars, budget: int, with_timings: bool) -> list:
+    """The records of vdW(n, k) for n = k + 1 .. n_max, with one VD memo for the column.
+
+    The facets of vdW(n, k) that avoid vertex n are those of
+    vdW(n - 1, k), and vertex n is the first candidate of the shedding
+    search whenever that deletion is pure, so the complex then finds the
+    previous one's verdict in the memo.
+    """
+    memo: dict = {}
+    return [
+        compute_record(n, k, checks, field_chars, budget, with_timings, memo)
+        for n in range(k + 1, n_max + 1)
+    ]
 
 
 def _cm_key(char: int) -> str:
@@ -238,14 +258,22 @@ def cmd_sweep(args) -> int:
                     f"(use --force to override)"
                 )
     field_chars = _parse_field_args(args.field)
-    pairs = [(n, k) for n in range(2, args.n_max + 1) for k in range(1, n)]
-    tasks = [(n, k, checks, field_chars, args.budget, not args.no_timings) for n, k in pairs]
-    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    column = partial(
+        _sweep_column,
+        n_max=args.n_max,
+        checks=checks,
+        field_chars=field_chars,
+        budget=args.budget,
+        with_timings=not args.no_timings,
+    )
+    ks = range(1, args.n_max)
+    workers = min(args.jobs, len(ks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(compute_record, *zip(*tasks)))
+            columns = list(pool.map(column, ks))
     else:
-        records = [compute_record(*t) for t in tasks]
+        columns = map(column, ks)
+    records = sorted((r for col in columns for r in col), key=lambda r: (r["n"], r["k"]))
     _emit(_render(args.format, records, field_chars, records), args.output)
     agree = sum(1 for r in records if r["agreement"])
     sys.stdout.write(f"sweep n<={args.n_max}: {agree}/{len(records)} records agree\n")

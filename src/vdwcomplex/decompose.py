@@ -6,12 +6,15 @@ some support vertex has a pure, vertex-decomposable link and deletion.
 The link of a pure complex is pure.  Its deletion at x is pure iff x
 lies in every facet or every ridge F - x of a facet F through x lies in
 a second facet, so one count of the ridges per subproblem tests every
-candidate vertex without building its deletion.  Subproblems are
-memoized on their facet masks, which link and deletion keep in canonical
-order, so equal subproblems meet under equal keys; the memo maps each
-key to its shedding tree, or to ``None`` on failure.  A successful
-decision is certified by a shedding tree that can be replayed
-independently.
+candidate vertex without building its deletion.  Every link of a
+vertex-decomposable complex is vertex decomposable (Provan-Billera,
+Math. Oper. Res. 5 (1980)), so the search fails at the first candidate
+whose link fails; only a failing deletion moves it on to the next
+candidate.  Subproblems are memoized on their facet masks, which link
+and deletion keep in canonical order, so equal subproblems meet under
+equal keys; the memo maps each key to its shedding tree, or to ``None``
+on failure.  A successful decision is certified by a shedding tree that
+can be replayed independently.
 
 Shellability is decided by a depth-first search over facet prefixes: a
 facet may extend a prefix iff its faces already covered by placed
@@ -121,6 +124,12 @@ def _search(masks: tuple[int, ...], memo: dict) -> SheddingTree | None:
     F containing x lies in a second facet (then it is the facets that
     avoid x, each absorbing those ridges).  Otherwise the deletion keeps
     some F - x as a facet of size d - 1 beside facets of size d.
+
+    A candidate whose link is not vertex decomposable ends the search
+    with ``None``: by Provan-Billera, every link of a vertex-decomposable
+    complex is vertex decomposable.  A failing deletion only moves the
+    search on to the next candidate.  A vertex-decomposable complex has
+    no failing link, so its tree is the one the full search finds.
     """
     if not masks:
         return _LEAF_VOID
@@ -153,8 +162,8 @@ def _search(masks: tuple[int, ...], memo: dict) -> SheddingTree | None:
         # every facet of the link has the bit cleared: the order is kept
         link = tuple(m ^ bit for m in masks if m & bit)
         link_tree = _decide(link, memo)
-        if link_tree is None:
-            continue
+        if link_tree is None:  # every link of a vertex-decomposable complex is one
+            return None
         deletion = link if bit & common else tuple(m for m in masks if not m & bit)
         deletion_tree = _decide(deletion, memo)
         if deletion_tree is None:

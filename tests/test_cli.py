@@ -223,9 +223,10 @@ class TestSweep:
         assert "--force" in err
 
     def test_vd_limit_enforced_exit_2(self, capsys):
-        code, _, err = run_cli(capsys, "sweep", "56", "--checks", "vd")
+        # the vd limit is the vertex bound, so the vertex-bound error comes first
+        code, _, err = run_cli(capsys, "sweep", "65", "--checks", "vd")
         assert code == 2
-        assert "--force" in err
+        assert "n_max must be in 1..64" in err
 
     def test_cm_limit_enforced_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "31", "--checks", "cm")
@@ -313,11 +314,24 @@ class TestSweep:
         assert first == second
 
     def test_parallel_matches_serial(self, capsys):
-        _, serial, _ = run_cli(capsys, "sweep", "5", "--format", "csv", "--no-timings")
+        # columns k = 1 .. 8 of unequal length go through the pool
+        _, serial, _ = run_cli(capsys, "sweep", "9", "--format", "csv", "--no-timings")
         _, parallel, _ = run_cli(
-            capsys, "sweep", "5", "--format", "csv", "--no-timings", "--jobs", "3"
+            capsys, "sweep", "9", "--format", "csv", "--no-timings", "--jobs", "3"
         )
         assert serial == parallel
+
+    def test_sweep_matches_records_one_at_a_time(self, capsys):
+        # each column of a sweep shares one VD memo; fresh memos give the same records
+        code, out, _ = run_cli(capsys, "sweep", "20", "--no-timings")
+        assert code == 0
+        records = json.loads(out.splitlines()[0])
+        expected = [
+            cli.compute_record(n, k, cli.CHECKS, [0, 2], with_timings=False)
+            for n in range(2, 21)
+            for k in range(1, n)
+        ]
+        assert records == expected
 
     def test_negative_budget_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "4", "--checks", "shellable", "--budget", "-1")
@@ -505,7 +519,7 @@ class TestInternalErrors:
         ids=" ".join,
     )
     def test_crash_exits_4_not_a_verdict(self, capsys, monkeypatch, argv, exc):
-        def crashing(cx):
+        def crashing(*args):
             raise exc("decider crashed")
 
         monkeypatch.setattr(cli, "is_vertex_decomposable", crashing)
@@ -515,7 +529,7 @@ class TestInternalErrors:
         assert err.endswith(f"\nerror: internal: {exc.__name__}: decider crashed\n")
 
     def test_keyboard_interrupt_propagates(self, capsys, monkeypatch):
-        def interrupted(cx):
+        def interrupted(*args):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(cli, "is_vertex_decomposable", interrupted)

@@ -151,11 +151,24 @@ class TestSheddingSearchMatchesNaive:
             assert res == is_vertex_decomposable(shifted)
             assert res.tree is None or verify_shedding_tree(shifted, res.tree)
 
-    @pytest.mark.parametrize("n, k, subproblems", [(30, 1, 59), (48, 20, 2049)])
+    @pytest.mark.parametrize("n, k, subproblems", [(30, 1, 59), (48, 20, 12), (64, 30, 17)])
     def test_subproblem_count(self, n, k, subproblems):
         memo = {}
         is_vertex_decomposable(vdw_complex(n, k), memo)
         assert len(memo) == subproblems
+
+    @pytest.mark.parametrize("m", range(4, 13))
+    def test_first_failing_link_ends_the_search(self, m):
+        # two (m + 2)-vertex facets meeting in m vertices: only the shared
+        # vertices are candidates, and the links shrink to two disjoint edges
+        cx = SimplicialComplex.from_facets(
+            m + 4, [list(range(1, m + 3)), [*range(1, m + 1), m + 3, m + 4]]
+        )
+        memo = {}
+        assert is_vertex_decomposable(cx, memo).value is False
+        assert len(memo) == m + 1  # one link per shared vertex; 2^m without the early stop
+        if m <= 6:
+            assert naive_shedding_tree(cx) is None
 
     @pytest.mark.parametrize("n, k", [(9, 3), (9, 5)])  # not VD, VD
     def test_memo_maps_facet_masks_to_tree(self, n, k):
