@@ -24,6 +24,7 @@ from vdwcomplex.decompose import (
 from vdwcomplex.homology import (
     CohenMacaulayResult,
     HomologyProfile,
+    cohen_macaulay_by_field,
     field_label,
     is_cohen_macaulay,
     parse_field,
@@ -83,6 +84,7 @@ __all__ = [
     "CohenMacaulayResult",
     "reduced_homology",
     "is_cohen_macaulay",
+    "cohen_macaulay_by_field",
     "parse_field",
     "field_label",
     "MonomialIdeal",

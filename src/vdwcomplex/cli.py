@@ -28,7 +28,7 @@ from vdwcomplex.decompose import (
     is_vertex_decomposable,
     verify_shelling,
 )
-from vdwcomplex.homology import field_label, is_cohen_macaulay, parse_field
+from vdwcomplex.homology import cohen_macaulay_by_field, field_label, parse_field
 from vdwcomplex.ideals import LinearPresentationResult, _s2_witness, dual_ideal, taylor_syzygies
 from vdwcomplex.vdw import _validate_params as _validate_vdw_params
 from vdwcomplex.vdw import (
@@ -46,7 +46,7 @@ EXIT_UNDECIDED = 3
 EXIT_ERROR = 4
 
 CHECKS = ("vd", "shellable", "cm", "linpres")
-SWEEP_LIMITS = {"vd": 64, "shellable": 34, "cm": 30, "linpres": 64}
+SWEEP_LIMITS = {"vd": 64, "shellable": 34, "cm": 41, "linpres": 64}
 
 def _parse_checks(text: str) -> list[str]:
     checks = [c.strip() for c in text.split(",") if c.strip()]
@@ -98,7 +98,9 @@ def compute_record(
     every selected check.  Linear presentation is compared with the
     predicted Cohen-Macaulayness: for vdW(n, k) the two coincide, by
     Eagon-Reiner in one direction and the paper's obstruction in the
-    other.  ``memo`` is the vertex-decomposability memo to share with
+    other.  The selected fields share one Reisner walk
+    (:func:`cohen_macaulay_by_field`), so each ``cm_*`` key's timing is
+    that walk's.  ``memo`` is the vertex-decomposability memo to share with
     other calls (see :func:`is_vertex_decomposable`); a fresh one is
     used when it is None.
     """
@@ -113,23 +115,28 @@ def compute_record(
         "pred_cm": pred.cohen_macaulay,
     }
     cx = vdw_complex(n, k)
-    rows = []  # (record key, predicted flag, decider); an undecided None never agrees
+    # (record keys, predicted flag, decider returning one result per key);
+    # an undecided None never agrees
+    rows = []
     if "vd" in checks:
-        rows.append(("vd", pred.vertex_decomposable, lambda: is_vertex_decomposable(cx, memo)))
+        rows.append((["vd"], pred.vertex_decomposable, lambda: [is_vertex_decomposable(cx, memo)]))
     if "shellable" in checks:
-        rows.append(("shellable", pred.shellable, lambda: is_shellable(cx, budget)))
-    if "cm" in checks:
-        for c in field_chars:
-            rows.append((_cm_key(c), pred.cohen_macaulay, partial(is_cohen_macaulay, cx, c)))
+        rows.append((["shellable"], pred.shellable, lambda: [is_shellable(cx, budget)]))
+    if "cm" in checks:  # one Reisner walk for every field
+        keys = [_cm_key(c) for c in field_chars]
+        rows.append((keys, pred.cohen_macaulay, lambda: cohen_macaulay_by_field(cx, field_chars)))
     if "linpres" in checks:
-        presented = lambda: LinearPresentationResult(_s2_witness(cx.facet_masks, cx.dim) is None)
-        rows.append(("linearly_presented", pred.cohen_macaulay, presented))  # (S2) on cx, no ideal
+        presented = lambda: [LinearPresentationResult(_s2_witness(cx.facet_masks, cx.dim) is None)]
+        rows.append((["linearly_presented"], pred.cohen_macaulay, presented))  # (S2) on cx, no ideal
     ms: dict = {}
-    for key, _, decide in rows:
+    for keys, _, decide in rows:
         t0 = time.perf_counter()
-        rec[key] = decide().value
-        ms[key] = round((time.perf_counter() - t0) * 1000.0, 3)
-    rec["agreement"] = all(rec[key] == predicted for key, predicted, _ in rows)
+        results = decide()
+        elapsed = round((time.perf_counter() - t0) * 1000.0, 3)
+        for key, result in zip(keys, results):
+            rec[key] = result.value
+            ms[key] = elapsed
+    rec["agreement"] = all(rec[key] == predicted for keys, predicted, _ in rows for key in keys)
     if with_timings:
         rec["ms"] = ms
     return rec

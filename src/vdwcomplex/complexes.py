@@ -112,7 +112,7 @@ def _face_order(mask: int) -> int:
 
 def _absorb(masks: Iterable[int]) -> list[int]:
     """Inclusion-maximal members of a family of face masks."""
-    uniq = sorted(set(masks), key=lambda m: m.bit_count(), reverse=True)
+    uniq = sorted(set(masks), key=int.bit_count, reverse=True)
     kept: list[int] = []
     for m in uniq:
         if not any(m & k == m for k in kept):

@@ -18,14 +18,27 @@ Each measured complex is first shrunk to its core (``_core``), which
 has the same reduced Betti numbers over every field (Barmak-Minian,
 *Strong homotopy types, nerves and collapses*, DCG 47, 2012).  Two
 steps alternate.  A vertex v is dominated when the facets holding v
-share some other vertex w; then lk v is a cone, deleting v is a strong
-collapse, and only the facets cut by the deletion need a second look.
-Once no vertex is dominated, the nerve of the facets replaces the
-complex if it bounds fewer faces (sum of 2^|facet|): every nonempty
-intersection of facets is a simplex, so the nerve theorem keeps the
-homotopy type.  A cone ends as one vertex, so a link whose core is one
-simplex passes unmeasured.  ``reduced_homology`` measures the core too;
-``<()>``, whose nerve is void, is kept as it is.
+share some other vertex w; then lk v is a cone and deleting v is a
+strong collapse.  Dominated vertices are deleted in rounds: each round
+deletes every vertex still dominated by a vertex it keeps, since v stays
+dominated while w is kept, and only the vertices of the facets it cut
+are checked again.  Once no vertex is dominated, the nerve of the facets
+replaces the complex if it bounds fewer faces (sum of 2^|facet|): every
+nonempty intersection of facets is a simplex, so the nerve theorem
+keeps the homotopy type.  The nerve's facets are then the vertices' sets
+of facets, none inside another, so its bound is the sum of 2^deg(v) and
+is read from the vertex degrees before the nerve is built.  A cone ends
+as one vertex, so a link whose core is one simplex passes unmeasured.
+A core of s facets with s - 1 vertices each on s vertices is the
+boundary of a simplex, an (s - 2)-sphere, whose only reduced homology is
+H~_(s-2) = 1 over every field, so it gets no chain complex either.
+``reduced_homology`` measures the core too, with no sphere rule;
+``<()>``, which has no vertex, is kept as it is.
+
+The Reisner walk (``_first_failures``) takes every requested field at
+once.  Each link's core, chain complex, boundary check and mod-2 ranks
+are computed once for all fields still passing, and a field drops out
+at its first failing link.
 
 Three more rules spare most links their elimination.  A 1-dimensional
 link is a nonempty graph, so H~_-1 vanishes and H~_0 vanishes iff the
@@ -180,46 +193,68 @@ def _strip_dominated(facet_masks) -> list[int]:
 
     A vertex v is dominated when the AND of the facets holding v is more
     than v: every such facet also holds some w != v, and deleting v is a
-    strong collapse, which keeps the homotopy type.  Deleting v cuts each
-    facet m holding v to m ^ v.  Cut facets stay incomparable with each
-    other and no untouched facet lies in one, so only a cut facet inside
-    an untouched facet (one through w) is absorbed.  Only the vertices of
-    the cut facets change holders, so only they are checked again.
+    strong collapse, which keeps the homotopy type.  Each round checks
+    the vertices in turn, deletes every one dominated by a vertex not
+    deleted so far, then cuts the deleted vertices from their facets and
+    absorbs.  The round is a sequence of strong collapses: a vertex
+    dominated by w stays dominated while w is kept, domination is
+    transitive, and of each set of vertices with the same facets that no
+    vertex with more facets dominates, the last one checked is kept; so
+    every deleted vertex is still dominated by a kept one.  Only the
+    vertices of cut facets change holders, so only they are checked in
+    the next round.
     """
     facets = list(facet_masks)
-    pending = 0
+    check = 0
     for m in facets:
-        pending |= m
-    while pending:
-        bit = pending & -pending
-        pending ^= bit
-        holding = []
-        rest = []
-        common = -1
+        check |= m
+    while True:
+        deleted = 0
+        while check:
+            bit = check & -check
+            check ^= bit
+            common = -1
+            for m in facets:
+                if m & bit:
+                    common &= m
+            if (common ^ bit) & ~deleted:
+                deleted |= bit
+        if not deleted:
+            return facets
+        keep = ~deleted
+        kept = []  # the facets holding no deleted vertex: still an antichain
+        cuts = set()
         for m in facets:
-            if m & bit:
-                holding.append(m)
-                common &= m
+            if m & deleted:
+                check |= m
+                cuts.add(m & keep)
             else:
-                rest.append(m)
-        if common == bit:
-            continue
-        w = (common ^ bit) & -(common ^ bit)  # a vertex dominating v
-        around = [g for g in rest if g & w]
-        touched = 0
-        for m in holding:
-            touched |= m
-            cut = m ^ bit
-            if not any(cut & g == cut for g in around):
-                rest.append(cut)
-        facets = rest
-        pending |= touched ^ bit
-    return facets
+                kept.append(m)
+        check &= keep
+        # no kept facet lies in a cut one, so only cut facets can be absorbed
+        facets = kept + [c for c in _absorb(cuts) if not any(c & g == c for g in kept)]
 
 
 def _bound(facet_masks) -> int:
     """Sum of 2^|facet|: an upper bound on the number of faces."""
     return sum(1 << m.bit_count() for m in facet_masks)
+
+
+def _nerve_bound(facet_masks) -> int:
+    """Sum of 2^deg(v) over the vertices: the nerve's bound once no vertex is dominated.
+
+    The nerve's facets are the sets of facets holding each vertex; with
+    no vertex dominated, none of these sets lies in another, so each is
+    a facet of the nerve.
+    """
+    degree: dict[int, int] = {}
+    for m in facet_masks:
+        rest = m
+        while rest:
+            bit = rest & -rest
+            degree[bit] = degree.get(bit, 0) + 1
+            rest ^= bit
+    return sum(1 << d for d in degree.values())
 
 
 def _core(facet_masks) -> list[int]:
@@ -228,15 +263,16 @@ def _core(facet_masks) -> list[int]:
     Alternates deleting dominated vertices with taking the facet nerve
     while that strictly lowers the sum of 2^|facet|, so it terminates;
     both steps keep the homotopy type (Barmak-Minian, strong collapses).
-    A cone ends as one vertex.  ``<()>``, whose nerve is void, is kept.
+    Whether the nerve is smaller is read from the vertex degrees, before
+    it is built.  A cone ends as one vertex.  ``<()>``, which has no
+    vertex and whose nerve is void, is kept.
     """
     facets = list(facet_masks)
     while True:
         facets = _strip_dominated(facets)
-        nerve = _nerve(facets)
-        if not nerve or _bound(nerve) >= _bound(facets):
+        if not 0 < _nerve_bound(facets) < _bound(facets):
             return facets
-        facets = nerve
+        facets = _nerve(facets)
 
 
 def _chain_complex(facet_masks) -> tuple[list[list[int]], list, list[list[int]]]:
@@ -292,33 +328,54 @@ def _assert_chain_complex(boundaries: list[list[list[tuple[int, int]]]]) -> None
                 raise AssertionError("boundary composed with boundary is nonzero")
 
 
-def _reduced_betti(facet_masks, char: int, naive: bool = False) -> dict[int, int]:
-    """Reduced Betti numbers of a nonvoid facet list over the given field.
+def _betti_per_field(facet_masks, chars) -> dict[int, dict[int, int]]:
+    """Reduced Betti numbers of a nonvoid facet list over each field in ``chars``.
 
-    Over Q, every rank is first taken mod 2, and a rational rank is
-    computed only for a boundary map whose two neighbouring degrees both
-    have mod-2 homology.  A rational rank is at least the mod-2 rank, and
-    the two ranks around a degree sum to at most its face count, so a
-    degree with no mod-2 homology pins both neighbouring rational ranks
-    to their mod-2 values.  Ranks over Q and odd p go through unit pivots
-    first (``_rank``).  ``naive`` is the reference path: no mod-2 filter,
-    no unit pivots, every map over Q or odd p ranked as a dense matrix.
+    The chain complex is built and checked once for all fields, and its
+    boundaries are ranked mod 2 once when Q or F2 is asked for.  Over Q
+    a rational rank is computed only for a boundary map whose two
+    neighbouring degrees both have mod-2 homology: a rational rank is at
+    least the mod-2 rank, and the two ranks around a degree sum to at
+    most its face count, so a degree with no mod-2 homology pins both
+    neighbouring rational ranks to their mod-2 values.  Odd p gets no
+    mod-2 filter.  Ranks over Q and odd p go through unit pivots first
+    (``_rank``).
     """
     levels, boundaries, masks = _chain_complex(facet_masks)
     counts = [len(level) for level in levels]  # counts[c] = #(c-1)-dim faces
     _assert_chain_complex(boundaries)
-    filtered = char == RATIONALS and not naive
-    if char == 2 or filtered:  # no dense matrix
+    out = {}
+    if 2 in chars or RATIONALS in chars:  # no dense matrix
+        ranks = [_kernels.rank_mod_2_masks(column_masks) for column_masks in masks]
+        mod_2 = out[2] = _betti(counts, ranks)
+        if RATIONALS in chars:
+            for j, columns in enumerate(boundaries):
+                if mod_2[j] and mod_2[j - 1]:
+                    ranks[j] = _rank(columns, RATIONALS)
+            out[RATIONALS] = _betti(counts, ranks)
+    for char in chars:
+        if char not in out:
+            out[char] = _betti(counts, [_rank(columns, char) for columns in boundaries])
+    return out
+
+
+def _reduced_betti(facet_masks, char: int, naive: bool = False) -> dict[int, int]:
+    """Reduced Betti numbers of a nonvoid facet list over the given field.
+
+    By default this is ``_betti_per_field`` for one field.  ``naive`` is
+    the reference path: no mod-2 filter, no unit pivots, every map over
+    Q or odd p ranked as a dense matrix, F2 by XOR elimination.
+    """
+    if not naive:
+        return _betti_per_field(facet_masks, (char,))[char]
+    levels, boundaries, masks = _chain_complex(facet_masks)
+    counts = [len(level) for level in levels]  # counts[c] = #(c-1)-dim faces
+    _assert_chain_complex(boundaries)
+    if char == 2:
         ranks = [_kernels.rank_mod_2_masks(column_masks) for column_masks in masks]
     else:
         ranks = [_rank(columns, char, naive) for columns in boundaries]
-    betti = _betti(counts, ranks)
-    if filtered:
-        for j, columns in enumerate(boundaries):
-            if betti[j] and betti[j - 1]:
-                ranks[j] = _rank(columns, RATIONALS)
-        betti = _betti(counts, ranks)
-    return betti
+    return _betti(counts, ranks)
 
 
 def _rank(columns, char: int, naive: bool = False) -> int:
@@ -353,6 +410,21 @@ def _betti(counts: list[int], ranks: list[int]) -> dict[int, int]:
     return {c - 1: counts[c] - padded[c] - padded[c + 1] for c in range(len(counts))}
 
 
+def _sphere_degree(facet_masks) -> int | None:
+    """s - 2 when the facets are the s faces of s - 1 vertices of an s-set, else None.
+
+    That complex is the boundary of a simplex, the (s - 2)-sphere, whose
+    only reduced homology over every field is H~_(s-2) of dimension 1.
+    """
+    support = 0
+    for m in facet_masks:
+        support |= m
+    s = support.bit_count()
+    if len(facet_masks) == s and all(m.bit_count() == s - 1 for m in facet_masks):
+        return s - 2
+    return None
+
+
 def reduced_homology(cx: SimplicialComplex, field="Q") -> HomologyProfile:
     """Reduced Betti numbers of a nonvoid complex over Q or F_p, in degrees -1 .. dim.
 
@@ -367,47 +439,96 @@ def reduced_homology(cx: SimplicialComplex, field="Q") -> HomologyProfile:
     return HomologyProfile(field_label(char), {i: betti.get(i, 0) for i in range(-1, cx.dim + 1)})
 
 
-def _first_failure(
-    facet_masks, dim: int, char: int, check_all_faces: bool = False
-) -> tuple[int, int] | None:
-    """First face whose link fails Reisner's test, with the failing degree, or None.
+def _first_failures(facet_masks, dim: int, chars) -> dict[int, tuple[int, int] | None]:
+    """Per field in ``chars``, the first face whose link fails Reisner's test, or None.
 
     ``facet_masks`` is a pure complex of dimension ``dim``.  The link of
     a face F fails in degree i when H~_i(lk F) != 0 for some
-    i < dim lk F.  Faces are visited by increasing dimension, then
-    lexicographically.  By default only the empty face and intersections
-    of facets with fewer than ``dim`` vertices are visited (any other
-    link is a cone or has dimension < 1).  A 1-dimensional link is
-    decided by connectivity; any other is reduced to its core, passes if
-    that is one simplex, and is measured over ``char`` on the core
-    otherwise.  ``check_all_faces`` is the naive oracle: every face, its
-    literal link measured by ``_reduced_betti(..., naive=True)``, no
-    core, no shortcut.
+    i < dim lk F; a failure is reported as ``(face mask, i)``.  Faces
+    are visited by increasing dimension, then lexicographically, once for
+    all fields: only the empty face and intersections of facets with
+    fewer than ``dim`` vertices (any other link is a cone or has
+    dimension < 1).  A 1-dimensional link is decided by connectivity,
+    for every field at once; any other is reduced to its core, passes if
+    that is one simplex, fails or passes by its one Betti number if that
+    is the boundary of a simplex, and is otherwise measured over every
+    field still passing (``_betti_per_field``).  A field leaves the walk
+    at its first failure, and the walk ends when no field is left.
     """
-    if check_all_faces:
-        faces = [m for level in _chain_complex(facet_masks)[0] for m in level]
-    else:
-        faces = [m for m in _facet_intersections(facet_masks) if m.bit_count() < dim]
+    failures: dict[int, tuple[int, int] | None] = dict.fromkeys(chars)
+    pending = list(failures)
+    faces = [m for m in _facet_intersections(facet_masks) if m.bit_count() < dim]
+    for fmask in sorted(faces, key=_face_order):
+        if not pending:
+            break
+        link = [g ^ fmask for g in facet_masks if g & fmask == fmask]
+        link_dim = dim - fmask.bit_count()
+        if link_dim == 1:  # a nonempty graph: only H~_0 can fail
+            if _is_connected(link):
+                continue
+            for char in pending:
+                failures[char] = fmask, 0
+            break
+        core = _core(link)
+        if len(core) == 1:  # a nonempty simplex: acyclic
+            continue
+        sphere = _sphere_degree(core)
+        if sphere is not None:
+            if sphere < link_dim:
+                for char in pending:
+                    failures[char] = fmask, sphere
+                break
+            continue
+        bettis = _betti_per_field(core, pending)
+        for char in pending:
+            degree = next((i for i in range(-1, link_dim) if bettis[char].get(i, 0)), None)
+            if degree is not None:
+                failures[char] = fmask, degree
+        pending = [char for char in pending if failures[char] is None]
+    return failures
+
+
+def _first_failure_naive(facet_masks, dim: int, char: int) -> tuple[int, int] | None:
+    """The oracle for ``_first_failures``, one field: every face, its literal link.
+
+    Each link is measured by ``_reduced_betti(..., naive=True)``, with no
+    core, no shortcut, no mod-2 filter and no unit pivots.
+    """
+    faces = [m for level in _chain_complex(facet_masks)[0] for m in level]
     for fmask in sorted(faces, key=_face_order):
         link = [g ^ fmask for g in facet_masks if g & fmask == fmask]
         link_dim = dim - fmask.bit_count()
-        if check_all_faces:
-            if link_dim < 0 and fmask != 0:
-                continue  # link of a facet: nothing below dimension -1
-            betti = _reduced_betti(link, char, naive=True)
-        elif link_dim == 1:  # a nonempty graph: only H~_0 can fail
-            if _is_connected(link):
-                continue
-            return fmask, 0
-        else:
-            core = _core(link)
-            if len(core) == 1:  # a nonempty simplex: acyclic
-                continue
-            betti = _reduced_betti(core, char)
+        if link_dim < 0 and fmask != 0:
+            continue  # link of a facet: nothing below dimension -1
+        betti = _reduced_betti(link, char, naive=True)
         for i in range(-1, link_dim):
             if betti.get(i, 0) != 0:
                 return fmask, i
     return None
+
+
+def _result(char: int, failure: tuple[int, int] | None) -> CohenMacaulayResult:
+    if failure is None:
+        return CohenMacaulayResult(True, field_label(char))
+    fmask, degree = failure
+    return CohenMacaulayResult(False, field_label(char), unpack(fmask), degree)
+
+
+def cohen_macaulay_by_field(cx: SimplicialComplex, fields) -> list[CohenMacaulayResult]:
+    """The Reisner test over several fields in one walk: one result per field, in order.
+
+    Each result equals ``is_cohen_macaulay(cx, field)``.  Faces are
+    visited once; each link's core, chain complex and mod-2 ranks are
+    computed once for every field still passing, and a field stops at
+    its first failing link (see ``_first_failures``).
+    """
+    if cx.is_void:
+        raise ValueError("Cohen-Macaulayness of the void complex is undefined")
+    chars = [parse_field(field) for field in fields]
+    if not cx.is_pure:
+        return [CohenMacaulayResult(False, field_label(char)) for char in chars]
+    failures = _first_failures(cx.facet_masks, cx.dim, chars)
+    return [_result(char, failures[char]) for char in chars]
 
 
 def is_cohen_macaulay(cx: SimplicialComplex, field="Q", check_all_faces: bool = False) -> CohenMacaulayResult:
@@ -416,26 +537,25 @@ def is_cohen_macaulay(cx: SimplicialComplex, field="Q", check_all_faces: bool = 
     Nonpure complexes are rejected immediately (Cohen-Macaulay complexes
     are pure).  Faces are visited by increasing dimension, then
     lexicographically, and the first failing link is reported as a
-    witness.  By default only the empty face and intersections of facets
-    are visited: the link of any other face is a cone, hence acyclic.
-    Faces whose link is at most 0-dimensional are skipped (their
-    condition is vacuous), a 1-dimensional link passes iff it is
-    connected, each other link's homology is computed on its core (a link
-    whose core is one simplex passes unmeasured), and over Q ranks are
-    taken mod 2 first, so a link with no mod-2 homology below its
-    dimension passes without rational elimination.  All of these are
-    exact, and every failing face is an intersection, so the witness is
-    the one the full traversal finds.  ``check_all_faces`` is the naive
-    oracle: every face, its literal link, no core, no shortcut.
+    witness.  By default this is ``cohen_macaulay_by_field`` for one
+    field: only the empty face and intersections of facets are visited,
+    since the link of any other face is a cone, hence acyclic.  Faces
+    whose link is at most 0-dimensional are skipped (their condition is
+    vacuous), a 1-dimensional link passes iff it is connected, each other
+    link's homology is computed on its core (a link whose core is one
+    simplex passes unmeasured, one whose core is the boundary of a
+    simplex has its one Betti number read off), and over Q ranks are taken mod 2 first,
+    so a link with no mod-2 homology below its dimension passes without
+    rational elimination.  All of these are exact, and every failing
+    face is an intersection, so the witness is the one the full
+    traversal finds.  ``check_all_faces`` is the naive oracle: every
+    face, its literal link, no core, no shortcut.
     """
+    if not check_all_faces:
+        return cohen_macaulay_by_field(cx, [field])[0]
     if cx.is_void:
         raise ValueError("Cohen-Macaulayness of the void complex is undefined")
     char = parse_field(field)
-    label = field_label(char)
     if not cx.is_pure:
-        return CohenMacaulayResult(False, label)
-    failure = _first_failure(cx.facet_masks, cx.dim, char, check_all_faces=check_all_faces)
-    if failure is None:
-        return CohenMacaulayResult(True, label)
-    fmask, degree = failure
-    return CohenMacaulayResult(False, label, unpack(fmask), degree)
+        return CohenMacaulayResult(False, field_label(char))
+    return _result(char, _first_failure_naive(cx.facet_masks, cx.dim, char))

@@ -193,6 +193,25 @@ class TestClassify:
         rec = json.loads(out)
         assert "ms" in rec and "vd" in rec["ms"]
 
+    def test_fields_share_one_cm_walk(self, capsys, monkeypatch):
+        walks = []
+        walk = cli.cohen_macaulay_by_field
+
+        def recording(cx, fields):
+            walks.append(list(fields))
+            return walk(cx, fields)
+
+        monkeypatch.setattr(cli, "cohen_macaulay_by_field", recording)
+        code, out, _ = run_cli(
+            capsys, "classify", "8", "2", "--checks", "cm",
+            "--field", "Q", "--field", "F2", "--field", "Fp:3",
+        )
+        assert code == 0 and walks == [[0, 2, 3]]
+        rec = json.loads(out)
+        assert [rec[key] for key in ("cm_q", "cm_f2", "cm_f3")] == [False] * 3
+        # each cm key carries the one walk's time
+        assert rec["ms"]["cm_q"] == rec["ms"]["cm_f2"] == rec["ms"]["cm_f3"]
+
 
 class TestSweep:
     def test_sweep_6_all_true(self, capsys):
@@ -229,7 +248,7 @@ class TestSweep:
         assert "n_max must be in 1..64" in err
 
     def test_cm_limit_enforced_exit_2(self, capsys):
-        code, _, err = run_cli(capsys, "sweep", "31", "--checks", "cm")
+        code, _, err = run_cli(capsys, "sweep", "42", "--checks", "cm")
         assert code == 2
         assert "--force" in err
 

@@ -304,14 +304,7 @@ class TestCohenMacaulay:
     def test_near_simplex_measures_only_tiny_complexes(self, monkeypatch, k):
         # vdW(12, k) has one or two facets.  Only the empty face's link
         # can fail, and its core is one vertex, so no link is measured
-        seen = []
-        original = homology._reduced_betti
-
-        def recording(facet_masks, char):
-            seen.append(facet_masks)
-            return original(facet_masks, char)
-
-        monkeypatch.setattr(homology, "_reduced_betti", recording)
+        seen = _record_chain_complexes(monkeypatch)
         for field in ("Q", "F2"):
             assert is_cohen_macaulay(vdw_complex(12, k), field).value
         assert seen == []
@@ -351,29 +344,35 @@ class TestCohenMacaulay:
         for field in ("Q", "F2", "Fp:3"):
             slow = is_cohen_macaulay(cx, field, check_all_faces=True).to_dict()
             assert slow["witness_face"] == [1] and slow["witness_degree"] == 0
-            measured = []
-            measure = homology._reduced_betti
-
-            def recording(facet_masks, char):
-                measured.append(facet_masks)
-                return measure(facet_masks, char)
-
-            monkeypatch.setattr(homology, "_reduced_betti", recording)
+            measured = _record_chain_complexes(monkeypatch)
             assert is_cohen_macaulay(cx, field).to_dict() == slow
             monkeypatch.undo()
             # the empty face's link collapses to a vertex; lk {1} goes by connectivity
             assert measured == []
 
 
+def _record_chain_complexes(monkeypatch):
+    """Record the facet list of every chain complex built."""
+    built = []
+    build = homology._chain_complex
+
+    def recording(facet_masks):
+        built.append(list(facet_masks))
+        return build(facet_masks)
+
+    monkeypatch.setattr(homology, "_chain_complex", recording)
+    return built
+
+
 def _record_rational_eliminations(monkeypatch):
     """Record, per rational elimination, the complex whose homology it serves."""
     measured = []
     calls = []
-    measure = homology._reduced_betti
+    measure = homology._betti_per_field
 
-    def measuring(facet_masks, char, *args, **kwargs):
+    def measuring(facet_masks, chars):
         measured.append(list(facet_masks))
-        return measure(facet_masks, char, *args, **kwargs)
+        return measure(facet_masks, chars)
 
     bareiss = _kernels.rank_bareiss
 
@@ -381,7 +380,7 @@ def _record_rational_eliminations(monkeypatch):
         calls.append(measured[-1])
         return bareiss(rows, ncols)
 
-    monkeypatch.setattr(homology, "_reduced_betti", measuring)
+    monkeypatch.setattr(homology, "_betti_per_field", measuring)
     monkeypatch.setattr(_kernels, "rank_bareiss", counting)
     return calls
 
@@ -439,7 +438,9 @@ class TestCore:
         support = 0
         for m in stripped:
             support |= m
-        for v in unpack(support):  # the worklist missed no dominated vertex
+        # the rounds only delete vertices: what is left is the induced subcomplex
+        assert sorted(stripped) == sorted(complexes._absorb(m & support for m in masks))
+        for v in unpack(support):  # the rounds left no dominated vertex
             common = -1
             for m in stripped:
                 if m >> (v - 1) & 1:
@@ -486,4 +487,78 @@ class TestCore:
             assert len(core) == 1 and core[0].bit_count() == 1
 
     def test_empty_complex_kept(self):
+        # <()> has no vertex, so its degree sum is 0 and its nerve is void
+        assert homology._nerve_bound([0]) == 0 and homology._nerve([0]) == []
         assert homology._core([0]) == [0]
+
+    @pytest.mark.parametrize("j", range(1, 8))
+    def test_simplex_boundary_read_off_without_a_chain_complex(self, monkeypatch, j):
+        # the boundary of the j-simplex is its own core, with H~_(j-1) = 1 over every field
+        sphere = [pack(f) for f in combinations(range(1, j + 2), j)]
+        assert sorted(homology._core(sphere)) == sorted(sphere)
+        assert homology._sphere_degree(sphere) == j - 1
+        for char in (0, 2, 3):
+            assert _nonzero(homology._reduced_betti(sphere, char, naive=True)) == {j - 1: 1}
+        # a new apex on each facet: the empty face's link strips to the
+        # sphere, which fails Reisner's test in degree j - 1 < j
+        thick = [m | 1 << (j + 1 + i) for i, m in enumerate(sphere)]
+        cxs = [complex_from_masks(j + 1, sphere), complex_from_masks(2 * j + 2, thick)]
+        built = _record_chain_complexes(monkeypatch)
+        results = [
+            [is_cohen_macaulay(cx, field).to_dict() for field in ("Q", "F2", "Fp:3")]
+            for cx in cxs
+        ]
+        assert built == []
+        monkeypatch.undo()
+        assert all(r["cohen_macaulay"] for r in results[0])
+        if j >= 2:  # with j = 1 the link is a graph, decided by connectivity
+            witnesses = [(r["witness_face"], r["witness_degree"]) for r in results[1]]
+            assert witnesses == [([], j - 1)] * 3
+        if j <= 5:
+            for cx, fast in zip(cxs, results):
+                fields = ("Q", "F2", "Fp:3")
+                slow = [is_cohen_macaulay(cx, f, check_all_faces=True).to_dict() for f in fields]
+                assert fast == slow
+
+
+class TestFieldsInOneWalk:
+    """The multi-field walk against one-field calls of the same decider."""
+
+    FIELDS = ("Q", "F2", "Fp:3")
+
+    def _agrees(self, cx):
+        one_by_one = [is_cohen_macaulay(cx, field).to_dict() for field in self.FIELDS]
+        together = [r.to_dict() for r in homology.cohen_macaulay_by_field(cx, self.FIELDS)]
+        assert together == one_by_one, cx.facets
+        reordered = [r.to_dict() for r in homology.cohen_macaulay_by_field(cx, ["Fp:3", "F2"])]
+        assert reordered == one_by_one[:0:-1], cx.facets
+        return one_by_one
+
+    def test_every_pure_complex_on_5_vertices(self):
+        failing = checked = 0
+        for masks in _pure_facet_lists(5):
+            results = self._agrees(complex_from_masks(5, masks))
+            failing += not results[0]["cohen_macaulay"]
+            checked += 1
+        assert checked == 2228 and failing > 100
+
+    def test_projective_plane_fails_over_f2_only(self):
+        q, f2, f3 = self._agrees(RP2)
+        assert q["cohen_macaulay"] and f3["cohen_macaulay"]
+        assert not f2["cohen_macaulay"] and f2["witness_face"] == []
+        self._agrees(SUSPENDED_RP2)
+
+    def test_vdw_complexes_to_n12(self):
+        for n in range(2, 13):
+            for k in range(1, n):
+                results = self._agrees(vdw_complex(n, k))
+                predicted = classify_closed_form(n, k).cohen_macaulay
+                assert [r["cohen_macaulay"] for r in results] == [predicted] * 3
+
+    def test_nonpure_and_void(self):
+        cx = SimplicialComplex.from_facets(3, [[1, 2], [3]])
+        assert [r.value for r in homology.cohen_macaulay_by_field(cx, self.FIELDS)] == [False] * 3
+        with pytest.raises(ValueError):
+            homology.cohen_macaulay_by_field(SimplicialComplex.from_facets(2, []), self.FIELDS)
+        with pytest.raises(ValueError):
+            homology.cohen_macaulay_by_field(RP2, ["Q", "F4"])
