@@ -5,35 +5,38 @@ chain complex (the empty face is a (-1)-chain, so Betti numbers are
 reduced).  One top-down pass yields the faces, the signed sparse boundary
 columns and their mod-2 bitmasks, numbering each face's row when a column
 first meets it; row order does not change a rank.  Every boundary built
-is checked: boundary composed with boundary vanishes.  Ranks are exact.  Cohen-Macaulayness is decided by Reisner's
-criterion: every face link must have vanishing reduced homology below
-its dimension.
+is checked: boundary composed with boundary vanishes.  Ranks are exact.
+Cohen-Macaulayness is decided by Reisner's criterion: every face link
+must have vanishing reduced homology below its dimension.
 
 Only links that can fail are measured.  A nonempty face F that is not an
 intersection of facets has a vertex v in the intersection of the facets
 containing F but not in F; every facet of lk F contains v, so lk F is a
 cone and acyclic.
 
-Each measured complex is first shrunk to its core (``_core``), which
-has the same reduced Betti numbers over every field (Barmak-Minian,
-*Strong homotopy types, nerves and collapses*, DCG 47, 2012).  Two
-steps alternate.  A vertex v is dominated when the facets holding v
-share some other vertex w; then lk v is a cone and deleting v is a
-strong collapse.  Dominated vertices are deleted in rounds: each round
-deletes every vertex still dominated by a vertex it keeps, since v stays
-dominated while w is kept, and only the vertices of the facets it cut
-are checked again.  Once no vertex is dominated, the nerve of the facets
-replaces the complex if it bounds fewer faces (sum of 2^|facet|): every
-nonempty intersection of facets is a simplex, so the nerve theorem
-keeps the homotopy type.  The nerve's facets are then the vertices' sets
-of facets, none inside another, so its bound is the sum of 2^deg(v) and
-is read from the vertex degrees before the nerve is built.  A cone ends
-as one vertex, so a link whose core is one simplex passes unmeasured.
-A core of s facets with s - 1 vertices each on s vertices is the
-boundary of a simplex, an (s - 2)-sphere, whose only reduced homology is
-H~_(s-2) = 1 over every field, so it gets no chain complex either.
-``reduced_homology`` measures the core too, with no sphere rule;
-``<()>``, which has no vertex, is kept as it is.
+Each measured complex is first shrunk to its core (``_core``): one strip
+of the dominated vertices, then at most one nerve, both of which keep
+the reduced Betti numbers over every field (Barmak-Minian, *Strong
+homotopy types, nerves and collapses*, DCG 47, 2012).  A vertex v is
+dominated when the facets holding v share some other vertex w; then
+lk v is a cone and deleting v is a strong collapse.  Dominated vertices
+are deleted in rounds: each round deletes every vertex still dominated
+by a vertex it keeps, since v stays dominated while w is kept, and only
+the vertices of the facets it cut are checked again.  Once no vertex is
+dominated, no vertex's set of facets lies in another's, so these sets
+are the facets of the nerve and its bound (sum of 2^|facet|) is the sum
+of 2^deg(v).  The nerve replaces the complex if that bound is smaller:
+every nonempty intersection of facets is a simplex, so the nerve theorem
+keeps the homotopy type.  No second step would change anything.  The
+facets of the nerve holding a facet F share only the facets containing
+F, which is F alone in an antichain, so the nerve is stripped already;
+and its nerve is the stripped complex again, with the larger bound.
+A cone ends as one vertex, so a link whose core is one simplex passes
+unmeasured.  A core of s facets with s - 1 vertices each on s vertices
+is the boundary of a simplex, an (s - 2)-sphere, whose only reduced
+homology is H~_(s-2) = 1 over every field, so it gets no chain complex
+either.  ``reduced_homology`` measures the core too, with no sphere
+rule; ``<()>``, which has no vertex, is kept as it is.
 
 The Reisner walk (``_first_failures``) takes every requested field at
 once.  Each link's core, chain complex, boundary check and mod-2 ranks
@@ -43,16 +46,17 @@ at its first failing link.
 Three more rules spare most links their elimination.  A 1-dimensional
 link is a nonempty graph, so H~_-1 vanishes and H~_0 vanishes iff the
 graph is connected, over every field; a connectivity test on masks
-decides it.  Over Q, each link is first measured mod 2: by universal
-coefficients dim H~_i(K; Q) <= dim H~_i(K; F2), so a link with no mod-2
-homology below its dimension passes.  More precisely, a rational rank
-is at least the mod-2 rank, and the ranks of the two boundary maps
-around a degree sum to at most its face count, so a degree with no
-mod-2 homology pins both neighbouring rational ranks to their mod-2
-values.  A rational rank is needed only for a boundary map whose two
-neighbouring degrees both have mod-2 homology, which happens only in
-links that fail mod 2 (torsion such as RP^2's, or a witness with
-homology in two adjacent degrees).
+decides it.  Over Q, each link is first measured mod 2 (the mod-2
+filter): by universal coefficients dim H~_i(K; Q) <= dim H~_i(K; F2),
+so a link with no mod-2 homology below its dimension passes.  More
+precisely, a rational rank is at least the mod-2 rank, and the ranks of
+the two boundary maps around a degree sum to at most its face count, so
+a degree with no mod-2 homology pins both neighbouring rational ranks to
+their mod-2 values.  A rational rank is needed only for a boundary map
+whose two neighbouring degrees both have mod-2 homology, which happens
+only in links that fail mod 2 (torsion such as RP^2's, or a witness
+with homology in two adjacent degrees).  Odd p gets no mod-2 filter,
+since mod-2 and mod-p Betti numbers cannot be compared.
 Mod 2 is the cheapest field here: each sparse boundary column becomes
 one int bitmask and rows are eliminated by XOR, with no dense matrix.
 Ranks over Q and odd p start with unit pivots over Z
@@ -61,26 +65,28 @@ pivoting only on +-1 entries is unimodular, so the pivots count towards
 the rank over every field, and only the block they leave goes to
 fraction-free or modular elimination.  They leave none in
 ``vdw sweep 40 --checks cm``, and always some where there is torsion.
-Odd p gets no mod-2 filter, since mod-2 and mod-p Betti numbers cannot
-be compared.  ``is_cohen_macaulay(..., check_all_faces=True)`` is the
-naive oracle: every face, its literal link, no core, no shortcut,
-dense elimination.
+``is_cohen_macaulay(..., check_all_faces=True)`` is the naive oracle:
+every face, its literal link, no core, no shortcut, dense elimination
+(``_reduced_betti``).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from vdwcomplex import _kernels
 from vdwcomplex.complexes import SimplicialComplex, _absorb, _face_order, _is_connected, unpack
 
 RATIONALS = 0
+_PRIME_DESCRIPTOR = re.compile(r"[Ff](?:[Pp]:)?([0-9]+)")  # F<p> or Fp:<p>
 
 
 def parse_field(field) -> int:
     """Normalize a field descriptor to 0 (rationals) or a prime p.
 
-    Accepts 0/None, a prime integer, or the strings "Q", "F2", "Fp:<p>".
+    Accepts 0/None, a prime integer, or the strings "Q", "QQ", "0",
+    "F<p>" and "Fp:<p>" (the letters F and p in either case).
     """
     if field is None:
         return RATIONALS
@@ -96,10 +102,9 @@ def parse_field(field) -> int:
         text = field.strip()
         if text in ("Q", "QQ", "0"):
             return RATIONALS
-        if text.upper().startswith("F"):
-            digits = text[1:].lstrip("pP").lstrip(":")
-            if digits.isdigit() and int(digits):  # "F0" is no field
-                return parse_field(int(digits))
+        prime = _PRIME_DESCRIPTOR.fullmatch(text)
+        if prime and int(prime[1]):  # "F0" is no field
+            return parse_field(int(prime[1]))
     raise ValueError(f"unrecognized field descriptor {field!r}; use Q, F2 or Fp:<p>")
 
 
@@ -176,18 +181,6 @@ def _facet_intersections(facet_masks) -> set[int]:
     return closed
 
 
-def _nerve(facet_masks) -> list[int]:
-    """Facets of the nerve: bit i is facet i; vertex v gives the facets holding v."""
-    holders: dict[int, int] = {}  # vertex bit -> the facets holding it
-    for i, m in enumerate(facet_masks):
-        rest = m
-        while rest:
-            bit = rest & -rest
-            holders[bit] = holders.get(bit, 0) | 1 << i
-            rest ^= bit
-    return _absorb(holders.values())
-
-
 def _strip_dominated(facet_masks) -> list[int]:
     """Delete dominated vertices until none is left.
 
@@ -240,39 +233,29 @@ def _bound(facet_masks) -> int:
     return sum(1 << m.bit_count() for m in facet_masks)
 
 
-def _nerve_bound(facet_masks) -> int:
-    """Sum of 2^deg(v) over the vertices: the nerve's bound once no vertex is dominated.
-
-    The nerve's facets are the sets of facets holding each vertex; with
-    no vertex dominated, none of these sets lies in another, so each is
-    a facet of the nerve.
-    """
-    degree: dict[int, int] = {}
-    for m in facet_masks:
-        rest = m
-        while rest:
-            bit = rest & -rest
-            degree[bit] = degree.get(bit, 0) + 1
-            rest ^= bit
-    return sum(1 << d for d in degree.values())
-
-
 def _core(facet_masks) -> list[int]:
     """A facet list with the reduced Betti numbers of ``facet_masks`` over every field.
 
-    Alternates deleting dominated vertices with taking the facet nerve
-    while that strictly lowers the sum of 2^|facet|, so it terminates;
-    both steps keep the homotopy type (Barmak-Minian, strong collapses).
-    Whether the nerve is smaller is read from the vertex degrees, before
-    it is built.  A cone ends as one vertex.  ``<()>``, which has no
-    vertex and whose nerve is void, is kept.
+    One strip of the dominated vertices, then the nerve if it bounds
+    fewer faces; a second step would change nothing (module docstring).
+    With no vertex dominated, the nerve's facets are the vertices' sets
+    of facets, which also give its bound.  A cone ends as one vertex.
+    ``<()>``, which has no vertex and whose nerve is void, is kept.
     """
-    facets = list(facet_masks)
-    while True:
-        facets = _strip_dominated(facets)
-        if not 0 < _nerve_bound(facets) < _bound(facets):
-            return facets
-        facets = _nerve(facets)
+    facets = _strip_dominated(facet_masks)
+    if len(facets) == 1:  # a simplex, whose nerve is a point, or <()>, whose nerve is void
+        return facets
+    holders: dict[int, int] = {}  # vertex bit -> the facets holding it
+    for i, m in enumerate(facets):
+        rest = m
+        while rest:
+            bit = rest & -rest
+            holders[bit] = holders.get(bit, 0) | 1 << i
+            rest ^= bit
+    nerve = list(holders.values())
+    if _bound(nerve) < _bound(facets):
+        return nerve
+    return facets
 
 
 def _chain_complex(facet_masks) -> tuple[list[list[int]], list, list[list[int]]]:
@@ -333,13 +316,9 @@ def _betti_per_field(facet_masks, chars) -> dict[int, dict[int, int]]:
 
     The chain complex is built and checked once for all fields, and its
     boundaries are ranked mod 2 once when Q or F2 is asked for.  Over Q
-    a rational rank is computed only for a boundary map whose two
-    neighbouring degrees both have mod-2 homology: a rational rank is at
-    least the mod-2 rank, and the two ranks around a degree sum to at
-    most its face count, so a degree with no mod-2 homology pins both
-    neighbouring rational ranks to their mod-2 values.  Odd p gets no
-    mod-2 filter.  Ranks over Q and odd p go through unit pivots first
-    (``_rank``).
+    only the boundary maps that the mod-2 filter (module docstring)
+    leaves open get a rational rank.  Ranks over Q and odd p go through
+    unit pivots first (``_rank``).
     """
     levels, boundaries, masks = _chain_complex(facet_masks)
     counts = [len(level) for level in levels]  # counts[c] = #(c-1)-dim faces
@@ -359,49 +338,52 @@ def _betti_per_field(facet_masks, chars) -> dict[int, dict[int, int]]:
     return out
 
 
-def _reduced_betti(facet_masks, char: int, naive: bool = False) -> dict[int, int]:
-    """Reduced Betti numbers of a nonvoid facet list over the given field.
+def _reduced_betti(facet_masks, char: int) -> dict[int, int]:
+    """Reduced Betti numbers of a nonvoid facet list over one field: the reference path.
 
-    By default this is ``_betti_per_field`` for one field.  ``naive`` is
-    the reference path: no mod-2 filter, no unit pivots, every map over
-    Q or odd p ranked as a dense matrix, F2 by XOR elimination.
+    No mod-2 filter and no unit pivots: F2 by XOR elimination, every map
+    over Q or odd p ranked as a dense matrix (``_dense_rank``).  The
+    Reisner walk measures with ``_betti_per_field`` instead.
     """
-    if not naive:
-        return _betti_per_field(facet_masks, (char,))[char]
     levels, boundaries, masks = _chain_complex(facet_masks)
     counts = [len(level) for level in levels]  # counts[c] = #(c-1)-dim faces
     _assert_chain_complex(boundaries)
     if char == 2:
         ranks = [_kernels.rank_mod_2_masks(column_masks) for column_masks in masks]
     else:
-        ranks = [_rank(columns, char, naive) for columns in boundaries]
+        ranks = [_dense_rank(columns, char) for columns in boundaries]
     return _betti(counts, ranks)
 
 
-def _rank(columns, char: int, naive: bool = False) -> int:
+def _rank(columns, char: int) -> int:
     """Rank of signed sparse columns over Q (``char`` 0) or F_p for odd p.
 
-    Unit pivots over Z come first, unless ``naive``; only the block they
-    leave, if any, is made dense and ranked by fraction-free or modular
-    elimination.
+    Unit pivots over Z come first; only the block they leave, if any,
+    goes to dense elimination.
     """
-    if naive:
-        rank, rest = 0, [dict(column) for column in columns]
-    else:
-        rank, rest = _kernels.rank_unit_pivots(columns)
-    if not rest:
-        return rank
-    index: dict[int, int] = {}  # the rows the block meets, in order of discovery
-    for column in rest:
-        for r in column:
+    rank, rest = _kernels.rank_unit_pivots(columns)
+    return rank + _dense_rank([column.items() for column in rest], char)
+
+
+def _dense_rank(columns, char: int) -> int:
+    """Rank over Q or odd F_p of sparse columns of (row, value) pairs, made dense.
+
+    Only the rows the columns meet get a row of the matrix, in order of
+    discovery; it is ranked by fraction-free or modular elimination.
+    """
+    if not columns:
+        return 0
+    index: dict[int, int] = {}
+    for column in columns:
+        for r, _ in column:
             index.setdefault(r, len(index))
-    rows = [[0] * len(rest) for _ in index]
-    for col, column in enumerate(rest):
-        for r, x in column.items():
+    rows = [[0] * len(columns) for _ in index]
+    for col, column in enumerate(columns):
+        for r, x in column:
             rows[index[r]][col] = x
     if char == RATIONALS:
-        return rank + _kernels.rank_bareiss(rows, len(rest))
-    return rank + _kernels.rank_mod_p(rows, len(rest), char)
+        return _kernels.rank_bareiss(rows, len(columns))
+    return _kernels.rank_mod_p(rows, len(columns), char)
 
 
 def _betti(counts: list[int], ranks: list[int]) -> dict[int, int]:
@@ -428,14 +410,15 @@ def _sphere_degree(facet_masks) -> int | None:
 def reduced_homology(cx: SimplicialComplex, field="Q") -> HomologyProfile:
     """Reduced Betti numbers of a nonvoid complex over Q or F_p, in degrees -1 .. dim.
 
-    They are measured on the complex's core (``_core``), by dense
-    elimination on every boundary map; a degree the core does not reach
-    has Betti number 0.
+    They are measured on the complex's core (``_core``: one strip of
+    the dominated vertices, then the nerve if it bounds fewer faces) by
+    ``_reduced_betti``, with dense elimination on every boundary map; a
+    degree the core does not reach has Betti number 0.
     """
     if cx.is_void:
         raise ValueError("reduced homology of the void complex is undefined")
     char = parse_field(field)
-    betti = _reduced_betti(_core(cx.facet_masks), char, naive=True)
+    betti = _reduced_betti(_core(cx.facet_masks), char)
     return HomologyProfile(field_label(char), {i: betti.get(i, 0) for i in range(-1, cx.dim + 1)})
 
 
@@ -491,8 +474,8 @@ def _first_failures(facet_masks, dim: int, chars) -> dict[int, tuple[int, int] |
 def _first_failure_naive(facet_masks, dim: int, char: int) -> tuple[int, int] | None:
     """The oracle for ``_first_failures``, one field: every face, its literal link.
 
-    Each link is measured by ``_reduced_betti(..., naive=True)``, with no
-    core, no shortcut, no mod-2 filter and no unit pivots.
+    Each link is measured by ``_reduced_betti``, with no core, no
+    shortcut, no mod-2 filter and no unit pivots.
     """
     faces = [m for level in _chain_complex(facet_masks)[0] for m in level]
     for fmask in sorted(faces, key=_face_order):
@@ -500,7 +483,7 @@ def _first_failure_naive(facet_masks, dim: int, char: int) -> tuple[int, int] | 
         link_dim = dim - fmask.bit_count()
         if link_dim < 0 and fmask != 0:
             continue  # link of a facet: nothing below dimension -1
-        betti = _reduced_betti(link, char, naive=True)
+        betti = _reduced_betti(link, char)
         for i in range(-1, link_dim):
             if betti.get(i, 0) != 0:
                 return fmask, i
@@ -520,8 +503,12 @@ def cohen_macaulay_by_field(cx: SimplicialComplex, fields) -> list[CohenMacaulay
     Each result equals ``is_cohen_macaulay(cx, field)``.  Faces are
     visited once; each link's core, chain complex and mod-2 ranks are
     computed once for every field still passing, and a field stops at
-    its first failing link (see ``_first_failures``).
+    its first failing link (see ``_first_failures``).  ``fields`` is a
+    list of field descriptors; a string is refused, since it would be
+    read one character at a time.
     """
+    if isinstance(fields, str):
+        raise ValueError(f"fields must be a list of field descriptors, such as [{fields!r}]")
     if cx.is_void:
         raise ValueError("Cohen-Macaulayness of the void complex is undefined")
     chars = [parse_field(field) for field in fields]
@@ -544,12 +531,12 @@ def is_cohen_macaulay(cx: SimplicialComplex, field="Q", check_all_faces: bool = 
     vacuous), a 1-dimensional link passes iff it is connected, each other
     link's homology is computed on its core (a link whose core is one
     simplex passes unmeasured, one whose core is the boundary of a
-    simplex has its one Betti number read off), and over Q ranks are taken mod 2 first,
-    so a link with no mod-2 homology below its dimension passes without
-    rational elimination.  All of these are exact, and every failing
-    face is an intersection, so the witness is the one the full
-    traversal finds.  ``check_all_faces`` is the naive oracle: every
-    face, its literal link, no core, no shortcut.
+    simplex has its one Betti number read off), and over Q the mod-2
+    filter of the module docstring spares rational elimination.  All of
+    these are exact, and every failing face is an intersection, so the
+    witness is the one the full traversal finds.  ``check_all_faces``
+    is the naive oracle: every face, its literal link, no core, no
+    shortcut.
     """
     if not check_all_faces:
         return cohen_macaulay_by_field(cx, [field])[0]

@@ -16,7 +16,7 @@ from conftest import (
 
 from vdwcomplex import _kernels, complexes, homology
 from vdwcomplex.complexes import SimplicialComplex, pack, unpack
-from vdwcomplex.homology import is_cohen_macaulay, parse_field, reduced_homology
+from vdwcomplex.homology import field_label, is_cohen_macaulay, parse_field, reduced_homology
 from vdwcomplex.vdw import classify_closed_form, vdw_complex
 
 # its suspension, with apexes 7 and 8: F2 homology in degrees 2 and 3
@@ -52,9 +52,18 @@ class TestFieldParsing:
         with pytest.raises(ValueError):
             parse_field(2**64 + 13)
 
+    def test_either_case(self):
+        assert parse_field("f2") == parse_field(" F2 ") == 2
+        for spelling in ("fp:3", "FP:3", "fP:3", "Fp:3", "F3", "f03"):
+            assert parse_field(spelling) == 3
+
     def test_garbage_rejected(self):
         for bad in ("GF(2)", False, True, 0.0, 0j, Fraction(0), "F0", "Fp:0", "F00"):
             with pytest.raises(ValueError):
+                parse_field(bad)
+        # only F<p> and Fp:<p>: no other run of p's and colons
+        for bad in ("F:3", "Fpp3", "Fp::3", "FpP:3", "Fp3", "p:3", "Fp:", "F", "q"):
+            with pytest.raises(ValueError, match="unrecognized field descriptor"):
                 parse_field(bad)
 
 
@@ -141,7 +150,7 @@ class TestReducedHomology:
             masks = list(cx.facet_masks)
             smaller += homology._bound(homology._core(masks)) < homology._bound(masks)
             for char in (0, 2, 3):
-                literal = homology._reduced_betti(masks, char, naive=True)
+                literal = homology._reduced_betti(masks, char)
                 assert reduced_homology(cx, char).betti == literal, (cx.facets, char)
         assert smaller > 100
 
@@ -334,9 +343,8 @@ class TestCohenMacaulay:
         cxs = [random_pure_complex(rng, 7) for _ in range(80)] + [RP2, SUSPENDED_RP2]
         for cx in cxs:
             masks = list(cx.facet_masks)
-            assert homology._reduced_betti(masks, 0) == homology._reduced_betti(
-                masks, 0, naive=True
-            ), cx.facets
+            fast = homology._betti_per_field(masks, (0,))[0]
+            assert fast == homology._reduced_betti(masks, 0), cx.facets
 
     def test_disconnected_graph_link_by_connectivity(self, monkeypatch):
         # two triangles sharing vertex 1: lk {1} is two disjoint edges
@@ -389,7 +397,39 @@ def _nonzero(betti):
     return {i: b for i, b in betti.items() if b}
 
 
+def _nerve(facet_masks):
+    """The facets of the nerve, by its definition: vertex i is facet i,
+    and each vertex v of the complex spans the facets holding v."""
+    support = 0
+    for m in facet_masks:
+        support |= m
+    holders = (
+        sum(1 << i for i, m in enumerate(facet_masks) if m >> v & 1)
+        for v in range(support.bit_length())
+        if support >> v & 1
+    )
+    return complexes._absorb(holders)
+
+
+def _dominated(facet_masks):
+    """The vertices v whose facets share a vertex other than v, as a mask."""
+    support = 0
+    for m in facet_masks:
+        support |= m
+    out = 0
+    for v in range(support.bit_length()):
+        common = -1
+        for m in facet_masks:
+            if m >> v & 1:
+                common &= m
+        if support >> v & 1 and common != 1 << v:
+            out |= 1 << v
+    return out
+
+
 class TestNerve:
+    """The core's one nerve step, against the nerve built by its definition."""
+
     def test_nerve_has_the_homology_of_the_complex(self):
         rng = random.Random(73)
         checked = disconnected = 0
@@ -402,22 +442,37 @@ class TestNerve:
             cx = SimplicialComplex.from_facets(n, faces)
             disconnected += not cx.is_connected()
             masks = list(cx.facet_masks)
-            nerve = homology._nerve(masks)
+            stripped = homology._strip_dominated(masks)
+            nerve = _nerve(stripped)
             for char in (0, 2):
                 assert _nonzero(homology._reduced_betti(nerve, char)) == _nonzero(
                     homology._reduced_betti(masks, char)
                 ), (cx.facets, char)
+            # the core is the nerve exactly when that bounds fewer faces
+            smaller = homology._bound(nerve) < homology._bound(stripped)
+            assert sorted(homology._core(masks)) == sorted(nerve if smaller else stripped)
             checked += 1
         assert checked == 150 and disconnected > 10
 
     def test_nerve_of_projective_plane_keeps_torsion(self):
-        nerve = homology._nerve(list(RP2.facet_masks))
+        # the nerve of RP^2: 10 vertices, 6 facets of 5 (bound 192 > 80),
+        # whose core is its nerve, RP^2 again on the 6 facets' indices
+        nerve = _nerve(list(RP2.facet_masks))
+        assert len(nerve) == 6 and all(m.bit_count() == 5 for m in nerve)
+        core = homology._core(nerve)
+        assert sorted(core) == sorted(_nerve(nerve))
+        assert len(core) == 10 and all(m.bit_count() == 3 for m in core)
+        betti = homology._betti_per_field(core, (0, 2))
+        assert _nonzero(betti[2]) == {1: 1, 2: 1} and _nonzero(betti[0]) == {}
         assert _nonzero(homology._reduced_betti(nerve, 2)) == {1: 1, 2: 1}
         assert _nonzero(homology._reduced_betti(nerve, 0)) == {}
 
     def test_nerve_of_disjoint_simplices_is_points(self):
         masks = [pack([1, 2, 3]), pack([4, 5])]
-        assert sorted(homology._nerve(masks)) == [0b01, 0b10]
+        assert sorted(_nerve(masks)) == [0b01, 0b10]
+        # each simplex strips to one vertex; two points are their own nerve
+        low, high = sorted(homology._core(masks))
+        assert low in (pack([1]), pack([2]), pack([3])) and high in (pack([4]), pack([5]))
 
 
 def _pure_facet_lists(max_vertices):
@@ -434,36 +489,43 @@ class TestCore:
 
     @staticmethod
     def _same_homology(masks):
+        """Check the core of ``masks``; return it and whether it is a nerve."""
         stripped = homology._strip_dominated(masks)
         support = 0
         for m in stripped:
             support |= m
         # the rounds only delete vertices: what is left is the induced subcomplex
         assert sorted(stripped) == sorted(complexes._absorb(m & support for m in masks))
-        for v in unpack(support):  # the rounds left no dominated vertex
-            common = -1
-            for m in stripped:
-                if m >> (v - 1) & 1:
-                    common &= m
-            assert common == 1 << (v - 1), (masks, stripped, v)
         core = homology._core(masks)
+        # one strip, then at most one nerve, with no dominated vertex left
+        took_nerve = sorted(core) != sorted(stripped)
+        if took_nerve:
+            assert sorted(core) == sorted(_nerve(stripped)), (masks, core)
+        assert _dominated(stripped) == _dominated(core) == 0, (masks, core)
+        if core != [0]:  # the nerve of <()> is void
+            # a second nerve would not bound fewer faces
+            assert homology._bound(_nerve(core)) >= homology._bound(core), (masks, core)
         assert homology._bound(core) <= homology._bound(masks)
         assert all(a & b != a for a in core for b in core if a != b), core  # an antichain
         top = max(m.bit_count() for m in masks)
-        for char in (0, 2, 3):
-            betti = homology._reduced_betti(core, char)
-            literal = homology._reduced_betti(masks, char, naive=True)
+        bettis = homology._betti_per_field(core, (0, 2, 3))
+        for char, betti in bettis.items():
+            literal = homology._reduced_betti(masks, char)
             assert _nonzero(betti) == _nonzero(literal), (masks, core, char)
             assert max(betti) <= top - 1
-        return core
+        return core, took_nerve
 
-    def test_every_pure_complex_on_5_vertices(self):
-        shrunk = checked = 0
-        for masks in _pure_facet_lists(5):
-            core = self._same_homology(masks)
+    def test_every_complex_on_5_vertices(self):
+        # every nonvoid antichain on 1..5, nonpure ones too, as reduced_homology takes them
+        shrunk = nerves = checked = 0
+        for masks in enumerate_antichains(5):
+            if not masks:
+                continue
+            core, took_nerve = self._same_homology(list(masks))
             shrunk += homology._bound(core) < homology._bound(masks)
+            nerves += took_nerve
             checked += 1
-        assert checked == 2228 and shrunk > 1000
+        assert checked == 7580 and shrunk > 1000 and nerves > 0
 
     def test_projective_planes_and_random_complexes(self):
         rng = random.Random(97)
@@ -487,8 +549,8 @@ class TestCore:
             assert len(core) == 1 and core[0].bit_count() == 1
 
     def test_empty_complex_kept(self):
-        # <()> has no vertex, so its degree sum is 0 and its nerve is void
-        assert homology._nerve_bound([0]) == 0 and homology._nerve([0]) == []
+        # <()> has no vertex, so its nerve is void
+        assert _nerve([0]) == []
         assert homology._core([0]) == [0]
 
     @pytest.mark.parametrize("j", range(1, 8))
@@ -498,7 +560,7 @@ class TestCore:
         assert sorted(homology._core(sphere)) == sorted(sphere)
         assert homology._sphere_degree(sphere) == j - 1
         for char in (0, 2, 3):
-            assert _nonzero(homology._reduced_betti(sphere, char, naive=True)) == {j - 1: 1}
+            assert _nonzero(homology._reduced_betti(sphere, char)) == {j - 1: 1}
         # a new apex on each facet: the empty face's link strips to the
         # sphere, which fails Reisner's test in degree j - 1 < j
         thick = [m | 1 << (j + 1 + i) for i, m in enumerate(sphere)]
@@ -562,3 +624,12 @@ class TestFieldsInOneWalk:
             homology.cohen_macaulay_by_field(SimplicialComplex.from_facets(2, []), self.FIELDS)
         with pytest.raises(ValueError):
             homology.cohen_macaulay_by_field(RP2, ["Q", "F4"])
+
+    @pytest.mark.parametrize("fields", ["F2", "Q"])
+    def test_a_string_of_fields_refused(self, fields):
+        # iterated, "F2" would be the descriptors "F" and "2", and "Q" one field
+        with pytest.raises(ValueError, match="list of field descriptors"):
+            homology.cohen_macaulay_by_field(RP2, fields)
+        assert homology.cohen_macaulay_by_field(RP2, [fields])[0].field == field_label(
+            parse_field(fields)
+        )
