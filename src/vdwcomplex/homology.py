@@ -35,8 +35,8 @@ A cone ends as one vertex, so a link whose core is one simplex passes
 unmeasured.  A core of s facets with s - 1 vertices each on s vertices
 is the boundary of a simplex, an (s - 2)-sphere, whose only reduced
 homology is H~_(s-2) = 1 over every field, so it gets no chain complex
-either.  ``reduced_homology`` measures the core too, with no sphere
-rule; ``<()>``, which has no vertex, is kept as it is.
+either.  ``reduced_homology`` ranks the core the same way, with no
+sphere rule; ``<()>``, which has no vertex, is kept as it is.
 
 The Reisner walk (``_first_failures``) takes every requested field at
 once.  Each link's core, chain complex, boundary check and mod-2 ranks
@@ -65,7 +65,7 @@ pivoting only on +-1 entries is unimodular, so the pivots count towards
 the rank over every field, and only the block they leave goes to
 fraction-free or modular elimination.  They leave none in
 ``vdw sweep 40 --checks cm``, and always some where there is torsion.
-``is_cohen_macaulay(..., check_all_faces=True)`` is the naive oracle:
+The reference the tests compare with is ``_cohen_macaulay_naive``:
 every face, its literal link, no core, no shortcut, dense elimination
 (``_reduced_betti``).
 """
@@ -342,8 +342,9 @@ def _reduced_betti(facet_masks, char: int) -> dict[int, int]:
     """Reduced Betti numbers of a nonvoid facet list over one field: the reference path.
 
     No mod-2 filter and no unit pivots: F2 by XOR elimination, every map
-    over Q or odd p ranked as a dense matrix (``_dense_rank``).  The
-    Reisner walk measures with ``_betti_per_field`` instead.
+    over Q or odd p ranked as a dense matrix (``_dense_rank``).
+    ``reduced_homology`` and the Reisner walk measure with
+    ``_betti_per_field`` instead.
     """
     levels, boundaries, masks = _chain_complex(facet_masks)
     counts = [len(level) for level in levels]  # counts[c] = #(c-1)-dim faces
@@ -411,14 +412,14 @@ def reduced_homology(cx: SimplicialComplex, field="Q") -> HomologyProfile:
     """Reduced Betti numbers of a nonvoid complex over Q or F_p, in degrees -1 .. dim.
 
     They are measured on the complex's core (``_core``: one strip of
-    the dominated vertices, then the nerve if it bounds fewer faces) by
-    ``_reduced_betti``, with dense elimination on every boundary map; a
-    degree the core does not reach has Betti number 0.
+    the dominated vertices, then the nerve if it bounds fewer faces)
+    with the Reisner walk's ranks (``_betti_per_field``); a degree the
+    core does not reach has Betti number 0.
     """
     if cx.is_void:
         raise ValueError("reduced homology of the void complex is undefined")
     char = parse_field(field)
-    betti = _reduced_betti(_core(cx.facet_masks), char)
+    betti = _betti_per_field(_core(cx.facet_masks), [char])[char]
     return HomologyProfile(field_label(char), {i: betti.get(i, 0) for i in range(-1, cx.dim + 1)})
 
 
@@ -471,25 +472,6 @@ def _first_failures(facet_masks, dim: int, chars) -> dict[int, tuple[int, int] |
     return failures
 
 
-def _first_failure_naive(facet_masks, dim: int, char: int) -> tuple[int, int] | None:
-    """The oracle for ``_first_failures``, one field: every face, its literal link.
-
-    Each link is measured by ``_reduced_betti``, with no core, no
-    shortcut, no mod-2 filter and no unit pivots.
-    """
-    faces = [m for level in _chain_complex(facet_masks)[0] for m in level]
-    for fmask in sorted(faces, key=_face_order):
-        link = [g ^ fmask for g in facet_masks if g & fmask == fmask]
-        link_dim = dim - fmask.bit_count()
-        if link_dim < 0 and fmask != 0:
-            continue  # link of a facet: nothing below dimension -1
-        betti = _reduced_betti(link, char)
-        for i in range(-1, link_dim):
-            if betti.get(i, 0) != 0:
-                return fmask, i
-    return None
-
-
 def _result(char: int, failure: tuple[int, int] | None) -> CohenMacaulayResult:
     if failure is None:
         return CohenMacaulayResult(True, field_label(char))
@@ -500,12 +482,13 @@ def _result(char: int, failure: tuple[int, int] | None) -> CohenMacaulayResult:
 def cohen_macaulay_by_field(cx: SimplicialComplex, fields) -> list[CohenMacaulayResult]:
     """The Reisner test over several fields in one walk: one result per field, in order.
 
-    Each result equals ``is_cohen_macaulay(cx, field)``.  Faces are
-    visited once; each link's core, chain complex and mod-2 ranks are
-    computed once for every field still passing, and a field stops at
-    its first failing link (see ``_first_failures``).  ``fields`` is a
-    list of field descriptors; a string is refused, since it would be
-    read one character at a time.
+    Faces are visited once; each link's core, chain complex and mod-2
+    ranks are computed once for every field still passing, and a field
+    stops at its first failing link (see ``_first_failures``).  Each
+    result, witness included, is the one the traversal of every face
+    and its literal link finds (``_cohen_macaulay_naive``).  ``fields``
+    is a list of field descriptors; a string is refused, since it would
+    be read one character at a time.
     """
     if isinstance(fields, str):
         raise ValueError(f"fields must be a list of field descriptors, such as [{fields!r}]")
@@ -518,31 +501,40 @@ def cohen_macaulay_by_field(cx: SimplicialComplex, fields) -> list[CohenMacaulay
     return [_result(char, failures[char]) for char in chars]
 
 
-def is_cohen_macaulay(cx: SimplicialComplex, field="Q", check_all_faces: bool = False) -> CohenMacaulayResult:
+def is_cohen_macaulay(cx: SimplicialComplex, field="Q") -> CohenMacaulayResult:
     """Reisner test: every face link is homology-trivial below its dimension.
 
-    Nonpure complexes are rejected immediately (Cohen-Macaulay complexes
-    are pure).  Faces are visited by increasing dimension, then
+    This is ``cohen_macaulay_by_field`` for one field.  Nonpure
+    complexes are rejected immediately (Cohen-Macaulay complexes are
+    pure).  Faces are visited by increasing dimension, then
     lexicographically, and the first failing link is reported as a
-    witness.  By default this is ``cohen_macaulay_by_field`` for one
-    field: only the empty face and intersections of facets are visited,
-    since the link of any other face is a cone, hence acyclic.  Faces
-    whose link is at most 0-dimensional are skipped (their condition is
-    vacuous), a 1-dimensional link passes iff it is connected, each other
-    link's homology is computed on its core (a link whose core is one
-    simplex passes unmeasured, one whose core is the boundary of a
-    simplex has its one Betti number read off), and over Q the mod-2
-    filter of the module docstring spares rational elimination.  All of
-    these are exact, and every failing face is an intersection, so the
-    witness is the one the full traversal finds.  ``check_all_faces``
-    is the naive oracle: every face, its literal link, no core, no
-    shortcut.
+    witness: only the empty face and intersections of facets are
+    visited, since the link of any other face is a cone, and the
+    shortcuts of ``_first_failures`` are exact, so the witness is the
+    one the full traversal finds.
     """
-    if not check_all_faces:
-        return cohen_macaulay_by_field(cx, [field])[0]
+    return cohen_macaulay_by_field(cx, [field])[0]
+
+
+def _cohen_macaulay_naive(cx: SimplicialComplex, field="Q") -> CohenMacaulayResult:
+    """The reference for ``is_cohen_macaulay``: every face, its literal link.
+
+    Each link is measured by ``_reduced_betti``, with no core, no
+    shortcut, no mod-2 filter and no unit pivots.
+    """
     if cx.is_void:
         raise ValueError("Cohen-Macaulayness of the void complex is undefined")
     char = parse_field(field)
     if not cx.is_pure:
         return CohenMacaulayResult(False, field_label(char))
-    return _result(char, _first_failure_naive(cx.facet_masks, cx.dim, char))
+    faces = [m for level in _chain_complex(cx.facet_masks)[0] for m in level]
+    for fmask in sorted(faces, key=_face_order):
+        link = [g ^ fmask for g in cx.facet_masks if g & fmask == fmask]
+        link_dim = cx.dim - fmask.bit_count()
+        if link_dim < 0 and fmask != 0:
+            continue  # link of a facet: nothing below dimension -1
+        betti = _reduced_betti(link, char)
+        for i in range(-1, link_dim):
+            if betti.get(i, 0) != 0:
+                return _result(char, (fmask, i))
+    return _result(char, None)

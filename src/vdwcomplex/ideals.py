@@ -33,8 +33,8 @@ so lcm(m_i, m_j) has degree n - |F| > d + 1 and the pair is not linear.
 The generators dividing that lcm are the facets containing F, and a
 linear pair among them is two facets sharing a ridge, which lie in one
 component of lk F; so no path of linear pairs joins i to j.
-``is_linearly_presented(..., check_all_pairs=True)`` is the reference
-path: the graph search on every pair, in order.
+The reference the tests compare with is ``_linearly_presented_by_pairs``:
+the graph search on every pair, in order.
 """
 
 from __future__ import annotations
@@ -210,35 +210,41 @@ class LinearPresentationResult:
         }
 
 
-def is_linearly_presented(
-    ideal: MonomialIdeal, check_all_pairs: bool = False
-) -> LinearPresentationResult:
+def is_linearly_presented(ideal: MonomialIdeal) -> LinearPresentationResult:
     """Is the first syzygy module generated by the linear Taylor syzygies?
 
-    Requires an equigenerated ideal.  By default this is Serre's (S2) on
-    the complex whose facets are the generator complements: the first
-    face, by dimension and then lexicographically, whose link has
-    dimension >= 1 and is disconnected is mapped to a witness pair (see
-    the module docstring).  ``check_all_pairs`` is the reference path:
-    each pair syzygy is tested in turn by the multidegree graph search
-    of :func:`_linearly_joined`, and the first pair failing it is the
-    witness.
+    Requires an equigenerated ideal.  This is Serre's (S2) on the
+    complex whose facets are the generator complements: the first face,
+    by dimension and then lexicographically, whose link has dimension
+    >= 1 and is disconnected is mapped to a witness pair (see the module
+    docstring).
     """
     if not ideal.is_equigenerated:
         raise ValueError("linear presentation is defined for equigenerated ideals")
     masks = ideal.generator_masks
     if len(masks) <= 1:
         return LinearPresentationResult(True)
-    if check_all_pairs:
-        d = masks[0].bit_count()
-        for i in range(len(masks)):
-            for j in range(i + 1, len(masks)):
-                if (masks[i] | masks[j]).bit_count() != d + 1 and not _linearly_joined(masks, i, j):
-                    return LinearPresentationResult(False, (i, j))
-        return LinearPresentationResult(True)
     full = (1 << ideal.n) - 1
     witness = _s2_witness([full & ~m for m in masks], ideal.n - masks[0].bit_count() - 1)
     return LinearPresentationResult(witness is None, witness)
+
+
+def _linearly_presented_by_pairs(ideal: MonomialIdeal) -> LinearPresentationResult:
+    """The reference for ``is_linearly_presented``: every pair, in order.
+
+    Each pair syzygy is tested in turn by the multidegree graph search
+    of :func:`_linearly_joined`, and the first pair failing it is the
+    witness.
+    """
+    if not ideal.is_equigenerated:
+        raise ValueError("linear presentation is defined for equigenerated ideals")
+    masks = ideal.generator_masks
+    for i in range(len(masks)):
+        for j in range(i + 1, len(masks)):
+            linear = (masks[i] | masks[j]).bit_count() == masks[i].bit_count() + 1
+            if not linear and not _linearly_joined(masks, i, j):
+                return LinearPresentationResult(False, (i, j))
+    return LinearPresentationResult(True)
 
 
 def _linearly_joined(masks, i: int, j: int) -> bool:

@@ -11,6 +11,7 @@ from vdwcomplex.homology import _chain_complex
 from vdwcomplex.ideals import (
     MonomialIdeal,
     _linearly_joined,
+    _linearly_presented_by_pairs,
     _s2_witness,
     dual_ideal,
     is_linearly_presented,
@@ -190,13 +191,13 @@ class TestLinearPresentation:
             got = is_linearly_presented(ideal).value
             assert got == linear_presentation_oracle(ideal, 0)[0]
             assert got == linear_presentation_oracle(ideal, 2)[0]
-            assert got == is_linearly_presented(ideal, check_all_pairs=True).value
+            assert got == _linearly_presented_by_pairs(ideal).value
 
 
 def assert_fast_matches_graph_search(ideal):
     """The (S2) path agrees with the pair-by-pair graph search; its witness replays."""
     fast = is_linearly_presented(ideal)
-    assert fast.value == is_linearly_presented(ideal, check_all_pairs=True).value
+    assert fast.value == _linearly_presented_by_pairs(ideal).value
     if fast.value:
         assert fast.witness is None
         return
@@ -243,7 +244,7 @@ class TestSerreFastPath:
         # two triangles sharing no vertex: i and j lie in different components
         ideal = dual_ideal(SimplicialComplex.from_facets(6, [[1, 2, 3], [4, 5, 6]]))
         assert is_linearly_presented(ideal).witness == (0, 1)
-        assert not is_linearly_presented(ideal, check_all_pairs=True).value
+        assert not _linearly_presented_by_pairs(ideal).value
 
     def test_pairwise_walk_matches_every_face(self):
         # the first face, over all faces in _face_order, whose link has
