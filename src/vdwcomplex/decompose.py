@@ -16,16 +16,22 @@ equal keys; the memo maps each key to its shedding tree, or to ``None``
 on failure.  A successful decision is certified by a shedding tree that
 can be replayed independently.
 
-Shellability is decided by a depth-first search over facet prefixes: a
-facet may extend a prefix iff its faces already covered by placed
-facets form a nonempty union of its codimension-1 faces (equivalent,
-for pure complexes, to the pairwise shelling condition, which
+Shellability is decided from certificates where they exist, and by a
+depth-first search over facet prefixes otherwise (see :func:`is_shellable`
+for the order of the steps).  A vertex-decomposable complex is shellable
+in the order its shedding tree gives (Provan-Billera): shell the deletion
+of the shedding vertex x, then x joined to each facet of the link's order;
+for a cone, x joined to the link's order.  That order needs no search
+(``nodes == 0``).  A shellable complex is Cohen-Macaulay over every field,
+so it satisfies Serre's (S2): every face link of dimension >= 1 is
+connected.  A face whose link fails that refutes shellability over every
+field, and is reported as a degree-0 Reisner witness over F2; a complex
+passing (S2) meets the Reisner test over F2 next.  A facet may extend a
+prefix of the search iff its faces already covered by placed facets form
+a nonempty union of its codimension-1 faces (equivalent, for pure
+complexes, to the pairwise shelling condition, which
 :func:`verify_shelling` checks literally).  The search memoizes dead
-prefix sets and honours a node budget, reporting "undecided" when the
-budget is exhausted.  A shellable complex is Cohen-Macaulay over every
-field, so when a short probe of the search finds no order, a failing
-Reisner test over F2 refutes shellability before the full search runs;
-its witness face and degree are the certificate.
+prefix sets and reports "undecided" when the node budget is exhausted.
 """
 
 from __future__ import annotations
@@ -34,8 +40,9 @@ import json
 from dataclasses import dataclass
 
 from vdwcomplex import _kernels
-from vdwcomplex.complexes import SimplicialComplex, Vertices, _pack_checked
+from vdwcomplex.complexes import SimplicialComplex, Vertices, _pack_checked, unpack
 from vdwcomplex.homology import CohenMacaulayResult, is_cohen_macaulay
+from vdwcomplex.ideals import _s2_witness
 
 DEFAULT_SHELLING_BUDGET = 5_000_000
 
@@ -215,10 +222,11 @@ def verify_shedding_tree(cx: SimplicialComplex, tree: SheddingTree) -> bool:
 
 @dataclass(frozen=True)
 class ShellingResult:
-    """Outcome of the shelling search: shellable / not-shellable / undecided.
+    """Outcome of a shellability decision: shellable / not-shellable / undecided.
 
-    ``refutation`` is set when a failing Reisner test over F2, not the
-    exhausted search, showed the complex is not shellable.
+    ``refutation`` is set when a failed test, not the exhausted search,
+    showed the complex is not shellable: an (S2) witness, reported as a
+    degree-0 witness over F2, or a failing Reisner test over F2.
     """
 
     status: str
@@ -256,20 +264,86 @@ _STATUS = {
 }
 
 
-def is_shellable(cx: SimplicialComplex, budget: int | None = DEFAULT_SHELLING_BUDGET) -> ShellingResult:
-    """Search for a shelling order of a pure, nonvoid complex.
+def _tree_order(masks: tuple[int, ...], tree: SheddingTree) -> list[int]:
+    """The shelling order a shedding tree gives a pure facet list (Provan-Billera).
 
-    The first order found under the canonical facet ordering is
-    returned.  The search first runs as a probe with no room to
-    backtrack (one node per facet).  If the probe finds no order, the
-    Reisner test over F2 runs: a complex that fails it is not
-    Cohen-Macaulay, hence not shellable, and the result carries the
-    failing test as ``refutation``.  Only otherwise does the search run
-    again under ``budget``.  ``nodes`` counts the states expanded by the
-    last search that ran.  "undecided" (budget exhausted) is distinct
-    from "not-shellable", which requires the search space to be
-    exhausted or a Reisner witness.  A ``budget`` that is not None or
-    an integer at least 0 raises ValueError.
+    A subproblem is kept as the facets of ``masks`` that hold every vertex
+    ``joined`` through links and avoid every vertex ``deleted``.  Each step
+    of the tree is checked as it is read, so a tree of another complex
+    raises ValueError instead of giving an order that is not a shelling:
+    a leaf must match its subproblem, the shedding vertex x must lie in a
+    facet of it, and the deletion at x must be pure, i.e. x lies in every
+    facet or each ridge F - x of a facet F through x lies in a second
+    facet of the subproblem.  One map from each ridge of ``masks`` to its
+    facets serves every node.
+    """
+    ridge_facets: dict[int, list[int]] = {}
+    for f in masks:
+        rest = f
+        while rest:
+            low = rest & -rest
+            ridge_facets.setdefault(f ^ low, []).append(f)
+            rest ^= low
+
+    def order(sub: list[int], tree: SheddingTree, joined: int, deleted: int) -> list[int]:
+        if tree.kind == "shed":
+            bit = 1 << (tree.vertex - 1)
+            through = [f for f in sub if f & bit]
+            if through and not bit & joined:
+                if len(through) == len(sub):  # a cone
+                    return order(sub, tree.link, joined | bit, deleted)
+                if all(
+                    any(g != f and not g & deleted for g in ridge_facets[f ^ bit])
+                    for f in through
+                ):
+                    avoiding = [f for f in sub if not f & bit]
+                    return order(avoiding, tree.deletion, joined, deleted | bit) + order(
+                        through, tree.link, joined | bit, deleted
+                    )
+        elif tree.kind == "void":
+            if not sub:
+                return sub
+        elif tree.kind == "empty":
+            if sub == [joined]:
+                return sub
+        elif tree.kind == "simplex":
+            if len(sub) == 1 and sub[0] != joined:
+                return sub
+        raise ValueError("the shedding tree does not decompose this complex")
+
+    return order(list(masks), tree, 0, 0)
+
+
+def is_shellable(
+    cx: SimplicialComplex,
+    budget: int | None = DEFAULT_SHELLING_BUDGET,
+    vd: DecompositionResult | None = None,
+) -> ShellingResult:
+    """Decide shellability of a pure, nonvoid complex, with a certificate.
+
+    ``vd`` is an optional :class:`DecompositionResult` for ``cx``, such as
+    the caller's own :func:`is_vertex_decomposable` result.  The steps:
+
+    1. If ``vd`` says vertex decomposable, the order is read off its
+       shedding tree (see ``_tree_order``), with ``nodes == 0`` and no
+       search; a tree that does not decompose ``cx`` raises ValueError.
+    2. Without ``vd``, the search runs as a probe with no room to
+       backtrack (one node per facet), and an order it finds is returned.
+       If ``vd`` says not vertex decomposable, the probe is skipped.
+    3. Serre's (S2): a face F = f_i & f_j whose link has dimension >= 1
+       and is disconnected refutes shellability over every field.  The
+       ``refutation`` is ``CohenMacaulayResult(False, "Fp:2", F, 0)``: the
+       link's reduced H_0 is nonzero over F2, as over every field.
+    4. The Reisner test over F2: a failing link is the ``refutation``.
+    5. The search under ``budget``, from the start; skipped when the
+       probe already had the whole budget.
+
+    The budget bounds the search alone: an order read off a tree costs
+    no nodes.  ``nodes`` counts the states expanded by the last search
+    that ran, 0 when none ran.  "undecided" (budget exhausted) is distinct from
+    "not-shellable", which requires the search space to be exhausted or a
+    refutation.  A ``budget`` that is not None or an integer at least 0
+    raises ValueError.
     """
     if cx.is_void:
         raise ValueError("shellability of the void complex is undefined")
@@ -279,14 +353,24 @@ def is_shellable(cx: SimplicialComplex, budget: int | None = DEFAULT_SHELLING_BU
         budget = 1 << 62
     if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
         raise ValueError(f"the shelling budget must be None or an integer >= 0, got {budget!r}")
+    if vd is not None and vd.value:
+        order = _tree_order(cx.facet_masks, vd.tree)
+        return ShellingResult("shellable", tuple(map(unpack, order)), 0)
     masks = list(cx.facet_masks)
-    probe_budget = min(budget, len(masks))
-    status, idx_order, nodes = _kernels.search_shelling(masks, probe_budget)
+    if vd is None:
+        status, idx_order, nodes = _kernels.search_shelling(masks, min(budget, len(masks)))
+    else:
+        status, idx_order, nodes = _kernels.EXHAUSTED, None, 0
     if status == _kernels.EXHAUSTED:
+        witness = _s2_witness(masks, cx.dim)
+        if witness is not None:
+            face = unpack(masks[witness[0]] & masks[witness[1]])
+            s2 = CohenMacaulayResult(False, "Fp:2", face, 0)
+            return ShellingResult("not-shellable", None, nodes, s2)
         cm = is_cohen_macaulay(cx, 2)
         if not cm:
             return ShellingResult("not-shellable", None, nodes, cm)
-        if budget > probe_budget:
+        if vd is not None or budget > len(masks):  # else the probe had the whole budget
             status, idx_order, nodes = _kernels.search_shelling(masks, budget)
     order = tuple(cx.facets[i] for i in idx_order) if idx_order is not None else None
     return ShellingResult(_STATUS[status], order, nodes)

@@ -10,6 +10,7 @@ import pytest
 
 from vdwcomplex import _kernels, cli
 from vdwcomplex.cli import main
+from vdwcomplex.decompose import DEFAULT_SHELLING_BUDGET, ShellingResult
 
 
 def run_cli(capsys, *argv):
@@ -20,6 +21,20 @@ def run_cli(capsys, *argv):
         code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def _undecided_search(monkeypatch):
+    """Make every shellability decision in the CLI run out of budget.
+
+    Every Cohen-Macaulay vdW(n, k) is vertex decomposable, so its shedding
+    tree gives the order and no vdW input reaches the search; this keeps
+    the "undecided" paths of the CLI covered.
+    """
+
+    def undecided(cx, budget=DEFAULT_SHELLING_BUDGET, vd=None):
+        return ShellingResult("undecided", None, budget + 1)
+
+    monkeypatch.setattr(cli, "is_shellable", undecided)
 
 
 class TestGenerate:
@@ -89,12 +104,37 @@ class TestClassify:
         assert code == 0
         assert '"shellable":false' in out
 
-    def test_budget_exhaustion_exit_3(self, capsys):
+    @pytest.mark.parametrize("k, shellable", [(2, False), (1, True)])
+    def test_shellable_at_n64(self, capsys, monkeypatch, k, shellable):
+        # vdW(64, 2) fails (S2) and vdW(64, 1) is certified by its shedding
+        # tree; no shelling search runs on either (the probe alone once took
+        # 30 s on vdW(64, 2))
+        def no_search(masks, budget):
+            raise AssertionError("the shelling search ran")
+
+        monkeypatch.setattr(_kernels, "search_shelling", no_search)
+        code, out, _ = run_cli(
+            capsys, "classify", "64", str(k), "--checks", "shellable", "--no-timings"
+        )
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["shellable"] is shellable and rec["agreement"] is True
+
+    def test_budget_exhaustion_exit_3(self, capsys, monkeypatch):
+        _undecided_search(monkeypatch)
         code, out, _ = run_cli(
             capsys, "classify", "6", "2", "--checks", "shellable", "--budget", "1", "--no-timings"
         )
         assert code == 3
         assert json.loads(out)["shellable"] is None
+
+    def test_budget_spares_the_shedding_tree(self, capsys):
+        # vdW(6, 2) is vertex decomposable: its tree gives the order, no search runs
+        code, out, _ = run_cli(
+            capsys, "classify", "6", "2", "--checks", "shellable", "--budget", "0", "--no-timings"
+        )
+        assert code == 0
+        assert json.loads(out)["shellable"] is True
 
     def test_negative_budget_exit_2(self, capsys):
         code, out, err = run_cli(
@@ -126,7 +166,8 @@ class TestClassify:
         assert code == 2
         assert out == "" and "no checks selected" in err
 
-    def test_undecided_csv_cell(self, capsys):
+    def test_undecided_csv_cell(self, capsys, monkeypatch):
+        _undecided_search(monkeypatch)
         code, out, _ = run_cli(
             capsys, "classify", "6", "2", "--checks", "shellable", "--budget", "0", "--format", "csv"
         )
@@ -237,9 +278,10 @@ class TestSweep:
         assert json.loads(out.splitlines()[0]) == []
 
     def test_limit_enforced_exit_2(self, capsys):
-        code, _, err = run_cli(capsys, "sweep", "35", "--checks", "shellable")
+        # the shellable limit is the vertex bound, so the vertex-bound error comes first
+        code, _, err = run_cli(capsys, "sweep", "65", "--checks", "shellable")
         assert code == 2
-        assert "--force" in err
+        assert "n_max must be in 1..64" in err
 
     def test_vd_limit_enforced_exit_2(self, capsys):
         # the vd limit is the vertex bound, so the vertex-bound error comes first
@@ -362,7 +404,8 @@ class TestSweep:
         assert code == 2
         assert out == "" and "n_max" in err
 
-    def test_undecided_sweep_exit_3(self, capsys):
+    def test_undecided_sweep_exit_3(self, capsys, monkeypatch):
+        _undecided_search(monkeypatch)
         code, out, _ = run_cli(capsys, "sweep", "6", "--checks", "shellable", "--budget", "0")
         assert code == 3
         records = json.loads(out.splitlines()[0])

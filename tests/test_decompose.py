@@ -14,6 +14,8 @@ from conftest import (
 from vdwcomplex import _kernels
 from vdwcomplex.complexes import SimplicialComplex
 from vdwcomplex.decompose import (
+    DEFAULT_SHELLING_BUDGET,
+    DecompositionResult,
     SheddingTree,
     is_shellable,
     is_vertex_decomposable,
@@ -21,7 +23,14 @@ from vdwcomplex.decompose import (
     verify_shelling,
 )
 from vdwcomplex.homology import _reduced_betti, is_cohen_macaulay
-from vdwcomplex.vdw import vdw_complex
+from vdwcomplex.ideals import _s2_witness
+from vdwcomplex.vdw import classify_closed_form, vdw_complex
+
+
+def _literal_link(cx, face):
+    for v in face:
+        cx = cx.link(v)
+    return cx
 
 
 def _refutation_replays(cx, refutation) -> bool:
@@ -29,10 +38,7 @@ def _refutation_replays(cx, refutation) -> bool:
 
     Measured on the literal link by the reference ranks, not the decider's core.
     """
-    link = cx
-    for v in refutation.witness_face:
-        link = link.link(v)
-    betti = _reduced_betti(link.facet_masks, 2)
+    betti = _reduced_betti(_literal_link(cx, refutation.witness_face).facet_masks, 2)
     return refutation.field == "Fp:2" and betti.get(refutation.witness_degree, 0) != 0
 
 
@@ -243,6 +249,61 @@ class TestShellable:
         assert verify_shelling(cx, facets)
         assert all(is_cohen_macaulay(cx, field).value for field in ("Q", "F2", "Fp:3"))
 
+    def test_tree_orders_of_vdw_to_n30(self):
+        for k in range(1, 30):
+            memo = {}  # one memo down each column, as in the sweep
+            for n in range(k + 1, 31):
+                cx = vdw_complex(n, k)
+                vd = is_vertex_decomposable(cx, memo)
+                assert vd.value is classify_closed_form(n, k).vertex_decomposable
+                if vd.value:
+                    res = is_shellable(cx, vd=vd)
+                    assert res.status == "shellable" and res.nodes == 0
+                    assert verify_shelling(cx, res.order)
+
+    def test_tree_of_another_complex_rejected(self):
+        with pytest.raises(ValueError):
+            is_shellable(vdw_complex(5, 2), vd=is_vertex_decomposable(vdw_complex(6, 2)))
+        # the path 1-2-3 sheds 3 into the edge 1-2 and the point 2; read on
+        # two disjoint edges, the same tree would order both edges, but the
+        # deletion at 3 is not pure there, and the complex is not shellable
+        path = SimplicialComplex.from_facets(4, [[1, 2], [2, 3]])
+        vd = is_vertex_decomposable(path)
+        assert vd.tree.vertex == 3
+        assert verify_shelling(path, is_shellable(path, vd=vd).order)
+        two_edges = SimplicialComplex.from_facets(4, [[1, 2], [3, 4]])
+        assert not verify_shedding_tree(two_edges, vd.tree)
+        with pytest.raises(ValueError):
+            is_shellable(two_edges, vd=vd)
+        for leaf in ("void", "empty", "simplex"):
+            with pytest.raises(ValueError):
+                is_shellable(two_edges, vd=DecompositionResult(True, SheddingTree(leaf)))
+
+    def test_not_vertex_decomposable_skips_the_probe(self, monkeypatch):
+        budgets = []
+        search = _kernels.search_shelling
+
+        def recording(masks, budget):
+            budgets.append(budget)
+            return search(masks, budget)
+
+        monkeypatch.setattr(_kernels, "search_shelling", recording)
+        cx = vdw_complex(7, 2)
+        res = is_shellable(cx, vd=is_vertex_decomposable(cx))
+        assert budgets == [] and res.nodes == 0  # refuted by (S2), no search
+        assert res.refutation.witness_degree == 0
+        assert is_shellable(cx).nodes == 10 and budgets == [len(cx.facets)]  # the probe
+        # shellable but not vertex decomposable: one search, under the whole budget
+        facets = [
+            (1, 3, 6), (1, 2, 6), (2, 5, 6), (4, 5, 6), (1, 2, 3), (3, 4, 6), (2, 5, 7), (1, 2, 7),
+            (3, 4, 5), (2, 6, 7), (4, 5, 7), (2, 4, 5), (1, 5, 7), (1, 3, 7), (1, 3, 4),
+        ]
+        cx = SimplicialComplex.from_facets(7, facets)
+        budgets.clear()
+        res = is_shellable(cx, vd=is_vertex_decomposable(cx))
+        assert budgets == [DEFAULT_SHELLING_BUDGET]
+        assert res == is_shellable(cx)
+
     def test_more_facets_than_the_recursion_limit(self):
         cx = vdw_complex(50, 1)  # 1225 facets
         res = is_shellable(cx)
@@ -269,37 +330,56 @@ class TestShellable:
 
 
 class TestReisnerRefutation:
-    """The probe and the F2 Reisner test change speed, never the answer."""
+    """The shedding tree, the probe, (S2) and the F2 Reisner test change
+    speed, never the answer."""
 
     @staticmethod
-    def _cross_check(cx):
+    def _refutation_checks(cx, refutation):
+        assert _refutation_replays(cx, refutation)
+        if refutation.witness_degree == 0:  # an (S2) witness
+            assert not _literal_link(cx, refutation.witness_face).is_connected()
+        else:  # (S2) runs first, so only a complex passing it reaches the F2 walk
+            assert _s2_witness(cx.facet_masks, cx.dim) is None
+
+    @classmethod
+    def _cross_check(cls, cx):
+        vd = is_vertex_decomposable(cx)
         res = is_shellable(cx)
+        treed = is_shellable(cx, vd=vd)
         status, order, nodes = _kernels.search_shelling(list(cx.facet_masks), 1 << 62)
-        assert res.value is (status == _kernels.FOUND)
+        assert res.value is treed.value is (status == _kernels.FOUND)
+        searched = (res,) if vd.value else (res, treed)
         if status == _kernels.FOUND:
-            assert res.status == "shellable"
-            assert res.order == tuple(cx.facets[i] for i in order)
-            assert res.nodes == nodes
-            assert res.refutation is None
-        if res.refutation is not None:
-            assert res.status == "not-shellable" and not res.refutation.value
-            assert _refutation_replays(cx, res.refutation)
+            for found in searched:  # the order and nodes of the search itself
+                assert found.status == "shellable"
+                assert found.order == tuple(cx.facets[i] for i in order)
+                assert found.nodes == nodes
+                assert found.refutation is None
+        if vd.value:
+            assert treed.status == "shellable" and treed.nodes == 0
+            assert verify_shelling(cx, treed.order)
+        for decided in (res, treed):
+            if decided.refutation is not None:
+                assert decided.status == "not-shellable" and not decided.refutation.value
+                cls._refutation_checks(cx, decided.refutation)
         for budget in (0, 1, 10):
-            bounded = is_shellable(cx, budget)
-            if bounded.status == "undecided":
-                assert is_cohen_macaulay(cx, 2).value
-            else:
-                assert bounded.value is res.value
+            for bounded in (is_shellable(cx, budget), is_shellable(cx, budget, vd)):
+                if bounded.status == "undecided":
+                    assert is_cohen_macaulay(cx, 2).value
+                else:
+                    assert bounded.value is res.value
         return res
 
     def test_matches_search_exhaustively(self):
-        refuted = 0
+        degrees = []
         for n in range(1, 6):
             for masks in enumerate_antichains(n):
                 if masks and len({m.bit_count() for m in masks}) == 1:
-                    cx = complex_from_masks(n, masks)
-                    refuted += self._cross_check(cx).refutation is not None
-        assert refuted > 100
+                    res = self._cross_check(complex_from_masks(n, masks))
+                    if res.refutation is not None:
+                        degrees.append(res.refutation.witness_degree)
+        assert degrees.count(0) > 100  # (S2) witnesses
+        assert len(degrees) > degrees.count(0)  # F2 witnesses of complexes passing (S2)
 
     def test_matches_search_random(self):
         rng = random.Random(47)
