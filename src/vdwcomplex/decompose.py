@@ -201,7 +201,13 @@ def is_vertex_decomposable(cx: SimplicialComplex, memo: dict | None = None) -> D
 
 
 def verify_shedding_tree(cx: SimplicialComplex, tree: SheddingTree) -> bool:
-    """Replay a shedding tree against a complex, recomputing every step."""
+    """Replay a shedding tree against a complex, recomputing every step.
+
+    Every complex along the way, ``cx`` included, must be pure: a nonpure
+    complex is not vertex decomposable, so no tree certifies it.
+    """
+    if not cx.is_pure:
+        return False
     if tree.kind == "void":
         return cx.is_void
     if tree.kind == "empty":
@@ -213,11 +219,9 @@ def verify_shedding_tree(cx: SimplicialComplex, tree: SheddingTree) -> bool:
     x = tree.vertex
     if x not in cx.support:
         return False
-    link = cx.link(x)
-    deletion = cx.deletion(x)
-    if not link.is_pure or not deletion.is_pure:
-        return False
-    return verify_shedding_tree(link, tree.link) and verify_shedding_tree(deletion, tree.deletion)
+    return verify_shedding_tree(cx.link(x), tree.link) and verify_shedding_tree(
+        cx.deletion(x), tree.deletion
+    )
 
 
 @dataclass(frozen=True)
@@ -268,14 +272,17 @@ def _tree_order(masks: tuple[int, ...], tree: SheddingTree) -> list[int]:
     """The shelling order a shedding tree gives a pure facet list (Provan-Billera).
 
     A subproblem is kept as the facets of ``masks`` that hold every vertex
-    ``joined`` through links and avoid every vertex ``deleted``.  Each step
-    of the tree is checked as it is read, so a tree of another complex
-    raises ValueError instead of giving an order that is not a shelling:
-    a leaf must match its subproblem, the shedding vertex x must lie in a
-    facet of it, and the deletion at x must be pure, i.e. x lies in every
-    facet or each ridge F - x of a facet F through x lies in a second
-    facet of the subproblem.  One map from each ridge of ``masks`` to its
-    facets serves every node.
+    ``joined`` through links and avoid every vertex ``deleted``.  Each node
+    the order reads is checked as it is read, and a failed check raises
+    ValueError instead of giving an order that is not a shelling: a leaf
+    must match its subproblem, the shedding vertex x must lie in a facet
+    of it and not be joined already, and unless x lies in every facet,
+    the deletion at x must be pure, i.e. each ridge F - x of a facet F
+    through x lies in a second facet of the subproblem.  When x lies in
+    every facet, the subproblem is a cone over its link and is shelled in
+    the link's order, so the deletion subtree is neither read nor
+    checked: a tree that is wrong only there still gives a shelling.
+    One map from each ridge of ``masks`` to its facets serves every node.
     """
     ridge_facets: dict[int, list[int]] = {}
     for f in masks:
@@ -326,10 +333,18 @@ def is_shellable(
 
     1. If ``vd`` says vertex decomposable, the order is read off its
        shedding tree (see ``_tree_order``), with ``nodes == 0`` and no
-       search; a tree that does not decompose ``cx`` raises ValueError.
+       search.  Every node the order reads is checked, and one that does
+       not fit ``cx`` raises ValueError; at a cone vertex, one in every
+       facet, only the link subtree is read.  Use
+       :func:`verify_shedding_tree` to check the whole tree.
     2. Without ``vd``, the search runs as a probe with no room to
        backtrack (one node per facet), and an order it finds is returned.
-       If ``vd`` says not vertex decomposable, the probe is skipped.
+       If ``vd`` says not vertex decomposable, the probe is skipped.  The
+       probe is the cheap path to the positives that come without a
+       tree: on the random-pure benchmark complexes (seed 1; 2-vCPU
+       host, Python 3.11) it shells all 1306 positives in about 0.08 s,
+       where (S2) alone takes about 0.09 s on them and the F2 walk about
+       0.26 s, both before the search could start.
     3. Serre's (S2): a face F = f_i & f_j whose link has dimension >= 1
        and is disconnected refutes shellability over every field.  The
        ``refutation`` is ``CohenMacaulayResult(False, "Fp:2", F, 0)``: the

@@ -15,28 +15,20 @@ containing F but not in F; every facet of lk F contains v, so lk F is a
 cone and acyclic.
 
 Each measured complex is first shrunk to its core (``_core``): one strip
-of the dominated vertices, then at most one nerve, both of which keep
-the reduced Betti numbers over every field (Barmak-Minian, *Strong
-homotopy types, nerves and collapses*, DCG 47, 2012).  A vertex v is
-dominated when the facets holding v share some other vertex w; then
-lk v is a cone and deleting v is a strong collapse.  Dominated vertices
-are deleted in rounds: each round deletes every vertex still dominated
-by a vertex it keeps, since v stays dominated while w is kept, and only
-the vertices of the facets it cut are checked again.  Once no vertex is
-dominated, no vertex's set of facets lies in another's, so these sets
-are the facets of the nerve and its bound (sum of 2^|facet|) is the sum
-of 2^deg(v).  The nerve replaces the complex if that bound is smaller:
-every nonempty intersection of facets is a simplex, so the nerve theorem
-keeps the homotopy type.  No second step would change anything.  The
-facets of the nerve holding a facet F share only the facets containing
-F, which is F alone in an antichain, so the nerve is stripped already;
-and its nerve is the stripped complex again, with the larger bound.
-A cone ends as one vertex, so a link whose core is one simplex passes
-unmeasured.  A core of s facets with s - 1 vertices each on s vertices
-is the boundary of a simplex, an (s - 2)-sphere, whose only reduced
-homology is H~_(s-2) = 1 over every field, so it gets no chain complex
-either.  ``reduced_homology`` ranks the core the same way, with no
-sphere rule; ``<()>``, which has no vertex, is kept as it is.
+of the dominated vertices, which keeps the reduced Betti numbers over
+every field (Barmak-Minian, *Strong homotopy types, nerves and
+collapses*, DCG 47, 2012).  A vertex v is dominated when the facets
+holding v share some other vertex w; then lk v is a cone and deleting v
+is a strong collapse.  Dominated vertices are deleted in rounds: each
+round deletes every vertex still dominated by a vertex it keeps, since
+v stays dominated while w is kept, and only the vertices of the facets
+it cut are checked again, until no vertex is dominated.  A cone ends
+as one vertex, so a link whose core is one simplex passes unmeasured.
+A core of s facets with s - 1 vertices each on s vertices is the
+boundary of a simplex, an (s - 2)-sphere, whose only reduced homology
+is H~_(s-2) = 1 over every field, so it gets no chain complex either.
+``reduced_homology`` ranks the core the same way, with no sphere rule;
+``<()>``, which has no vertex, is kept as it is.
 
 The Reisner walk (``_first_failures``) takes every requested field at
 once.  Each link's core, chain complex, boundary check and mod-2 ranks
@@ -181,21 +173,22 @@ def _facet_intersections(facet_masks) -> set[int]:
     return closed
 
 
-def _strip_dominated(facet_masks) -> list[int]:
-    """Delete dominated vertices until none is left.
+def _core(facet_masks) -> list[int]:
+    """A facet list with the reduced Betti numbers of ``facet_masks`` over every field.
 
-    A vertex v is dominated when the AND of the facets holding v is more
-    than v: every such facet also holds some w != v, and deleting v is a
-    strong collapse, which keeps the homotopy type.  Each round checks
-    the vertices in turn, deletes every one dominated by a vertex not
-    deleted so far, then cuts the deleted vertices from their facets and
-    absorbs.  The round is a sequence of strong collapses: a vertex
-    dominated by w stays dominated while w is kept, domination is
-    transitive, and of each set of vertices with the same facets that no
-    vertex with more facets dominates, the last one checked is kept; so
-    every deleted vertex is still dominated by a kept one.  Only the
-    vertices of cut facets change holders, so only they are checked in
-    the next round.
+    Dominated vertices are deleted until none is left.  A vertex v is
+    dominated when the AND of the facets holding v is more than v: every
+    such facet also holds some w != v, and deleting v is a strong
+    collapse, which keeps the homotopy type.  Each round checks the
+    vertices in turn, deletes every one dominated by a vertex not deleted
+    so far, then cuts the deleted vertices from their facets and absorbs.
+    The round is a sequence of strong collapses: a vertex dominated by w
+    stays dominated while w is kept, domination is transitive, and of
+    each set of vertices with the same facets that no vertex with more
+    facets dominates, the last one checked is kept; so every deleted
+    vertex is still dominated by a kept one.  Only the vertices of cut
+    facets change holders, so only they are checked in the next round.
+    A cone ends as one vertex; ``<()>``, which has no vertex, is kept.
     """
     facets = list(facet_masks)
     check = 0
@@ -226,36 +219,6 @@ def _strip_dominated(facet_masks) -> list[int]:
         check &= keep
         # no kept facet lies in a cut one, so only cut facets can be absorbed
         facets = kept + [c for c in _absorb(cuts) if not any(c & g == c for g in kept)]
-
-
-def _bound(facet_masks) -> int:
-    """Sum of 2^|facet|: an upper bound on the number of faces."""
-    return sum(1 << m.bit_count() for m in facet_masks)
-
-
-def _core(facet_masks) -> list[int]:
-    """A facet list with the reduced Betti numbers of ``facet_masks`` over every field.
-
-    One strip of the dominated vertices, then the nerve if it bounds
-    fewer faces; a second step would change nothing (module docstring).
-    With no vertex dominated, the nerve's facets are the vertices' sets
-    of facets, which also give its bound.  A cone ends as one vertex.
-    ``<()>``, which has no vertex and whose nerve is void, is kept.
-    """
-    facets = _strip_dominated(facet_masks)
-    if len(facets) == 1:  # a simplex, whose nerve is a point, or <()>, whose nerve is void
-        return facets
-    holders: dict[int, int] = {}  # vertex bit -> the facets holding it
-    for i, m in enumerate(facets):
-        rest = m
-        while rest:
-            bit = rest & -rest
-            holders[bit] = holders.get(bit, 0) | 1 << i
-            rest ^= bit
-    nerve = list(holders.values())
-    if _bound(nerve) < _bound(facets):
-        return nerve
-    return facets
 
 
 def _chain_complex(facet_masks) -> tuple[list[list[int]], list, list[list[int]]]:
@@ -411,10 +374,10 @@ def _sphere_degree(facet_masks) -> int | None:
 def reduced_homology(cx: SimplicialComplex, field="Q") -> HomologyProfile:
     """Reduced Betti numbers of a nonvoid complex over Q or F_p, in degrees -1 .. dim.
 
-    They are measured on the complex's core (``_core``: one strip of
-    the dominated vertices, then the nerve if it bounds fewer faces)
-    with the Reisner walk's ranks (``_betti_per_field``); a degree the
-    core does not reach has Betti number 0.
+    They are measured on the complex's core (``_core``: its dominated
+    vertices stripped) with the Reisner walk's ranks
+    (``_betti_per_field``); a degree the core does not reach has Betti
+    number 0.
     """
     if cx.is_void:
         raise ValueError("reduced homology of the void complex is undefined")

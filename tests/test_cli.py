@@ -277,15 +277,10 @@ class TestSweep:
         assert code == 0
         assert json.loads(out.splitlines()[0]) == []
 
-    def test_limit_enforced_exit_2(self, capsys):
-        # the shellable limit is the vertex bound, so the vertex-bound error comes first
-        code, _, err = run_cli(capsys, "sweep", "65", "--checks", "shellable")
-        assert code == 2
-        assert "n_max must be in 1..64" in err
-
-    def test_vd_limit_enforced_exit_2(self, capsys):
-        # the vd limit is the vertex bound, so the vertex-bound error comes first
-        code, _, err = run_cli(capsys, "sweep", "65", "--checks", "vd")
+    @pytest.mark.parametrize("check", ["vd", "shellable", "linpres"])
+    def test_limit_enforced_exit_2(self, capsys, check):
+        # only cm has a sweep limit; the others stop at the vertex bound
+        code, _, err = run_cli(capsys, "sweep", "65", "--checks", check)
         assert code == 2
         assert "n_max must be in 1..64" in err
 
@@ -325,12 +320,6 @@ class TestSweep:
         records = json.loads(out.splitlines()[0])
         assert len(records) == 120
         assert all(r["agreement"] for r in records)
-
-    def test_linpres_limit_enforced_exit_2(self, capsys):
-        # the linpres limit is the vertex bound, so the vertex-bound error comes first
-        code, _, err = run_cli(capsys, "sweep", "65", "--checks", "linpres")
-        assert code == 2
-        assert "n_max must be in 1..64" in err
 
     def test_above_vertex_bound_exit_2_before_any_record(self, capsys, monkeypatch):
         def no_record(*args):

@@ -102,10 +102,20 @@ class TestVertexDecomposable:
         assert not verify_shedding_tree(cx, SheddingTree("bogus"))
 
     def test_nonpure_deletion_rejected(self):
-        # the path 1-2-3-4: lk 2 = {1}, {3} is pure, del 2 = {1}, {3, 4} is not
+        # the path 1-2-3-4: lk 2 = {1}, {3} is pure, del 2 = {1}, {3, 4} is not;
+        # each gets a tree that fits it in every step but purity
         path = SimplicialComplex.from_facets(4, [[1, 2], [2, 3], [3, 4]])
-        leaf = SheddingTree("simplex")
-        assert not verify_shedding_tree(path, SheddingTree("shed", 2, leaf, leaf))
+        points = SheddingTree("shed", 3, SheddingTree("empty"), SheddingTree("simplex"))
+        nonpure = SheddingTree("shed", 1, SheddingTree("empty"), SheddingTree("simplex"))
+        assert not verify_shedding_tree(path, SheddingTree("shed", 2, points, nonpure))
+
+    def test_nonpure_complex_rejected(self):
+        # lk 3 = <()> and del 3 = <{1, 2}> fit the tree, but the complex is not pure
+        cx = SimplicialComplex.from_facets(3, [[1, 2], [3]])
+        tree = SheddingTree("shed", 3, SheddingTree("empty"), SheddingTree("simplex"))
+        assert not verify_shedding_tree(cx, tree)
+        with pytest.raises(ValueError):
+            is_vertex_decomposable(cx)
 
 
 class TestSheddingSearchMatchesNaive:
@@ -278,6 +288,16 @@ class TestShellable:
         for leaf in ("void", "empty", "simplex"):
             with pytest.raises(ValueError):
                 is_shellable(two_edges, vd=DecompositionResult(True, SheddingTree(leaf)))
+
+    def test_cone_node_reads_only_the_link_subtree(self):
+        # the cone over two points with apex 3: del 3 is the two points,
+        # but the tree says void there, and only verify_shedding_tree sees it
+        cone = SimplicialComplex.from_facets(3, [[1, 3], [2, 3]])
+        points = is_vertex_decomposable(SimplicialComplex.from_facets(3, [[1], [2]])).tree
+        wrong = SheddingTree("shed", 3, points, SheddingTree("void"))
+        assert not verify_shedding_tree(cone, wrong)
+        result = is_shellable(cone, vd=DecompositionResult(True, wrong))
+        assert result.nodes == 0 and verify_shelling(cone, result.order)
 
     def test_not_vertex_decomposable_skips_the_probe(self, monkeypatch):
         budgets = []

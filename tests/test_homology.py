@@ -115,17 +115,14 @@ class TestReducedHomology:
             assert max(betti) == cx.dim and min(betti) == -1
 
     @pytest.mark.parametrize("k", [11, 10])
-    def test_near_simplex_measured_on_its_nerve(self, monkeypatch, k):
+    def test_cones_measured_on_one_vertex(self, monkeypatch, k):
         # vdW(12, 11) is the 12-vertex simplex and vdW(12, 10) two facets
         # sharing ten vertices: both are cones, whose core is one vertex
         seen = []
         original = homology._betti_per_field
 
         def recording(facet_masks, chars):
-            support = 0
-            for m in facet_masks:
-                support |= m
-            seen.append((support.bit_count(), list(chars)))
+            seen.append((_support(facet_masks).bit_count(), list(chars)))
             return original(facet_masks, chars)
 
         monkeypatch.setattr(homology, "_betti_per_field", recording)
@@ -148,7 +145,7 @@ class TestReducedHomology:
         smaller = 0
         for cx in cxs:
             masks = list(cx.facet_masks)
-            smaller += homology._bound(homology._core(masks)) < homology._bound(masks)
+            smaller += _support(homology._core(masks)) != _support(masks)
             for char in (0, 2, 3):
                 literal = homology._reduced_betti(masks, char)
                 assert reduced_homology(cx, char).betti == literal, (cx.facets, char)
@@ -420,25 +417,17 @@ def _nonzero(betti):
     return {i: b for i, b in betti.items() if b}
 
 
-def _nerve(facet_masks):
-    """The facets of the nerve, by its definition: vertex i is facet i,
-    and each vertex v of the complex spans the facets holding v."""
+def _support(facet_masks):
+    """The vertices of a facet list, as a mask."""
     support = 0
     for m in facet_masks:
         support |= m
-    holders = (
-        sum(1 << i for i, m in enumerate(facet_masks) if m >> v & 1)
-        for v in range(support.bit_length())
-        if support >> v & 1
-    )
-    return complexes._absorb(holders)
+    return support
 
 
 def _dominated(facet_masks):
     """The vertices v whose facets share a vertex other than v, as a mask."""
-    support = 0
-    for m in facet_masks:
-        support |= m
+    support = _support(facet_masks)
     out = 0
     for v in range(support.bit_length()):
         common = -1
@@ -448,54 +437,6 @@ def _dominated(facet_masks):
         if support >> v & 1 and common != 1 << v:
             out |= 1 << v
     return out
-
-
-class TestNerve:
-    """The core's one nerve step, against the nerve built by its definition."""
-
-    def test_nerve_has_the_homology_of_the_complex(self):
-        rng = random.Random(73)
-        checked = disconnected = 0
-        for _ in range(150):
-            n = rng.randint(2, 7)
-            faces = [
-                rng.sample(range(1, n + 1), rng.randint(1, min(4, n)))
-                for _ in range(rng.randint(1, 7))
-            ]
-            cx = SimplicialComplex.from_facets(n, faces)
-            disconnected += not cx.is_connected()
-            masks = list(cx.facet_masks)
-            stripped = homology._strip_dominated(masks)
-            nerve = _nerve(stripped)
-            for char in (0, 2):
-                assert _nonzero(homology._reduced_betti(nerve, char)) == _nonzero(
-                    homology._reduced_betti(masks, char)
-                ), (cx.facets, char)
-            # the core is the nerve exactly when that bounds fewer faces
-            smaller = homology._bound(nerve) < homology._bound(stripped)
-            assert sorted(homology._core(masks)) == sorted(nerve if smaller else stripped)
-            checked += 1
-        assert checked == 150 and disconnected > 10
-
-    def test_nerve_of_projective_plane_keeps_torsion(self):
-        # the nerve of RP^2: 10 vertices, 6 facets of 5 (bound 192 > 80),
-        # whose core is its nerve, RP^2 again on the 6 facets' indices
-        nerve = _nerve(list(RP2.facet_masks))
-        assert len(nerve) == 6 and all(m.bit_count() == 5 for m in nerve)
-        core = homology._core(nerve)
-        assert sorted(core) == sorted(_nerve(nerve))
-        assert len(core) == 10 and all(m.bit_count() == 3 for m in core)
-        betti = homology._betti_per_field(core, (0, 2))
-        assert _nonzero(betti[2]) == {1: 1, 2: 1} and _nonzero(betti[0]) == {}
-        assert _nonzero(homology._reduced_betti(nerve, 2)) == {1: 1, 2: 1}
-        assert _nonzero(homology._reduced_betti(nerve, 0)) == {}
-
-    def test_nerve_of_disjoint_simplices_is_points(self):
-        masks = [pack([1, 2, 3]), pack([4, 5])]
-        assert sorted(_nerve(masks)) == [0b01, 0b10]
-        # each simplex strips to one vertex; two points are their own nerve
-        low, high = sorted(homology._core(masks))
-        assert low in (pack([1]), pack([2]), pack([3])) and high in (pack([4]), pack([5]))
 
 
 def _pure_facet_lists(max_vertices):
@@ -512,23 +453,12 @@ class TestCore:
 
     @staticmethod
     def _same_homology(masks):
-        """Check the core of ``masks``; return it and whether it is a nerve."""
-        stripped = homology._strip_dominated(masks)
-        support = 0
-        for m in stripped:
-            support |= m
-        # the rounds only delete vertices: what is left is the induced subcomplex
-        assert sorted(stripped) == sorted(complexes._absorb(m & support for m in masks))
+        """Check the core of ``masks`` and return it."""
         core = homology._core(masks)
-        # one strip, then at most one nerve, with no dominated vertex left
-        took_nerve = sorted(core) != sorted(stripped)
-        if took_nerve:
-            assert sorted(core) == sorted(_nerve(stripped)), (masks, core)
-        assert _dominated(stripped) == _dominated(core) == 0, (masks, core)
-        if core != [0]:  # the nerve of <()> is void
-            # a second nerve would not bound fewer faces
-            assert homology._bound(_nerve(core)) >= homology._bound(core), (masks, core)
-        assert homology._bound(core) <= homology._bound(masks)
+        support = _support(core)
+        # the rounds only delete vertices: what is left is the induced subcomplex
+        assert sorted(core) == sorted(complexes._absorb(m & support for m in masks))
+        assert _dominated(core) == 0, (masks, core)
         assert all(a & b != a for a in core for b in core if a != b), core  # an antichain
         top = max(m.bit_count() for m in masks)
         bettis = homology._betti_per_field(core, (0, 2, 3))
@@ -536,19 +466,18 @@ class TestCore:
             literal = homology._reduced_betti(masks, char)
             assert _nonzero(betti) == _nonzero(literal), (masks, core, char)
             assert max(betti) <= top - 1
-        return core, took_nerve
+        return core
 
     def test_every_complex_on_5_vertices(self):
         # every nonvoid antichain on 1..5, nonpure ones too, as reduced_homology takes them
-        shrunk = nerves = checked = 0
+        shrunk = checked = 0
         for masks in enumerate_antichains(5):
             if not masks:
                 continue
-            core, took_nerve = self._same_homology(list(masks))
-            shrunk += homology._bound(core) < homology._bound(masks)
-            nerves += took_nerve
+            core = self._same_homology(list(masks))
+            shrunk += _support(core) != _support(masks)
             checked += 1
-        assert checked == 7580 and shrunk > 1000 and nerves > 0
+        assert checked == 7580 and shrunk > 1000
 
     def test_projective_planes_and_random_complexes(self):
         rng = random.Random(97)
@@ -562,7 +491,7 @@ class TestCore:
             cxs.append(SimplicialComplex.from_facets(n, faces))
         for cx in cxs:
             self._same_homology(list(cx.facet_masks))
-        # no vertex of RP^2 is dominated and its nerve is larger
+        # no vertex of RP^2 is dominated
         assert sorted(homology._core(list(RP2.facet_masks))) == sorted(RP2.facet_masks)
 
     def test_cones_end_as_one_vertex(self):
@@ -572,8 +501,7 @@ class TestCore:
             assert len(core) == 1 and core[0].bit_count() == 1
 
     def test_empty_complex_kept(self):
-        # <()> has no vertex, so its nerve is void
-        assert _nerve([0]) == []
+        # <()> has no vertex to strip
         assert homology._core([0]) == [0]
 
     @pytest.mark.parametrize("j", range(1, 8))
@@ -639,6 +567,15 @@ class TestFieldsInOneWalk:
                 results = self._agrees(vdw_complex(n, k))
                 predicted = classify_closed_form(n, k).cohen_macaulay
                 assert [r["cohen_macaulay"] for r in results] == [predicted] * 3
+
+    def test_witnesses_of_vdw_k6_and_k7(self):
+        # every vdW complex up to n = 41 with a link whose stripped core has
+        # a facet nerve of fewer faces; each fails at lk (7,) in degree 2
+        cases = [(n, 6) for n in range(19, 27)] + [(n, 7) for n in range(22, 36)]
+        for n, k in cases:
+            results = homology.cohen_macaulay_by_field(vdw_complex(n, k), self.FIELDS)
+            witnesses = [(r.value, r.witness_face, r.witness_degree) for r in results]
+            assert witnesses == [(False, (7,), 2)] * 3, (n, k)
 
     def test_nonpure_and_void(self):
         cx = SimplicialComplex.from_facets(3, [[1, 2], [3]])
