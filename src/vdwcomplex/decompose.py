@@ -40,7 +40,7 @@ import json
 from dataclasses import dataclass
 
 from vdwcomplex import _kernels
-from vdwcomplex.complexes import SimplicialComplex, Vertices, _pack_checked, unpack
+from vdwcomplex.complexes import MAX_VERTICES, SimplicialComplex, Vertices, _pack_checked, unpack
 from vdwcomplex.homology import CohenMacaulayResult, is_cohen_macaulay
 from vdwcomplex.ideals import _s2_witness
 
@@ -201,27 +201,20 @@ def is_vertex_decomposable(cx: SimplicialComplex, memo: dict | None = None) -> D
 
 
 def verify_shedding_tree(cx: SimplicialComplex, tree: SheddingTree) -> bool:
-    """Replay a shedding tree against a complex, recomputing every step.
+    """Replay a shedding tree against a complex, checking every node.
 
-    Every complex along the way, ``cx`` included, must be pure: a nonpure
-    complex is not vertex decomposable, so no tree certifies it.
+    The replay is the walk that :func:`is_shellable` reads an order off
+    (see ``_tree_order``): the tree certifies ``cx`` iff the walk raises
+    no ValueError.  A nonpure complex is not vertex decomposable, so no
+    tree certifies it.
     """
     if not cx.is_pure:
         return False
-    if tree.kind == "void":
-        return cx.is_void
-    if tree.kind == "empty":
-        return cx.is_empty
-    if tree.kind == "simplex":
-        return len(cx.facet_masks) == 1 and cx.facet_masks[0] != 0
-    if tree.kind != "shed":
+    try:
+        _tree_order(cx.facet_masks, tree)
+    except ValueError:
         return False
-    x = tree.vertex
-    if x not in cx.support:
-        return False
-    return verify_shedding_tree(cx.link(x), tree.link) and verify_shedding_tree(
-        cx.deletion(x), tree.deletion
-    )
+    return True
 
 
 @dataclass(frozen=True)
@@ -269,56 +262,53 @@ _STATUS = {
 
 
 def _tree_order(masks: tuple[int, ...], tree: SheddingTree) -> list[int]:
-    """The shelling order a shedding tree gives a pure facet list (Provan-Billera).
+    """Replay a shedding tree on a pure facet list; return its shelling order (Provan-Billera).
 
     A subproblem is kept as the facets of ``masks`` that hold every vertex
-    ``joined`` through links and avoid every vertex ``deleted``.  Each node
-    the order reads is checked as it is read, and a failed check raises
-    ValueError instead of giving an order that is not a shelling: a leaf
-    must match its subproblem, the shedding vertex x must lie in a facet
-    of it and not be joined already, and unless x lies in every facet,
-    the deletion at x must be pure, i.e. each ridge F - x of a facet F
-    through x lies in a second facet of the subproblem.  When x lies in
-    every facet, the subproblem is a cone over its link and is shelled in
-    the link's order, so the deletion subtree is neither read nor
-    checked: a tree that is wrong only there still gives a shelling.
-    One map from each ridge of ``masks`` to its facets serves every node.
+    ``joined`` through links and avoid every vertex deleted.  Every node is
+    checked, and one that does not decompose its subproblem raises
+    ValueError: a leaf must match the subproblem, and the shedding vertex x
+    of a shed node must be an int in 1..MAX_VERTICES that lies in a facet
+    of the subproblem and is not joined already.  Unless x lies in every
+    facet, the deletion at x must be pure, i.e. each ridge F - x of a facet
+    F through x lies in a facet avoiding x; the deletion is then the facets
+    avoiding x, and the order is the deletion's, then the link's.  When x
+    lies in every facet, the subproblem is a cone, its deletion at x is its
+    link, and both subtrees must certify that link; the order is the
+    link's.  The library's trees hold one subtree object for both, which
+    is walked once, so nested cones cost no more than their link.
     """
-    ridge_facets: dict[int, list[int]] = {}
-    for f in masks:
-        rest = f
-        while rest:
-            low = rest & -rest
-            ridge_facets.setdefault(f ^ low, []).append(f)
-            rest ^= low
 
-    def order(sub: list[int], tree: SheddingTree, joined: int, deleted: int) -> list[int]:
-        if tree.kind == "shed":
-            bit = 1 << (tree.vertex - 1)
-            through = [f for f in sub if f & bit]
-            if through and not bit & joined:
-                if len(through) == len(sub):  # a cone
-                    return order(sub, tree.link, joined | bit, deleted)
-                if all(
-                    any(g != f and not g & deleted for g in ridge_facets[f ^ bit])
-                    for f in through
-                ):
+    def order(sub: list[int], tree: SheddingTree, joined: int) -> list[int]:
+        kind = tree.kind if isinstance(tree, SheddingTree) else None
+        if kind == "shed":
+            x = tree.vertex
+            if not isinstance(x, bool) and isinstance(x, int) and 0 < x <= MAX_VERTICES:
+                bit = 1 << (x - 1)
+                through = [f for f in sub if f & bit]
+                if through and not bit & joined:
+                    if len(through) == len(sub):  # a cone
+                        link_order = order(sub, tree.link, joined | bit)
+                        if tree.deletion is not tree.link:
+                            order(sub, tree.deletion, joined | bit)
+                        return link_order
                     avoiding = [f for f in sub if not f & bit]
-                    return order(avoiding, tree.deletion, joined, deleted | bit) + order(
-                        through, tree.link, joined | bit, deleted
-                    )
-        elif tree.kind == "void":
+                    if all(any(not (f ^ bit) & ~g for g in avoiding) for f in through):
+                        return order(avoiding, tree.deletion, joined) + order(
+                            through, tree.link, joined | bit
+                        )
+        elif kind == "void":
             if not sub:
                 return sub
-        elif tree.kind == "empty":
+        elif kind == "empty":
             if sub == [joined]:
                 return sub
-        elif tree.kind == "simplex":
+        elif kind == "simplex":
             if len(sub) == 1 and sub[0] != joined:
                 return sub
         raise ValueError("the shedding tree does not decompose this complex")
 
-    return order(list(masks), tree, 0, 0)
+    return order(list(masks), tree, 0)
 
 
 def is_shellable(
@@ -333,10 +323,9 @@ def is_shellable(
 
     1. If ``vd`` says vertex decomposable, the order is read off its
        shedding tree (see ``_tree_order``), with ``nodes == 0`` and no
-       search.  Every node the order reads is checked, and one that does
-       not fit ``cx`` raises ValueError; at a cone vertex, one in every
-       facet, only the link subtree is read.  Use
-       :func:`verify_shedding_tree` to check the whole tree.
+       search.  The whole tree is replayed as :func:`verify_shedding_tree`
+       replays it, and a tree that does not decompose ``cx`` raises
+       ValueError.
     2. Without ``vd``, the search runs as a probe with no room to
        backtrack (one node per facet), and an order it finds is returned.
        If ``vd`` says not vertex decomposable, the probe is skipped.  The

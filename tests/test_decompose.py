@@ -1,5 +1,7 @@
 """Vertex decomposability and shellability deciders with certificates."""
 
+import dataclasses
+import json
 import random
 
 import pytest
@@ -31,6 +33,15 @@ def _literal_link(cx, face):
     for v in face:
         cx = cx.link(v)
     return cx
+
+
+def _mirrored(tree: SheddingTree, n: int) -> SheddingTree:
+    """The tree with every vertex v renamed n + 1 - v."""
+    if tree.kind != "shed":
+        return tree
+    return SheddingTree(
+        "shed", n + 1 - tree.vertex, _mirrored(tree.link, n), _mirrored(tree.deletion, n)
+    )
 
 
 def _refutation_replays(cx, refutation) -> bool:
@@ -89,6 +100,45 @@ class TestVertexDecomposable:
     def test_certificate_serialization_round_trip(self):
         tree = is_vertex_decomposable(vdw_complex(6, 2)).tree
         assert SheddingTree.from_dict(tree.to_dict()) == tree
+
+    def test_certificate_json_is_pinned(self):
+        cx = vdw_complex(6, 2)
+        text = is_vertex_decomposable(cx).tree.to_json()
+        assert text == (
+            '{"kind":"shed","vertex":6,'
+            '"link":{"kind":"shed","vertex":5,'
+            '"link":{"kind":"simplex"},"deletion":{"kind":"simplex"}},'
+            '"deletion":{"kind":"shed","vertex":5,'
+            '"link":{"kind":"shed","vertex":4,'
+            '"link":{"kind":"simplex"},"deletion":{"kind":"simplex"}},'
+            '"deletion":{"kind":"shed","vertex":4,'
+            '"link":{"kind":"simplex"},"deletion":{"kind":"simplex"}}}}'
+        )
+        assert verify_shedding_tree(cx, SheddingTree.from_dict(json.loads(text)))
+
+    def test_every_vdw_certificate_to_n64_replays(self):
+        replayed = 0
+        for k in range(1, 64):
+            memo = {}  # one memo down each column, as in the sweep
+            for n in range(k + 1, 65):
+                cx = vdw_complex(n, k)
+                vd = is_vertex_decomposable(cx, memo)
+                assert vd.value is classify_closed_form(n, k).vertex_decomposable
+                if vd.value:
+                    assert verify_shedding_tree(cx, vd.tree)
+                    replayed += 1
+        assert replayed == 1088
+
+    def test_nested_cones_replay_in_linear_time(self):
+        # every apex lies in every facet, so its deletion is its link, and the
+        # library's tree holds one subtree object for both: a replay that
+        # walked both would take 2**40 steps
+        apexes = list(range(5, 45))
+        cx = SimplicialComplex.from_facets(44, [[1, 2, *apexes], [2, 3, *apexes], [3, 4, *apexes]])
+        vd = is_vertex_decomposable(cx)
+        assert vd.tree.vertex == 44
+        assert verify_shedding_tree(cx, vd.tree)
+        assert verify_shelling(cx, is_shellable(cx, vd=vd).order)
 
     def test_tampered_certificate_rejected(self):
         cx = vdw_complex(5, 2)
@@ -289,15 +339,58 @@ class TestShellable:
             with pytest.raises(ValueError):
                 is_shellable(two_edges, vd=DecompositionResult(True, SheddingTree(leaf)))
 
-    def test_cone_node_reads_only_the_link_subtree(self):
-        # the cone over two points with apex 3: del 3 is the two points,
-        # but the tree says void there, and only verify_shedding_tree sees it
+    def test_cone_node_replays_both_subtrees(self):
+        # the cone over two points with apex 3: del 3 is lk 3, the two points,
+        # so the tree must certify them in both subtrees
         cone = SimplicialComplex.from_facets(3, [[1, 3], [2, 3]])
         points = is_vertex_decomposable(SimplicialComplex.from_facets(3, [[1], [2]])).tree
         wrong = SheddingTree("shed", 3, points, SheddingTree("void"))
         assert not verify_shedding_tree(cone, wrong)
-        result = is_shellable(cone, vd=DecompositionResult(True, wrong))
+        with pytest.raises(ValueError):
+            is_shellable(cone, vd=DecompositionResult(True, wrong))
+        copied = SheddingTree("shed", 3, points, SheddingTree.from_dict(points.to_dict()))
+        assert verify_shedding_tree(cone, copied)
+        result = is_shellable(cone, vd=DecompositionResult(True, copied))
         assert result.nodes == 0 and verify_shelling(cone, result.order)
+
+    @pytest.mark.parametrize(
+        "forge",
+        [
+            lambda t: SheddingTree("shed", 6, None, None),
+            lambda t: t.to_dict(),
+            lambda t: None,
+            # vdW(6, 2) is symmetric, and vertex 1 sheds it in the mirrored tree
+            lambda t: dataclasses.replace(_mirrored(t, 6), vertex=True),
+            lambda t: SheddingTree("shed", "6", t.link, t.deletion),
+            lambda t: SheddingTree("shed", 10**9, t.link, t.deletion),
+            # lk 6 does not hold 6, though every facet of that subproblem holds it
+            lambda t: SheddingTree("shed", 6, SheddingTree("shed", 6, t.link, t.link), t.deletion),
+        ],
+        ids=[
+            "no-subtrees", "dict", "none", "bool-vertex", "str-vertex", "huge-vertex", "shed-twice"
+        ],
+    )
+    def test_malformed_certificate_fails(self, forge):
+        cx = vdw_complex(6, 2)
+        forged = forge(is_vertex_decomposable(cx).tree)
+        assert verify_shedding_tree(cx, forged) is False
+        with pytest.raises(ValueError):
+            is_shellable(cx, vd=DecompositionResult(True, forged))
+
+    def test_result_records_are_pinned(self):
+        cx = vdw_complex(6, 2)
+        res = is_shellable(cx, vd=is_vertex_decomposable(cx))
+        assert bool(res) is True
+        assert res.to_json() == (
+            '{"status":"shellable","order":[[1,2,3],[2,3,4],[1,3,5],[3,4,5],[2,4,6],[4,5,6]],'
+            '"nodes":0,"refutation":null}'
+        )
+        res = is_shellable(vdw_complex(7, 2))
+        assert bool(res) is False
+        assert res.to_json() == (
+            '{"status":"not-shellable","order":null,"nodes":10,"refutation":'
+            '{"cohen_macaulay":false,"field":"Fp:2","witness_face":[1],"witness_degree":0}}'
+        )
 
     def test_not_vertex_decomposable_skips_the_probe(self, monkeypatch):
         budgets = []

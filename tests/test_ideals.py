@@ -164,6 +164,14 @@ class TestLinearPresentation:
     def test_vdw62_true(self):
         assert is_linearly_presented(dual_ideal(vdw_complex(6, 2))).value
 
+    def test_result_record_is_pinned(self):
+        res = is_linearly_presented(dual_ideal(vdw_complex(7, 2)))
+        assert bool(res) is False
+        assert res.to_dict() == {"linearly_presented": False, "witness": [6, 7]}
+        res = is_linearly_presented(dual_ideal(vdw_complex(6, 2)))
+        assert bool(res) is True
+        assert res.to_dict() == {"linearly_presented": True, "witness": None}
+
     def test_chain_true(self):
         ideal = MonomialIdeal.from_supports(4, [(1, 2), (2, 3), (3, 4)])
         assert is_linearly_presented(ideal).value
@@ -286,6 +294,17 @@ class TestSerreFastPath:
 
 
 class TestObstruction:
+    def test_witness_record_is_pinned(self):
+        assert nonlinear_obstruction_vdw(7, 2).to_dict() == {
+            "n": 7,
+            "k": 2,
+            "f": {"start": 1, "increment": 3, "vertices": [1, 4, 7]},
+            "g": {"start": 1, "increment": 1, "vertices": [1, 2, 3]},
+            "generator_degree": 4,
+            "gcd_degree": 2,
+            "sigma_degrees": [2, 2],
+        }
+
     def test_vdw72_witness(self):
         w = nonlinear_obstruction_vdw(7, 2)
         assert w.f.vertices == (1, 4, 7) and w.f.increment == 3

@@ -119,6 +119,16 @@ class TestClassification:
                 assert not c.shellable or c.cohen_macaulay
                 assert c.pure
 
+    def test_record_is_pinned(self):
+        assert classify_closed_form(7, 2).to_dict() == {
+            "n": 7,
+            "k": 2,
+            "vertex_decomposable": False,
+            "shellable": False,
+            "cohen_macaulay": False,
+            "pure": True,
+        }
+
     def test_inconsistent_flags_rejected(self):
         with pytest.raises(ValueError):
             Classification(7, 2, vertex_decomposable=True, shellable=False, cohen_macaulay=False)
