@@ -2,11 +2,14 @@
 
 Vertex decomposability follows the Provan-Billera recursion: a pure
 complex qualifies if it is void, the empty complex, or a simplex, or if
-some support vertex has a pure, vertex-decomposable link and deletion.
-The link of a pure complex is pure.  Its deletion at x is pure iff x
-lies in every facet or every ridge F - x of a facet F through x lies in
-a second facet, so one count of the ridges per subproblem tests every
-candidate vertex without building its deletion.  Every link of a
+some shedding vertex x has a vertex-decomposable link and deletion.  A
+vertex x sheds iff no face of its link is a facet of its deletion, i.e.
+the deletion at x is pure of the complex's dimension: every ridge F - x
+of a facet F through x lies in a second facet, which avoids x.  So one
+count of the ridges per subproblem tests every candidate vertex without
+building its deletion.  A vertex in every facet, a cone apex, never
+sheds, since its ridges F - x lie in F alone; a cone over C is vertex
+decomposable iff C is, by the vertices that shed C.  Every link of a
 vertex-decomposable complex is vertex decomposable (Provan-Billera,
 Math. Oper. Res. 5 (1980)), so the search fails at the first candidate
 whose link fails; only a failing deletion moves it on to the next
@@ -20,18 +23,18 @@ Shellability is decided from certificates where they exist, and by a
 depth-first search over facet prefixes otherwise (see :func:`is_shellable`
 for the order of the steps).  A vertex-decomposable complex is shellable
 in the order its shedding tree gives (Provan-Billera): shell the deletion
-of the shedding vertex x, then x joined to each facet of the link's order;
-for a cone, x joined to the link's order.  That order needs no search
-(``nodes == 0``).  A shellable complex is Cohen-Macaulay over every field,
-so it satisfies Serre's (S2): every face link of dimension >= 1 is
-connected.  A face whose link fails that refutes shellability over every
-field, and is reported as a degree-0 Reisner witness over F2; a complex
-passing (S2) meets the Reisner test over F2 next.  A facet may extend a
-prefix of the search iff its faces already covered by placed facets form
-a nonempty union of its codimension-1 faces (equivalent, for pure
-complexes, to the pairwise shelling condition, which
-:func:`verify_shelling` checks literally).  The search memoizes dead
-prefix sets and reports "undecided" when the node budget is exhausted.
+of the shedding vertex x, then x joined to each facet of the link's order.
+That order needs no search (``nodes == 0``).  A shellable complex is
+Cohen-Macaulay over every field, so it satisfies Serre's (S2): every face
+link of dimension >= 1 is connected.  A face whose link fails that
+refutes shellability over every field, and is reported as a degree-0
+Reisner witness over F2; a complex passing (S2) meets the Reisner test
+over F2 next.  A facet may extend a prefix of the search iff its faces
+already covered by placed facets form a nonempty union of its
+codimension-1 faces (equivalent, for pure complexes, to the pairwise
+shelling condition, which :func:`verify_shelling` checks literally).  The
+search memoizes dead prefix sets and reports "undecided" when the node
+budget is exhausted.
 """
 
 from __future__ import annotations
@@ -87,8 +90,19 @@ class SheddingTree:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SheddingTree":
+        """Tree from the nested objects of :meth:`to_dict`.
+
+        A node that is not an object with a ``"kind"``, or a shed node
+        without ``"vertex"``, ``"link"`` and ``"deletion"``, raises
+        ValueError; whether the tree decomposes a complex is for
+        :func:`verify_shedding_tree` to say.
+        """
+        if not isinstance(data, dict) or "kind" not in data:
+            raise ValueError('a shedding tree node must be an object with the key "kind"')
         if data["kind"] != "shed":
             return cls(data["kind"])
+        if not all(key in data for key in ("vertex", "link", "deletion")):
+            raise ValueError('a shed node must have the keys "vertex", "link" and "deletion"')
         return cls(
             "shed",
             data["vertex"],
@@ -126,11 +140,12 @@ def _decide(masks: tuple[int, ...], memo: dict) -> SheddingTree | None:
 def _search(masks: tuple[int, ...], memo: dict) -> SheddingTree | None:
     """First shedding tree of a canonical, pure facet list, shedding high vertices first.
 
-    For facets of size d, the deletion at x is pure iff every facet
-    contains x (then it equals the link) or every ridge F - x of a facet
-    F containing x lies in a second facet (then it is the facets that
-    avoid x, each absorbing those ridges).  Otherwise the deletion keeps
-    some F - x as a facet of size d - 1 beside facets of size d.
+    For facets of size d, x sheds iff every ridge F - x of a facet F
+    containing x lies in a second facet; the deletion is then the facets
+    that avoid x, each absorbing those ridges.  Otherwise the deletion
+    keeps some F - x as a facet of size d - 1, beside facets of size d
+    or, when x lies in every facet, alone.  So a cone is decided on its
+    base, and its tree is the base's.
 
     A candidate whose link is not vertex decomposable ends the search
     with ``None``: by Provan-Billera, every link of a vertex-decomposable
@@ -143,11 +158,9 @@ def _search(masks: tuple[int, ...], memo: dict) -> SheddingTree | None:
     if len(masks) == 1:
         return _LEAF_EMPTY if masks[0] == 0 else _LEAF_SIMPLEX
     support = 0
-    common = masks[0]
     ridges: dict[int, int] = {}
     for m in masks:
         support |= m
-        common &= m
         rest = m
         while rest:
             low = rest & -rest
@@ -161,8 +174,8 @@ def _search(masks: tuple[int, ...], memo: dict) -> SheddingTree | None:
             if ridges[m ^ low] == 1:
                 lonely |= low
             rest ^= low
-    # candidates in descending vertex order
-    rest = support & ~(lonely & ~common)
+    # candidates in descending vertex order; a vertex in every facet is lonely
+    rest = support & ~lonely
     while rest:
         bit = 1 << (rest.bit_length() - 1)
         rest ^= bit
@@ -171,8 +184,7 @@ def _search(masks: tuple[int, ...], memo: dict) -> SheddingTree | None:
         link_tree = _decide(link, memo)
         if link_tree is None:  # every link of a vertex-decomposable complex is one
             return None
-        deletion = link if bit & common else tuple(m for m in masks if not m & bit)
-        deletion_tree = _decide(deletion, memo)
+        deletion_tree = _decide(tuple(m for m in masks if not m & bit), memo)
         if deletion_tree is None:
             continue
         return SheddingTree("shed", bit.bit_length(), link_tree, deletion_tree)
@@ -185,11 +197,11 @@ def is_vertex_decomposable(cx: SimplicialComplex, memo: dict | None = None) -> D
     Returns a :class:`DecompositionResult`; on success its ``tree``
     certifies the decomposition and replays under
     :func:`verify_shedding_tree`.  Candidates are tried from the highest
-    vertex down, and a vertex is tried only if its deletion is pure:
-    every facet contains it, or every ridge F - x of a facet F through it
-    lies in a second facet.  Subproblems are memoized on their facet
-    masks: ``memo`` maps each to its shedding tree, or to ``None`` when
-    it is not vertex decomposable, and may be supplied to share the
+    vertex down, and a vertex x is tried only if it sheds in the sense of
+    Provan-Billera: every ridge F - x of a facet F through x lies in a
+    second facet.  Subproblems are memoized on their facet masks:
+    ``memo`` maps each to its shedding tree, or to ``None`` when it is
+    not vertex decomposable, and may be supplied to share the
     (single-threaded) cache across calls.
     """
     if not cx.is_pure:
@@ -269,14 +281,13 @@ def _tree_order(masks: tuple[int, ...], tree: SheddingTree) -> list[int]:
     checked, and one that does not decompose its subproblem raises
     ValueError: a leaf must match the subproblem, and the shedding vertex x
     of a shed node must be an int in 1..MAX_VERTICES that lies in a facet
-    of the subproblem and is not joined already.  Unless x lies in every
-    facet, the deletion at x must be pure, i.e. each ridge F - x of a facet
-    F through x lies in a facet avoiding x; the deletion is then the facets
-    avoiding x, and the order is the deletion's, then the link's.  When x
-    lies in every facet, the subproblem is a cone, its deletion at x is its
-    link, and both subtrees must certify that link; the order is the
-    link's.  The library's trees hold one subtree object for both, which
-    is walked once, so nested cones cost no more than their link.
+    of the subproblem, and x must shed it: each ridge F - x of a facet F
+    through x lies in a facet avoiding x.  A vertex in every facet of the
+    subproblem, a cone apex or one joined already, has no facet avoiding
+    it, so it never sheds.  The deletion is the facets avoiding x, and the
+    order is the deletion's, then the link's.  The two subtrees split the
+    facets, and each leaf but the void complex's holds one, so a tree that
+    replays on a nonvoid complex has 2 * #facets - 1 nodes.
     """
 
     def order(sub: list[int], tree: SheddingTree, joined: int) -> list[int]:
@@ -286,17 +297,11 @@ def _tree_order(masks: tuple[int, ...], tree: SheddingTree) -> list[int]:
             if not isinstance(x, bool) and isinstance(x, int) and 0 < x <= MAX_VERTICES:
                 bit = 1 << (x - 1)
                 through = [f for f in sub if f & bit]
-                if through and not bit & joined:
-                    if len(through) == len(sub):  # a cone
-                        link_order = order(sub, tree.link, joined | bit)
-                        if tree.deletion is not tree.link:
-                            order(sub, tree.deletion, joined | bit)
-                        return link_order
-                    avoiding = [f for f in sub if not f & bit]
-                    if all(any(not (f ^ bit) & ~g for g in avoiding) for f in through):
-                        return order(avoiding, tree.deletion, joined) + order(
-                            through, tree.link, joined | bit
-                        )
+                avoiding = [f for f in sub if not f & bit]
+                if through and all(any(not (f ^ bit) & ~g for g in avoiding) for f in through):
+                    return order(avoiding, tree.deletion, joined) + order(
+                        through, tree.link, joined | bit
+                    )
         elif kind == "void":
             if not sub:
                 return sub

@@ -84,9 +84,11 @@ def brute_force_minimal_nonfaces(cx: SimplicialComplex):
 def naive_shedding_tree(cx: SimplicialComplex):
     """Provan-Billera recursion on literal links and deletions, no memo.
 
-    Candidates are tried in descending vertex order, the link before the
-    deletion.  Returns the shedding tree as ``SheddingTree.to_dict``
-    would, or None when the complex is not vertex decomposable.
+    A vertex x sheds iff no facet of lk x is a facet of del x, so a cone
+    apex, whose link is its deletion, never does.  Candidates are tried in
+    descending vertex order, the link before the deletion.  Returns the
+    shedding tree as ``SheddingTree.to_dict`` would, or None when the
+    complex is not vertex decomposable.
     """
     if cx.is_void:
         return {"kind": "void"}
@@ -96,7 +98,7 @@ def naive_shedding_tree(cx: SimplicialComplex):
         return {"kind": "simplex"}
     for x in reversed(cx.support):
         link, deletion = cx.link(x), cx.deletion(x)
-        if not link.is_pure or not deletion.is_pure:
+        if set(link.facets) & set(deletion.facets):
             continue
         link_tree = naive_shedding_tree(link)
         if link_tree is None:

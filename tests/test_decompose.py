@@ -130,15 +130,39 @@ class TestVertexDecomposable:
         assert replayed == 1088
 
     def test_nested_cones_replay_in_linear_time(self):
-        # every apex lies in every facet, so its deletion is its link, and the
-        # library's tree holds one subtree object for both: a replay that
-        # walked both would take 2**40 steps
-        apexes = list(range(5, 45))
-        cx = SimplicialComplex.from_facets(44, [[1, 2, *apexes], [2, 3, *apexes], [3, 4, *apexes]])
+        # no apex sheds, so the tree is the path's, with 2 * 3 - 1 nodes
+        # whatever the number of apexes
+        def cone(apexes):
+            top = 4 + apexes
+            return SimplicialComplex.from_facets(
+                top, [[a, a + 1, *range(5, top + 1)] for a in (1, 2, 3)]
+            )
+
+        cx = cone(40)
         vd = is_vertex_decomposable(cx)
-        assert vd.tree.vertex == 44
+        top = vd.tree.vertex  # a failing assert would print the whole tree
+        assert top == 4
         assert verify_shedding_tree(cx, vd.tree)
         assert verify_shelling(cx, is_shellable(cx, vd=vd).order)
+        cx = cone(15)
+        text = is_vertex_decomposable(cx).tree.to_json()
+        assert len(text) < 1000
+        assert verify_shedding_tree(cx, SheddingTree.from_dict(json.loads(text)))
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {},
+            {"kind": "shed"},
+            {"kind": "shed", "vertex": 2, "link": {"kind": "simplex"}},
+            [],
+            None,
+        ],
+        ids=["no-kind", "shed-only", "no-deletion", "list", "none"],
+    )
+    def test_malformed_json_tree_raises_value_error(self, data):
+        with pytest.raises(ValueError):
+            SheddingTree.from_dict(data)
 
     def test_tampered_certificate_rejected(self):
         cx = vdw_complex(5, 2)
@@ -220,7 +244,9 @@ class TestSheddingSearchMatchesNaive:
             assert res == is_vertex_decomposable(shifted)
             assert res.tree is None or verify_shedding_tree(shifted, res.tree)
 
-    @pytest.mark.parametrize("n, k, subproblems", [(30, 1, 59), (48, 20, 12), (64, 30, 17)])
+    # the link of the top vertex of vdW(48, 20) or vdW(64, 30) is two facets, a
+    # cone over two disjoint simplices with no shedding vertex: the search ends there
+    @pytest.mark.parametrize("n, k, subproblems", [(30, 1, 59), (48, 20, 2), (64, 30, 2)])
     def test_subproblem_count(self, n, k, subproblems):
         memo = {}
         is_vertex_decomposable(vdw_complex(n, k), memo)
@@ -228,14 +254,16 @@ class TestSheddingSearchMatchesNaive:
 
     @pytest.mark.parametrize("m", range(4, 13))
     def test_first_failing_link_ends_the_search(self, m):
-        # two (m + 2)-vertex facets meeting in m vertices: only the shared
-        # vertices are candidates, and the links shrink to two disjoint edges
+        # the boundary of the simplex on 5..m + 5, joined to the two disjoint
+        # edges 12, 34: only the boundary's vertices are candidates, and the
+        # link of each is the boundary of a smaller simplex joined to the edges
+        sphere = range(5, m + 6)
         cx = SimplicialComplex.from_facets(
-            m + 4, [list(range(1, m + 3)), [*range(1, m + 1), m + 3, m + 4]]
+            m + 5, [[*e, *(v for v in sphere if v != u)] for e in ([1, 2], [3, 4]) for u in sphere]
         )
         memo = {}
         assert is_vertex_decomposable(cx, memo).value is False
-        assert len(memo) == m + 1  # one link per shared vertex; 2^m without the early stop
+        assert len(memo) == m + 1  # one link per boundary; 2^(m + 1) - m - 1 without the early stop
         if m <= 6:
             assert naive_shedding_tree(cx) is None
 
@@ -339,18 +367,19 @@ class TestShellable:
             with pytest.raises(ValueError):
                 is_shellable(two_edges, vd=DecompositionResult(True, SheddingTree(leaf)))
 
-    def test_cone_node_replays_both_subtrees(self):
+    def test_cone_apex_does_not_shed(self):
         # the cone over two points with apex 3: del 3 is lk 3, the two points,
-        # so the tree must certify them in both subtrees
+        # one dimension lower, so 3 is no shedding vertex (Provan-Billera)
         cone = SimplicialComplex.from_facets(3, [[1, 3], [2, 3]])
         points = is_vertex_decomposable(SimplicialComplex.from_facets(3, [[1], [2]])).tree
-        wrong = SheddingTree("shed", 3, points, SheddingTree("void"))
-        assert not verify_shedding_tree(cone, wrong)
+        apex = SheddingTree("shed", 3, points, points)
+        assert not verify_shedding_tree(cone, apex)
         with pytest.raises(ValueError):
-            is_shellable(cone, vd=DecompositionResult(True, wrong))
-        copied = SheddingTree("shed", 3, points, SheddingTree.from_dict(points.to_dict()))
-        assert verify_shedding_tree(cone, copied)
-        result = is_shellable(cone, vd=DecompositionResult(True, copied))
+            is_shellable(cone, vd=DecompositionResult(True, apex))
+        vd = is_vertex_decomposable(cone)
+        assert vd.tree.vertex == 2
+        assert verify_shedding_tree(cone, vd.tree)
+        result = is_shellable(cone, vd=vd)
         assert result.nodes == 0 and verify_shelling(cone, result.order)
 
     @pytest.mark.parametrize(
@@ -365,9 +394,12 @@ class TestShellable:
             lambda t: SheddingTree("shed", 10**9, t.link, t.deletion),
             # lk 6 does not hold 6, though every facet of that subproblem holds it
             lambda t: SheddingTree("shed", 6, SheddingTree("shed", 6, t.link, t.link), t.deletion),
+            # 7 lies in no facet: the void link would be a leaf holding no facet
+            lambda t: SheddingTree("shed", 7, SheddingTree("void"), t),
         ],
         ids=[
-            "no-subtrees", "dict", "none", "bool-vertex", "str-vertex", "huge-vertex", "shed-twice"
+            "no-subtrees", "dict", "none", "bool-vertex", "str-vertex", "huge-vertex", "shed-twice",
+            "outside-support",
         ],
     )
     def test_malformed_certificate_fails(self, forge):
