@@ -10,24 +10,26 @@ classification.
 """
 
 from vdwcomplex._kernels import implementation_name
+from vdwcomplex.certify import (
+    SheddingTree,
+    field_label,
+    parse_field,
+    verify_shedding_tree,
+    verify_shelling,
+)
 from vdwcomplex.complexes import MAX_VERTICES, SimplicialComplex, pack, unpack
 from vdwcomplex.decompose import (
     DEFAULT_SHELLING_BUDGET,
     DecompositionResult,
-    SheddingTree,
     ShellingResult,
     is_shellable,
     is_vertex_decomposable,
-    verify_shedding_tree,
-    verify_shelling,
 )
 from vdwcomplex.homology import (
     CohenMacaulayResult,
     HomologyProfile,
     cohen_macaulay_by_field,
-    field_label,
     is_cohen_macaulay,
-    parse_field,
     reduced_homology,
 )
 from vdwcomplex.ideals import (

@@ -21,14 +21,10 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
+from vdwcomplex.certify import field_label, parse_field, verify_shelling
 from vdwcomplex.complexes import MAX_VERTICES, SimplicialComplex
-from vdwcomplex.decompose import (
-    DEFAULT_SHELLING_BUDGET,
-    is_shellable,
-    is_vertex_decomposable,
-    verify_shelling,
-)
-from vdwcomplex.homology import cohen_macaulay_by_field, field_label, parse_field
+from vdwcomplex.decompose import DEFAULT_SHELLING_BUDGET, is_shellable, is_vertex_decomposable
+from vdwcomplex.homology import cohen_macaulay_by_field
 from vdwcomplex.ideals import LinearPresentationResult, _s2_witness, dual_ideal, taylor_syzygies
 from vdwcomplex.vdw import _validate_params as _validate_vdw_params
 from vdwcomplex.vdw import (

@@ -111,11 +111,22 @@ def _face_order(mask: int) -> int:
 
 
 def _absorb(masks: Iterable[int]) -> list[int]:
-    """Inclusion-maximal members of a family of face masks."""
+    """Inclusion-maximal members of a family of face masks.
+
+    After ``set()``, a face can lie only in a strictly larger one, and faces
+    come by decreasing size: only those kept before m's size can hold m.
+    """
     uniq = sorted(set(masks), key=int.bit_count, reverse=True)
+    if len(uniq) < 2:  # the most common family in the link walks: nothing to compare
+        return uniq
     kept: list[int] = []
+    larger: tuple[int, ...] = ()
+    size = -1
     for m in uniq:
-        if not any(m & k == m for k in kept):
+        if m.bit_count() != size:
+            size = m.bit_count()
+            larger = tuple(kept)
+        if not any(m & k == m for k in larger):
             kept.append(m)
     return kept
 

@@ -16,8 +16,8 @@ whose link fails; only a failing deletion moves it on to the next
 candidate.  Subproblems are memoized on their facet masks, which link
 and deletion keep in canonical order, so equal subproblems meet under
 equal keys; the memo maps each key to its shedding tree, or to ``None``
-on failure.  A successful decision is certified by a shedding tree that
-can be replayed independently.
+on failure.  A successful decision is certified by a shedding tree,
+which ``certify`` replays with no help from this module.
 
 Shellability is decided from certificates where they exist, and by a
 depth-first search over facet prefixes otherwise (see :func:`is_shellable`
@@ -32,9 +32,9 @@ Reisner witness over F2; a complex passing (S2) meets the Reisner test
 over F2 next.  A facet may extend a prefix of the search iff its faces
 already covered by placed facets form a nonempty union of its
 codimension-1 faces (equivalent, for pure complexes, to the pairwise
-shelling condition, which :func:`verify_shelling` checks literally).  The
-search memoizes dead prefix sets and reports "undecided" when the node
-budget is exhausted.
+shelling condition, which ``certify.verify_shelling`` checks literally).
+The search memoizes dead prefix sets and reports "undecided" when the
+node budget is exhausted.
 """
 
 from __future__ import annotations
@@ -43,72 +43,14 @@ import json
 from dataclasses import dataclass
 
 from vdwcomplex import _kernels
-from vdwcomplex.complexes import MAX_VERTICES, SimplicialComplex, Vertices, _pack_checked, unpack
+from vdwcomplex.certify import SheddingTree, _tree_order
+from vdwcomplex.complexes import SimplicialComplex, Vertices, unpack
 from vdwcomplex.homology import CohenMacaulayResult, is_cohen_macaulay
 from vdwcomplex.ideals import _s2_witness
 
 DEFAULT_SHELLING_BUDGET = 5_000_000
 
 _MISSING = object()
-
-
-@dataclass(frozen=True)
-class SheddingTree:
-    """Certificate for vertex decomposability.
-
-    ``kind`` is one of "void", "empty", "simplex" (base cases) or
-    "shed"; a shed node records the shedding vertex and the subtrees
-    certifying its link and deletion.
-    """
-
-    kind: str
-    vertex: int | None = None
-    link: "SheddingTree | None" = None
-    deletion: "SheddingTree | None" = None
-
-    def shedding_vertices(self) -> tuple[int, ...]:
-        """Vertices shed along the leftmost (deletion-first) spine."""
-        out = []
-        node = self
-        while node.kind == "shed":
-            out.append(node.vertex)
-            node = node.deletion
-        return tuple(out)
-
-    def to_dict(self) -> dict:
-        if self.kind != "shed":
-            return {"kind": self.kind}
-        return {
-            "kind": "shed",
-            "vertex": self.vertex,
-            "link": self.link.to_dict(),
-            "deletion": self.deletion.to_dict(),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), separators=(",", ":"))
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SheddingTree":
-        """Tree from the nested objects of :meth:`to_dict`.
-
-        A node that is not an object with a ``"kind"``, or a shed node
-        without ``"vertex"``, ``"link"`` and ``"deletion"``, raises
-        ValueError; whether the tree decomposes a complex is for
-        :func:`verify_shedding_tree` to say.
-        """
-        if not isinstance(data, dict) or "kind" not in data:
-            raise ValueError('a shedding tree node must be an object with the key "kind"')
-        if data["kind"] != "shed":
-            return cls(data["kind"])
-        if not all(key in data for key in ("vertex", "link", "deletion")):
-            raise ValueError('a shed node must have the keys "vertex", "link" and "deletion"')
-        return cls(
-            "shed",
-            data["vertex"],
-            cls.from_dict(data["link"]),
-            cls.from_dict(data["deletion"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -196,10 +138,10 @@ def is_vertex_decomposable(cx: SimplicialComplex, memo: dict | None = None) -> D
 
     Returns a :class:`DecompositionResult`; on success its ``tree``
     certifies the decomposition and replays under
-    :func:`verify_shedding_tree`.  Candidates are tried from the highest
-    vertex down, and a vertex x is tried only if it sheds in the sense of
-    Provan-Billera: every ridge F - x of a facet F through x lies in a
-    second facet.  Subproblems are memoized on their facet masks:
+    ``certify.verify_shedding_tree``.  Candidates are tried from the
+    highest vertex down, and a vertex x is tried only if it sheds in the
+    sense of Provan-Billera: every ridge F - x of a facet F through x lies
+    in a second facet.  Subproblems are memoized on their facet masks:
     ``memo`` maps each to its shedding tree, or to ``None`` when it is
     not vertex decomposable, and may be supplied to share the
     (single-threaded) cache across calls.
@@ -210,23 +152,6 @@ def is_vertex_decomposable(cx: SimplicialComplex, memo: dict | None = None) -> D
         memo = {}
     tree = _decide(cx.facet_masks, memo)
     return DecompositionResult(tree is not None, tree)
-
-
-def verify_shedding_tree(cx: SimplicialComplex, tree: SheddingTree) -> bool:
-    """Replay a shedding tree against a complex, checking every node.
-
-    The replay is the walk that :func:`is_shellable` reads an order off
-    (see ``_tree_order``): the tree certifies ``cx`` iff the walk raises
-    no ValueError.  A nonpure complex is not vertex decomposable, so no
-    tree certifies it.
-    """
-    if not cx.is_pure:
-        return False
-    try:
-        _tree_order(cx.facet_masks, tree)
-    except ValueError:
-        return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -273,49 +198,6 @@ _STATUS = {
 }
 
 
-def _tree_order(masks: tuple[int, ...], tree: SheddingTree) -> list[int]:
-    """Replay a shedding tree on a pure facet list; return its shelling order (Provan-Billera).
-
-    A subproblem is kept as the facets of ``masks`` that hold every vertex
-    ``joined`` through links and avoid every vertex deleted.  Every node is
-    checked, and one that does not decompose its subproblem raises
-    ValueError: a leaf must match the subproblem, and the shedding vertex x
-    of a shed node must be an int in 1..MAX_VERTICES that lies in a facet
-    of the subproblem, and x must shed it: each ridge F - x of a facet F
-    through x lies in a facet avoiding x.  A vertex in every facet of the
-    subproblem, a cone apex or one joined already, has no facet avoiding
-    it, so it never sheds.  The deletion is the facets avoiding x, and the
-    order is the deletion's, then the link's.  The two subtrees split the
-    facets, and each leaf but the void complex's holds one, so a tree that
-    replays on a nonvoid complex has 2 * #facets - 1 nodes.
-    """
-
-    def order(sub: list[int], tree: SheddingTree, joined: int) -> list[int]:
-        kind = tree.kind if isinstance(tree, SheddingTree) else None
-        if kind == "shed":
-            x = tree.vertex
-            if not isinstance(x, bool) and isinstance(x, int) and 0 < x <= MAX_VERTICES:
-                bit = 1 << (x - 1)
-                through = [f for f in sub if f & bit]
-                avoiding = [f for f in sub if not f & bit]
-                if through and all(any(not (f ^ bit) & ~g for g in avoiding) for f in through):
-                    return order(avoiding, tree.deletion, joined) + order(
-                        through, tree.link, joined | bit
-                    )
-        elif kind == "void":
-            if not sub:
-                return sub
-        elif kind == "empty":
-            if sub == [joined]:
-                return sub
-        elif kind == "simplex":
-            if len(sub) == 1 and sub[0] != joined:
-                return sub
-        raise ValueError("the shedding tree does not decompose this complex")
-
-    return order(list(masks), tree, 0)
-
-
 def is_shellable(
     cx: SimplicialComplex,
     budget: int | None = DEFAULT_SHELLING_BUDGET,
@@ -328,7 +210,7 @@ def is_shellable(
 
     1. If ``vd`` says vertex decomposable, the order is read off its
        shedding tree (see ``_tree_order``), with ``nodes == 0`` and no
-       search.  The whole tree is replayed as :func:`verify_shedding_tree`
+       search.  The whole tree is replayed as ``certify.verify_shedding_tree``
        replays it, and a tree that does not decompose ``cx`` raises
        ValueError.
     2. Without ``vd``, the search runs as a probe with no room to
@@ -383,26 +265,3 @@ def is_shellable(
             status, idx_order, nodes = _kernels.search_shelling(masks, budget)
     order = tuple(cx.facets[i] for i in idx_order) if idx_order is not None else None
     return ShellingResult(_STATUS[status], order, nodes)
-
-
-def verify_shelling(cx: SimplicialComplex, order) -> bool:
-    """Check the pairwise shelling condition literally.
-
-    ``order`` must be a permutation of the facets; for every i < j some
-    vertex x in F_j minus F_i must satisfy F_j minus F_l = {x} for a
-    previous F_l.
-    """
-    masks = _pack_checked(cx.n, order, "facet")
-    if sorted(masks) != sorted(cx.facet_masks):
-        raise ValueError("order is not a permutation of the complex's facets")
-    for j in range(1, len(masks)):
-        fj = masks[j]
-        singles = 0
-        for l in range(j):
-            diff = fj & ~masks[l]
-            if diff and diff & (diff - 1) == 0:
-                singles |= diff
-        for i in range(j):
-            if fj & ~masks[i] & singles == 0:
-                return False
-    return True

@@ -2,10 +2,10 @@
 
 Homology is computed from integer boundary matrices of the augmented
 chain complex (the empty face is a (-1)-chain, so Betti numbers are
-reduced).  One top-down pass yields the faces, the signed sparse boundary
-columns and their mod-2 bitmasks, numbering each face's row when a column
-first meets it; row order does not change a rank.  Every boundary built
-is checked: boundary composed with boundary vanishes.  Ranks are exact.
+reduced).  The chain complex and its check, boundary composed with
+boundary vanishing, are ``certify``'s reference ones (``_chain_complex``,
+``_assert_chain_complex``): one top-down pass yields the faces, the
+signed sparse boundary columns and their mod-2 bitmasks.  Ranks are exact.
 Cohen-Macaulayness is decided by Reisner's criterion: every face link
 must have vanishing reduced homology below its dimension.
 
@@ -57,82 +57,27 @@ pivoting only on +-1 entries is unimodular, so the pivots count towards
 the rank over every field, and only the block they leave goes to
 fraction-free or modular elimination.  They leave none in
 ``vdw sweep 40 --checks cm``, and always some where there is torsion.
-The reference the tests compare with is ``_cohen_macaulay_naive``:
+The tests compare with ``_cohen_macaulay_naive`` (``tests/conftest.py``):
 every face, its literal link, no core, no shortcut, dense elimination
-(``_reduced_betti``).
+(``certify._reduced_betti``), as ``certify.verify_cohen_macaulay_witness``
+replays one witness.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from vdwcomplex import _kernels
+from vdwcomplex.certify import (
+    RATIONALS,
+    _assert_chain_complex,
+    _betti,
+    _chain_complex,
+    _dense_rank,
+    field_label,
+    parse_field,
+)
 from vdwcomplex.complexes import SimplicialComplex, _absorb, _face_order, _is_connected, unpack
-
-RATIONALS = 0
-_PRIME_DESCRIPTOR = re.compile(r"[Ff](?:[Pp]:)?([0-9]+)")  # F<p> or Fp:<p>
-
-
-def parse_field(field) -> int:
-    """Normalize a field descriptor to 0 (rationals) or a prime p.
-
-    Accepts 0/None, a prime integer, or the strings "Q", "QQ", "0",
-    "F<p>" and "Fp:<p>" (the letters F and p in either case).
-    """
-    if field is None:
-        return RATIONALS
-    if isinstance(field, int) and not isinstance(field, bool):
-        if field == RATIONALS:
-            return RATIONALS
-        if field >= _PRIME_LIMIT:
-            raise ValueError(f"prime fields are supported for p < 2**64, got {field}")
-        if not _is_prime(field):
-            raise ValueError(f"{field} is not prime")
-        return field
-    if isinstance(field, str):
-        text = field.strip()
-        if text in ("Q", "QQ", "0"):
-            return RATIONALS
-        prime = _PRIME_DESCRIPTOR.fullmatch(text)
-        if prime and int(prime[1]):  # "F0" is no field
-            return parse_field(int(prime[1]))
-    raise ValueError(f"unrecognized field descriptor {field!r}; use Q, F2 or Fp:<p>")
-
-
-def field_label(char: int) -> str:
-    return "Q" if char == RATIONALS else f"Fp:{char}"
-
-
-# Miller-Rabin with these bases is deterministic below 2**64.
-_PRIME_LIMIT = 1 << 64
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(p: int) -> bool:
-    """Exact primality test for 0 <= p < 2**64."""
-    if p < 2:
-        return False
-    for q in _WITNESSES:
-        if p % q == 0:
-            return p == q
-    d = p - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _WITNESSES:
-        x = pow(a, d, p)
-        if x == 1 or x == p - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
-
 
 @dataclass(frozen=True)
 class HomologyProfile:
@@ -221,59 +166,6 @@ def _core(facet_masks) -> list[int]:
         facets = kept + [c for c in _absorb(cuts) if not any(c & g == c for g in kept)]
 
 
-def _chain_complex(facet_masks) -> tuple[list[list[int]], list, list[list[int]]]:
-    """The augmented chain complex of a nonvoid antichain, in one top-down pass.
-
-    Returns ``(levels, boundaries, masks)``: ``levels[c]`` lists the faces
-    with c vertices (``levels[0] == [0]``, the empty face), ``boundaries[j]``
-    holds the signed sparse columns of the map from ``levels[j + 1]`` to
-    ``levels[j]``, and ``masks[j]`` the same columns mod 2 as int bitmasks
-    over the rows.  Level c - 1 starts as the facets with c - 1 vertices;
-    every other face gets its row the first time a column of level c meets
-    it, so rows are in order of discovery, which no rank depends on.
-    """
-    top = max(m.bit_count() for m in facet_masks)
-    levels: list[list[int]] = [[] for _ in range(top + 1)]
-    for m in facet_masks:
-        levels[m.bit_count()].append(m)
-    boundaries: list = [None] * top
-    masks: list = [None] * top
-    for c in range(top, 0, -1):
-        index = {m: r for r, m in enumerate(levels[c - 1])}
-        columns = []
-        column_masks = []
-        for m in levels[c]:
-            column = []
-            mask = 0
-            sign = 1
-            rest = m
-            while rest:
-                bit = rest & -rest
-                r = index.setdefault(m ^ bit, len(index))
-                column.append((r, sign))
-                mask |= 1 << r
-                sign = -sign
-                rest ^= bit
-            columns.append(column)
-            column_masks.append(mask)
-        levels[c - 1] = list(index)
-        boundaries[c - 1] = columns
-        masks[c - 1] = column_masks
-    return levels, boundaries, masks
-
-
-def _assert_chain_complex(boundaries: list[list[list[tuple[int, int]]]]) -> None:
-    # boundary-of-boundary must vanish identically
-    for lower, upper in zip(boundaries, boundaries[1:]):
-        for column in upper:
-            acc: dict[int, int] = {}
-            for mid, sign in column:
-                for r, s in lower[mid]:
-                    acc[r] = acc.get(r, 0) + sign * s
-            if any(acc.values()):
-                raise AssertionError("boundary composed with boundary is nonzero")
-
-
 def _betti_per_field(facet_masks, chars) -> dict[int, dict[int, int]]:
     """Reduced Betti numbers of a nonvoid facet list over each field in ``chars``.
 
@@ -301,24 +193,6 @@ def _betti_per_field(facet_masks, chars) -> dict[int, dict[int, int]]:
     return out
 
 
-def _reduced_betti(facet_masks, char: int) -> dict[int, int]:
-    """Reduced Betti numbers of a nonvoid facet list over one field: the reference path.
-
-    No mod-2 filter and no unit pivots: F2 by XOR elimination, every map
-    over Q or odd p ranked as a dense matrix (``_dense_rank``).
-    ``reduced_homology`` and the Reisner walk measure with
-    ``_betti_per_field`` instead.
-    """
-    levels, boundaries, masks = _chain_complex(facet_masks)
-    counts = [len(level) for level in levels]  # counts[c] = #(c-1)-dim faces
-    _assert_chain_complex(boundaries)
-    if char == 2:
-        ranks = [_kernels.rank_mod_2_masks(column_masks) for column_masks in masks]
-    else:
-        ranks = [_dense_rank(columns, char) for columns in boundaries]
-    return _betti(counts, ranks)
-
-
 def _rank(columns, char: int) -> int:
     """Rank of signed sparse columns over Q (``char`` 0) or F_p for odd p.
 
@@ -327,33 +201,6 @@ def _rank(columns, char: int) -> int:
     """
     rank, rest = _kernels.rank_unit_pivots(columns)
     return rank + _dense_rank([column.items() for column in rest], char)
-
-
-def _dense_rank(columns, char: int) -> int:
-    """Rank over Q or odd F_p of sparse columns of (row, value) pairs, made dense.
-
-    Only the rows the columns meet get a row of the matrix, in order of
-    discovery; it is ranked by fraction-free or modular elimination.
-    """
-    if not columns:
-        return 0
-    index: dict[int, int] = {}
-    for column in columns:
-        for r, _ in column:
-            index.setdefault(r, len(index))
-    rows = [[0] * len(columns) for _ in index]
-    for col, column in enumerate(columns):
-        for r, x in column:
-            rows[index[r]][col] = x
-    if char == RATIONALS:
-        return _kernels.rank_bareiss(rows, len(columns))
-    return _kernels.rank_mod_p(rows, len(columns), char)
-
-
-def _betti(counts: list[int], ranks: list[int]) -> dict[int, int]:
-    """Betti numbers from face counts and the ranks of the boundary maps."""
-    padded = [0, *ranks, 0]  # nothing leaves the empty face or enters the top faces
-    return {c - 1: counts[c] - padded[c] - padded[c + 1] for c in range(len(counts))}
 
 
 def _sphere_degree(facet_masks) -> int | None:
@@ -449,7 +296,7 @@ def cohen_macaulay_by_field(cx: SimplicialComplex, fields) -> list[CohenMacaulay
     ranks are computed once for every field still passing, and a field
     stops at its first failing link (see ``_first_failures``).  Each
     result, witness included, is the one the traversal of every face
-    and its literal link finds (``_cohen_macaulay_naive``).  ``fields``
+    and its literal link finds (``_cohen_macaulay_naive`` in the tests).  ``fields``
     is a list of field descriptors; a string is refused, since it would
     be read one character at a time.
     """
@@ -477,27 +324,3 @@ def is_cohen_macaulay(cx: SimplicialComplex, field="Q") -> CohenMacaulayResult:
     one the full traversal finds.
     """
     return cohen_macaulay_by_field(cx, [field])[0]
-
-
-def _cohen_macaulay_naive(cx: SimplicialComplex, field="Q") -> CohenMacaulayResult:
-    """The reference for ``is_cohen_macaulay``: every face, its literal link.
-
-    Each link is measured by ``_reduced_betti``, with no core, no
-    shortcut, no mod-2 filter and no unit pivots.
-    """
-    if cx.is_void:
-        raise ValueError("Cohen-Macaulayness of the void complex is undefined")
-    char = parse_field(field)
-    if not cx.is_pure:
-        return CohenMacaulayResult(False, field_label(char))
-    faces = [m for level in _chain_complex(cx.facet_masks)[0] for m in level]
-    for fmask in sorted(faces, key=_face_order):
-        link = [g ^ fmask for g in cx.facet_masks if g & fmask == fmask]
-        link_dim = cx.dim - fmask.bit_count()
-        if link_dim < 0 and fmask != 0:
-            continue  # link of a facet: nothing below dimension -1
-        betti = _reduced_betti(link, char)
-        for i in range(-1, link_dim):
-            if betti.get(i, 0) != 0:
-                return _result(char, (fmask, i))
-    return _result(char, None)

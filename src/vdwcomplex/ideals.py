@@ -33,8 +33,8 @@ so lcm(m_i, m_j) has degree n - |F| > d + 1 and the pair is not linear.
 The generators dividing that lcm are the facets containing F, and a
 linear pair among them is two facets sharing a ridge, which lie in one
 component of lk F; so no path of linear pairs joins i to j.
-The reference the tests compare with is ``_linearly_presented_by_pairs``:
-the graph search on every pair, in order.
+The reference the tests compare with, ``_linearly_presented_by_pairs``
+in ``tests/conftest.py``, runs the graph search on every pair, in order.
 """
 
 from __future__ import annotations
@@ -227,44 +227,6 @@ def is_linearly_presented(ideal: MonomialIdeal) -> LinearPresentationResult:
     full = (1 << ideal.n) - 1
     witness = _s2_witness([full & ~m for m in masks], ideal.n - masks[0].bit_count() - 1)
     return LinearPresentationResult(witness is None, witness)
-
-
-def _linearly_presented_by_pairs(ideal: MonomialIdeal) -> LinearPresentationResult:
-    """The reference for ``is_linearly_presented``: every pair, in order.
-
-    Each pair syzygy is tested in turn by the multidegree graph search
-    of :func:`_linearly_joined`, and the first pair failing it is the
-    witness.
-    """
-    if not ideal.is_equigenerated:
-        raise ValueError("linear presentation is defined for equigenerated ideals")
-    masks = ideal.generator_masks
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            linear = (masks[i] | masks[j]).bit_count() == masks[i].bit_count() + 1
-            if not linear and not _linearly_joined(masks, i, j):
-                return LinearPresentationResult(False, (i, j))
-    return LinearPresentationResult(True)
-
-
-def _linearly_joined(masks, i: int, j: int) -> bool:
-    """Is the pair syzygy (i, j) in the span of the linear pair syzygies?
-
-    It is iff i and j are joined in the graph on the generators dividing
-    lcm(m_i, m_j) whose edges are the pairs of lcm-degree d + 1.
-    """
-    d = masks[0].bit_count()
-    lcm = masks[i] | masks[j]
-    members = [p for p, m in enumerate(masks) if m & ~lcm == 0]
-    reached = {i}
-    frontier = [i]
-    while frontier and j not in reached:
-        p = frontier.pop()
-        for q in members:
-            if q not in reached and (masks[p] | masks[q]).bit_count() == d + 1:
-                reached.add(q)
-                frontier.append(q)
-    return j in reached
 
 
 def _s2_witness(facets, dim: int) -> tuple[int, int] | None:

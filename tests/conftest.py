@@ -3,8 +3,11 @@
 The oracles here deliberately avoid the library's own algorithms:
 minimal non-faces by full subset enumeration, vertex decomposability by
 the memo-free recursion on literal links and deletions, shellability by
-permutation search, ranks by fraction Gaussian elimination, syzygy
-membership by solving the multidegree-component linear system.
+permutation search, Cohen-Macaulayness by every face and its literal
+link measured with ``certify``'s reference homology, linear presentation
+by the graph search on every generator pair, ranks by fraction Gaussian
+elimination, syzygy membership by solving the multidegree-component
+linear system.
 """
 
 from __future__ import annotations
@@ -12,8 +15,16 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from vdwcomplex.complexes import SimplicialComplex, unpack
-from vdwcomplex.decompose import verify_shelling
+from vdwcomplex.certify import (
+    _chain_complex,
+    _reduced_betti,
+    field_label,
+    parse_field,
+    verify_shelling,
+)
+from vdwcomplex.complexes import SimplicialComplex, _face_order, unpack
+from vdwcomplex.homology import CohenMacaulayResult, _result
+from vdwcomplex.ideals import LinearPresentationResult
 
 # antipodally identified icosahedron: the 6-vertex projective plane
 RP2 = SimplicialComplex.from_facets(
@@ -108,6 +119,68 @@ def naive_shedding_tree(cx: SimplicialComplex):
             continue
         return {"kind": "shed", "vertex": x, "link": link_tree, "deletion": deletion_tree}
     return None
+
+
+def _cohen_macaulay_naive(cx: SimplicialComplex, field="Q") -> CohenMacaulayResult:
+    """The reference for ``is_cohen_macaulay``: every face, its literal link.
+
+    Each link is measured by ``_reduced_betti``, with no core, no
+    shortcut, no mod-2 filter and no unit pivots.
+    """
+    if cx.is_void:
+        raise ValueError("Cohen-Macaulayness of the void complex is undefined")
+    char = parse_field(field)
+    if not cx.is_pure:
+        return CohenMacaulayResult(False, field_label(char))
+    faces = [m for level in _chain_complex(cx.facet_masks)[0] for m in level]
+    for fmask in sorted(faces, key=_face_order):
+        link = [g ^ fmask for g in cx.facet_masks if g & fmask == fmask]
+        link_dim = cx.dim - fmask.bit_count()
+        if link_dim < 0 and fmask != 0:
+            continue  # link of a facet: nothing below dimension -1
+        betti = _reduced_betti(link, char)
+        for i in range(-1, link_dim):
+            if betti.get(i, 0) != 0:
+                return _result(char, (fmask, i))
+    return _result(char, None)
+
+
+def _linearly_presented_by_pairs(ideal) -> LinearPresentationResult:
+    """The reference for ``is_linearly_presented``: every pair, in order.
+
+    Each pair syzygy is tested in turn by the multidegree graph search
+    of :func:`_linearly_joined`, and the first pair failing it is the
+    witness.
+    """
+    if not ideal.is_equigenerated:
+        raise ValueError("linear presentation is defined for equigenerated ideals")
+    masks = ideal.generator_masks
+    for i in range(len(masks)):
+        for j in range(i + 1, len(masks)):
+            linear = (masks[i] | masks[j]).bit_count() == masks[i].bit_count() + 1
+            if not linear and not _linearly_joined(masks, i, j):
+                return LinearPresentationResult(False, (i, j))
+    return LinearPresentationResult(True)
+
+
+def _linearly_joined(masks, i: int, j: int) -> bool:
+    """Is the pair syzygy (i, j) in the span of the linear pair syzygies?
+
+    It is iff i and j are joined in the graph on the generators dividing
+    lcm(m_i, m_j) whose edges are the pairs of lcm-degree d + 1.
+    """
+    d = masks[0].bit_count()
+    lcm = masks[i] | masks[j]
+    members = [p for p, m in enumerate(masks) if m & ~lcm == 0]
+    reached = {i}
+    frontier = [i]
+    while frontier and j not in reached:
+        p = frontier.pop()
+        for q in members:
+            if q not in reached and (masks[p] | masks[q]).bit_count() == d + 1:
+                reached.add(q)
+                frontier.append(q)
+    return j in reached
 
 
 def brute_force_shellable(cx: SimplicialComplex):

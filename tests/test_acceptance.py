@@ -12,22 +12,18 @@ from collections import Counter
 
 from conftest import (
     CONNECTED_GRAPH_CLASS_COUNTS,
+    _linearly_presented_by_pairs,
     connected_graph_classes,
     linear_presentation_oracle,
     random_pure_complex,
 )
 
+from vdwcomplex.certify import verify_shedding_tree, verify_shelling
 from vdwcomplex.complexes import SimplicialComplex
-from vdwcomplex.decompose import (
-    is_shellable,
-    is_vertex_decomposable,
-    verify_shedding_tree,
-    verify_shelling,
-)
+from vdwcomplex.decompose import is_shellable, is_vertex_decomposable
 from vdwcomplex.homology import is_cohen_macaulay
 from vdwcomplex.ideals import (
     MonomialIdeal,
-    _linearly_presented_by_pairs,
     dual_ideal,
     is_linearly_presented,
     nonlinear_obstruction_vdw,

@@ -2,10 +2,12 @@
 
 import json
 import random
+import time
 
 import pytest
 from conftest import brute_force_minimal_nonfaces, complex_from_masks, enumerate_antichains
 
+from vdwcomplex import complexes
 from vdwcomplex.complexes import SimplicialComplex, _face_order, pack, unpack
 from vdwcomplex.decompose import is_vertex_decomposable
 from vdwcomplex.ideals import MonomialIdeal, dual_ideal, is_linearly_presented
@@ -22,6 +24,29 @@ class TestConstruction:
     def test_containment_absorption(self):
         cx = SimplicialComplex.from_facets(3, [[1, 2], [1, 2, 3]])
         assert cx.facets == ((1, 2, 3),)
+
+    def test_absorb_against_brute_force(self):
+        # families with few sizes, many duplicates and many contained members
+        rng = random.Random(173)
+        for _ in range(400):
+            n = rng.randint(1, 9)
+            family = [rng.getrandbits(n) for _ in range(rng.randint(0, 12))]
+            family += [rng.choice(family) & rng.getrandbits(n) for _ in family]
+            family += rng.choices(family, k=len(family))
+            by_size = sorted(set(family), key=int.bit_count, reverse=True)
+            maximal = [m for m in by_size if not any(m != g and m & g == m for g in family)]
+            assert complexes._absorb(family) == maximal, family
+
+    def test_equal_size_facets_absorb_quickly(self):
+        # the 12-fold join of S^0 with two disjoint edges: 8,192 facets of 14 vertices
+        facets = [()]
+        for i in range(12):
+            facets = [f + (v,) for f in facets for v in (2 * i + 1, 2 * i + 2)]
+        facets = [f + edge for f in facets for edge in ((25, 26), (27, 28))]
+        start = time.perf_counter()
+        cx = SimplicialComplex.from_facets(28, facets)
+        assert time.perf_counter() - start < 1.0
+        assert len(cx.facet_masks) == 8192 and set(cx.facets) == set(facets)
 
     def test_void_complex(self):
         cx = SimplicialComplex.from_facets(4, [])

@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 from conftest import (
     RP2,
+    _cohen_macaulay_naive,
     complex_from_masks,
     enumerate_antichains,
     random_pure_complex,
@@ -15,6 +16,12 @@ from conftest import (
 )
 
 from vdwcomplex import _kernels, complexes, homology
+from vdwcomplex.certify import (
+    _assert_chain_complex,
+    _chain_complex,
+    _reduced_betti,
+    verify_cohen_macaulay_witness,
+)
 from vdwcomplex.complexes import SimplicialComplex, pack, unpack
 from vdwcomplex.homology import field_label, is_cohen_macaulay, parse_field, reduced_homology
 from vdwcomplex.vdw import classify_closed_form, vdw_complex
@@ -147,7 +154,7 @@ class TestReducedHomology:
             masks = list(cx.facet_masks)
             smaller += _support(homology._core(masks)) != _support(masks)
             for char in (0, 2, 3):
-                literal = homology._reduced_betti(masks, char)
+                literal = _reduced_betti(masks, char)
                 assert reduced_homology(cx, char).betti == literal, (cx.facets, char)
         assert smaller > 100
 
@@ -191,7 +198,7 @@ class TestChainComplex:
                 for _ in range(rng.randint(1, 6))
             ]
             masks = list(SimplicialComplex.from_facets(n, faces).facet_masks)
-            levels, boundaries, column_masks = homology._chain_complex(masks)
+            levels, boundaries, column_masks = _chain_complex(masks)
             closure = {sub for f in masks for sub in range(f + 1) if sub & f == sub}
             assert sorted(m for level in levels for m in level) == sorted(closure)
             assert all(m.bit_count() == c for c, level in enumerate(levels) for m in level)
@@ -206,8 +213,8 @@ class TestChainComplex:
         "cx", [SimplicialComplex.simplex(3), RP2], ids=["2-simplex", "RP2"]
     )
     def test_boundary_guard_fires(self, cx):
-        levels, boundaries, _ = homology._chain_complex(list(cx.facet_masks))
-        homology._assert_chain_complex(boundaries)
+        levels, boundaries, _ = _chain_complex(list(cx.facet_masks))
+        _assert_chain_complex(boundaries)
         # the map from edges to vertices, with a map on each side
         r, sign = boundaries[-2][0][0]
         flipped = copy.deepcopy(boundaries)
@@ -217,8 +224,8 @@ class TestChainComplex:
         moved[-2][0][0] = (next(row for row in range(len(levels[-3])) if row not in rows), sign)
         for broken in (flipped, moved):
             with pytest.raises(AssertionError):
-                homology._assert_chain_complex(broken)
-        homology._assert_chain_complex(boundaries)
+                _assert_chain_complex(broken)
+        _assert_chain_complex(boundaries)
 
 
 class TestFaceOrder:
@@ -277,15 +284,10 @@ class TestCohenMacaulay:
         assert res.witness_degree == 1
 
     def test_witness_is_a_real_failure(self):
-        res = is_cohen_macaulay(vdw_complex(8, 2), "Q")
+        cx = vdw_complex(8, 2)
+        res = is_cohen_macaulay(cx, "Q")
         assert not res.value
-        link = vdw_complex(8, 2)
-        for v in res.witness_face:
-            link = link.link(v)
-        betti = reduced_homology(
-            SimplicialComplex.from_facets(link.n, link.facets), "Q"
-        ).betti
-        assert betti[res.witness_degree] != 0
+        assert verify_cohen_macaulay_witness(cx, res)
 
     def test_pruned_agrees_with_naive_exhaustively(self):
         # every complex on <= 4 vertices, both fields
@@ -296,7 +298,7 @@ class TestCohenMacaulay:
                 cx = complex_from_masks(n, masks)
                 for field in ("Q", "F2"):
                     fast = is_cohen_macaulay(cx, field)
-                    slow = homology._cohen_macaulay_naive(cx, field)
+                    slow = _cohen_macaulay_naive(cx, field)
                     assert fast.value == slow.value
 
     def test_pruned_agrees_with_naive_random(self):
@@ -306,7 +308,7 @@ class TestCohenMacaulay:
             for field in ("Q", "F2"):
                 assert (
                     is_cohen_macaulay(cx, field).value
-                    == homology._cohen_macaulay_naive(cx, field).value
+                    == _cohen_macaulay_naive(cx, field).value
                 )
 
     def test_fast_and_naive_identical_exhaustively(self):
@@ -318,7 +320,7 @@ class TestCohenMacaulay:
                 cx = complex_from_masks(n, masks)
                 for field in ("Q", "F2", "Fp:3"):
                     fast = is_cohen_macaulay(cx, field).to_dict()
-                    slow = homology._cohen_macaulay_naive(cx, field).to_dict()
+                    slow = _cohen_macaulay_naive(cx, field).to_dict()
                     assert fast == slow, (cx.facets, field)
 
     def test_fast_and_naive_identical_random(self):
@@ -326,7 +328,7 @@ class TestCohenMacaulay:
         for cx in [random_pure_complex(rng, 6) for _ in range(60)] + [RP2, SUSPENDED_RP2]:
             for field in ("Q", "F2", "Fp:3"):
                 fast = is_cohen_macaulay(cx, field).to_dict()
-                slow = homology._cohen_macaulay_naive(cx, field).to_dict()
+                slow = _cohen_macaulay_naive(cx, field).to_dict()
                 assert fast == slow, (cx.facets, field)
 
     @pytest.mark.parametrize("k", [11, 10])
@@ -354,7 +356,7 @@ class TestCohenMacaulay:
         assert is_cohen_macaulay(cx, "Q").value
         assert calls  # torsion: mod 2 cannot pass these links, and unit pivots leave a block
         for facet_masks in calls:
-            betti = homology._reduced_betti(facet_masks, 2)
+            betti = _reduced_betti(facet_masks, 2)
             # homology mod 2 in two adjacent degrees, so the link fails mod 2
             assert any(betti[i] and betti[i - 1] for i in betti if i >= 0), facet_masks
 
@@ -364,13 +366,13 @@ class TestCohenMacaulay:
         for cx in cxs:
             masks = list(cx.facet_masks)
             fast = homology._betti_per_field(masks, (0,))[0]
-            assert fast == homology._reduced_betti(masks, 0), cx.facets
+            assert fast == _reduced_betti(masks, 0), cx.facets
 
     def test_disconnected_graph_link_by_connectivity(self, monkeypatch):
         # two triangles sharing vertex 1: lk {1} is two disjoint edges
         cx = SimplicialComplex.from_facets(5, [[1, 2, 3], [1, 4, 5]])
         for field in ("Q", "F2", "Fp:3"):
-            slow = homology._cohen_macaulay_naive(cx, field).to_dict()
+            slow = _cohen_macaulay_naive(cx, field).to_dict()
             assert slow["witness_face"] == [1] and slow["witness_degree"] == 0
             measured = _record_chain_complexes(monkeypatch)
             assert is_cohen_macaulay(cx, field).to_dict() == slow
@@ -463,7 +465,7 @@ class TestCore:
         top = max(m.bit_count() for m in masks)
         bettis = homology._betti_per_field(core, (0, 2, 3))
         for char, betti in bettis.items():
-            literal = homology._reduced_betti(masks, char)
+            literal = _reduced_betti(masks, char)
             assert _nonzero(betti) == _nonzero(literal), (masks, core, char)
             assert max(betti) <= top - 1
         return core
@@ -511,7 +513,7 @@ class TestCore:
         assert sorted(homology._core(sphere)) == sorted(sphere)
         assert homology._sphere_degree(sphere) == j - 1
         for char in (0, 2, 3):
-            assert _nonzero(homology._reduced_betti(sphere, char)) == {j - 1: 1}
+            assert _nonzero(_reduced_betti(sphere, char)) == {j - 1: 1}
         # a new apex on each facet: the empty face's link strips to the
         # sphere, which fails Reisner's test in degree j - 1 < j
         thick = [m | 1 << (j + 1 + i) for i, m in enumerate(sphere)]
@@ -530,7 +532,7 @@ class TestCore:
         if j <= 5:
             for cx, fast in zip(cxs, results):
                 fields = ("Q", "F2", "Fp:3")
-                slow = [homology._cohen_macaulay_naive(cx, f).to_dict() for f in fields]
+                slow = [_cohen_macaulay_naive(cx, f).to_dict() for f in fields]
                 assert fast == slow
 
 

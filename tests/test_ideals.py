@@ -4,14 +4,18 @@ import random
 from itertools import combinations
 
 import pytest
-from conftest import complex_from_masks, enumerate_antichains, linear_presentation_oracle
-
-from vdwcomplex.complexes import SimplicialComplex, _face_order, _is_connected, pack
-from vdwcomplex.homology import _chain_complex
-from vdwcomplex.ideals import (
-    MonomialIdeal,
+from conftest import (
     _linearly_joined,
     _linearly_presented_by_pairs,
+    complex_from_masks,
+    enumerate_antichains,
+    linear_presentation_oracle,
+)
+
+from vdwcomplex.certify import _chain_complex
+from vdwcomplex.complexes import SimplicialComplex, _face_order, _is_connected, pack
+from vdwcomplex.ideals import (
+    MonomialIdeal,
     _s2_witness,
     dual_ideal,
     is_linearly_presented,

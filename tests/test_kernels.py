@@ -6,6 +6,7 @@ import pytest
 from conftest import RP2, fraction_rank, modp_rank
 
 from vdwcomplex import _kernels, homology
+from vdwcomplex.certify import _chain_complex, _reduced_betti
 from vdwcomplex.complexes import SimplicialComplex
 
 
@@ -113,7 +114,7 @@ class TestUnitPivots:
                 for _ in range(rng.randint(1, 8))
             ]
             masks = list(SimplicialComplex.from_facets(n, faces).facet_masks)
-            levels, boundaries, _ = homology._chain_complex(masks)
+            levels, boundaries, _ = _chain_complex(masks)
             for j, columns in enumerate(boundaries):
                 rows = _dense(columns, len(levels[j]))
                 pivots, rest = _kernels.rank_unit_pivots(columns)
@@ -123,7 +124,7 @@ class TestUnitPivots:
     def test_torsion_leaves_a_block(self):
         # RP^2's 10 triangles have independent boundaries over Q and F3 but
         # not over F2 (Z/2 torsion), which no unimodular step can hide
-        _, boundaries, masks = homology._chain_complex(list(RP2.facet_masks))
+        _, boundaries, masks = _chain_complex(list(RP2.facet_masks))
         pivots, rest = _kernels.rank_unit_pivots(boundaries[-1])
         assert rest and pivots + len(rest) == 10
         assert homology._rank(boundaries[-1], 0) == 10
@@ -184,7 +185,7 @@ class TestMaskElimination:
                 ranks.append(_kernels.rank_mod_p(rows, len(upper), 2))
             ranks.append(0)
             expected = {c - 1: counts[c] - ranks[c] - ranks[c + 1] for c in range(len(counts))}
-            assert homology._reduced_betti(masks, 2) == expected, faces
+            assert _reduced_betti(masks, 2) == expected, faces
 
 
 class TestSearchShelling:

@@ -14,7 +14,8 @@ import pytest
 from conftest import RP2
 
 import vdwcomplex
-from vdwcomplex import _kernels, homology
+from vdwcomplex import _kernels
+from vdwcomplex.certify import _reduced_betti
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -77,7 +78,7 @@ def test_rank_kernels_get_dense_rows(monkeypatch):
     # the reference path hands every boundary map of RP^2 to the dense kernels
     for char, name, tail in ((0, "rank_bareiss", ()), (3, "rank_mod_p", (3,))):
         calls.clear()
-        homology._reduced_betti(RP2.facet_masks, char)
+        _reduced_betti(RP2.facet_masks, char)
         shapes = []
         for called, (rows, ncols, *rest), kwargs in calls:
             assert called == name and tuple(rest) == tail and not kwargs
