@@ -1,8 +1,16 @@
-"""The hot kernels: exact matrix ranks and the shelling-order search.
+"""The hot kernels: exact matrix ranks, the shelling-order search and its greedy pass.
 
 Pure Python, and the only implementation.  Callers reach them through
 the module attribute (``_kernels.rank_bareiss(...)``), so a wrapper set
 on the module sees every call.
+
+``greedy_shelling`` is the first descent of ``search_shelling`` with no
+backtracking, kept incrementally.  ``decompose.is_shellable`` runs it as
+its probe, and ``homology.cohen_macaulay_by_field`` as a fast path: a
+shellable complex is Cohen-Macaulay over every field, so an order it
+finds for a pure complex of dimension >= 2 decides Cohen-Macaulayness
+with no link measured.  A graph's Reisner test is one connectivity
+test, cheaper than the pass, so it gets none.
 """
 
 from __future__ import annotations
@@ -233,3 +241,47 @@ def search_shelling(masks: list[int], budget: int) -> tuple[int, list[int] | Non
             if depth:
                 placed.pop()
     return (NOT_SHELLABLE, None, nodes)
+
+
+def greedy_shelling(masks: list[int]) -> list[int] | None:
+    """The first descent of :func:`search_shelling`: a shelling order, or None at a dead end.
+
+    Each step places the first unplaced facet, in index order, that
+    extends the prefix; the pass gives up at the first step with none, so
+    it costs one update of every unplaced facet per placed one.  For each
+    unplaced facet h it keeps ``search_shelling``'s extension test
+    incrementally: ``shed[h]``, the vertices x with h - g = {x} for a
+    placed g, and ``pending[h]``, the sets h - g of placed g that miss
+    ``shed[h]``.  h extends the prefix iff ``shed[h]`` is nonzero and
+    ``pending[h]`` is empty.  An order found this way is the one
+    ``search_shelling`` finds in exactly ``len(masks)`` nodes; any other
+    outcome of that search costs more nodes.
+    """
+    s = len(masks)
+    if s == 0:
+        return []
+    shed = [0] * s
+    pending: list[list[int]] = [[] for _ in range(s)]
+    order = [0]
+    rest = list(range(1, s))
+    g = masks[0]
+    while rest:
+        chosen = -1
+        for h in rest:
+            out = masks[h] & ~g  # nonzero: the facets form an antichain
+            covered = shed[h]
+            if out & (out - 1) == 0:  # the ridge h - x lies in g
+                if not out & covered:
+                    covered = shed[h] = covered | out
+                    if pending[h]:
+                        pending[h] = [p for p in pending[h] if not p & covered]
+            elif not out & covered:
+                pending[h].append(out)
+            if chosen < 0 and covered and not pending[h]:
+                chosen = h
+        if chosen < 0:
+            return None
+        order.append(chosen)
+        rest.remove(chosen)
+        g = masks[chosen]
+    return order

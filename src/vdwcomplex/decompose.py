@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from vdwcomplex import _kernels
 from vdwcomplex.certify import SheddingTree, _tree_order
 from vdwcomplex.complexes import SimplicialComplex, Vertices, unpack
-from vdwcomplex.homology import CohenMacaulayResult, is_cohen_macaulay
+from vdwcomplex.homology import CohenMacaulayResult, _first_failures, _result
 from vdwcomplex.ideals import _s2_witness
 
 DEFAULT_SHELLING_BUDGET = 5_000_000
@@ -213,19 +213,25 @@ def is_shellable(
        search.  The whole tree is replayed as ``certify.verify_shedding_tree``
        replays it, and a tree that does not decompose ``cx`` raises
        ValueError.
-    2. Without ``vd``, the search runs as a probe with no room to
-       backtrack (one node per facet), and an order it finds is returned.
-       If ``vd`` says not vertex decomposable, the probe is skipped.  The
-       probe is the cheap path to the positives that come without a
-       tree: on the random-pure benchmark complexes (seed 1; 2-vCPU
-       host, Python 3.11) it shells all 1306 positives in about 0.08 s,
-       where (S2) alone takes about 0.09 s on them and the F2 walk about
-       0.26 s, both before the search could start.
+    2. Without ``vd``, a probe: the search with no room to backtrack,
+       ``search_shelling(masks, min(budget, s))`` for s facets.  An order
+       costs that search exactly s nodes, on a descent with no
+       backtracking, and an exhausted search space at least s + 1 (the
+       root and every facet placed first).  So the probe runs as the
+       greedy pass (``_kernels.greedy_shelling``): its order, with
+       ``nodes == s``, when the budget is at least s and the pass finds
+       one; otherwise it is out of budget, with
+       ``nodes == min(budget, s) + 1``.  If ``vd`` says not vertex
+       decomposable, the probe is skipped.  It is the cheap path to the
+       positives that come without a tree: it shells all 1306 positives
+       of the random-pure benchmark complexes (seed 1).
     3. Serre's (S2): a face F = f_i & f_j whose link has dimension >= 1
        and is disconnected refutes shellability over every field.  The
        ``refutation`` is ``CohenMacaulayResult(False, "Fp:2", F, 0)``: the
        link's reduced H_0 is nonzero over F2, as over every field.
-    4. The Reisner test over F2: a failing link is the ``refutation``.
+    4. The Reisner walk over F2 (``homology._first_failures``), without
+       the greedy pass ``cohen_macaulay_by_field`` would take first: a
+       failing link is the ``refutation``.
     5. The search under ``budget``, from the start; skipped when the
        probe already had the whole budget.
 
@@ -248,20 +254,24 @@ def is_shellable(
         order = _tree_order(cx.facet_masks, vd.tree)
         return ShellingResult("shellable", tuple(map(unpack, order)), 0)
     masks = list(cx.facet_masks)
-    if vd is None:
-        status, idx_order, nodes = _kernels.search_shelling(masks, min(budget, len(masks)))
-    else:
-        status, idx_order, nodes = _kernels.EXHAUSTED, None, 0
-    if status == _kernels.EXHAUSTED:
-        witness = _s2_witness(masks, cx.dim)
-        if witness is not None:
-            face = unpack(masks[witness[0]] & masks[witness[1]])
-            s2 = CohenMacaulayResult(False, "Fp:2", face, 0)
-            return ShellingResult("not-shellable", None, nodes, s2)
-        cm = is_cohen_macaulay(cx, 2)
-        if not cm:
-            return ShellingResult("not-shellable", None, nodes, cm)
-        if vd is not None or budget > len(masks):  # else the probe had the whole budget
-            status, idx_order, nodes = _kernels.search_shelling(masks, budget)
+    s = len(masks)
+    nodes = 0
+    if vd is None:  # the probe: search_shelling(masks, min(budget, s)), see step 2
+        idx_order = _kernels.greedy_shelling(masks) if budget >= s else None
+        if idx_order is not None:
+            return ShellingResult("shellable", tuple(cx.facets[i] for i in idx_order), s)
+        nodes = min(budget, s) + 1
+    witness = _s2_witness(masks, cx.dim)
+    if witness is not None:
+        face = unpack(masks[witness[0]] & masks[witness[1]])
+        s2 = CohenMacaulayResult(False, "Fp:2", face, 0)
+        return ShellingResult("not-shellable", None, nodes, s2)
+    # the walk itself: is_cohen_macaulay would first repeat the greedy pass
+    failure = _first_failures(masks, cx.dim, [2])[2]
+    if failure is not None:
+        return ShellingResult("not-shellable", None, nodes, _result(2, failure))
+    if vd is None and budget <= s:  # the probe had the whole budget
+        return ShellingResult("undecided", None, nodes)
+    status, idx_order, nodes = _kernels.search_shelling(masks, budget)
     order = tuple(cx.facets[i] for i in idx_order) if idx_order is not None else None
     return ShellingResult(_STATUS[status], order, nodes)

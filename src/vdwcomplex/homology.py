@@ -9,6 +9,15 @@ signed sparse boundary columns and their mod-2 bitmasks.  Ranks are exact.
 Cohen-Macaulayness is decided by Reisner's criterion: every face link
 must have vanishing reduced homology below its dimension.
 
+A pure complex of dimension >= 2 first gets one greedy shelling pass
+(``_kernels.greedy_shelling``).  A shellable complex is Cohen-Macaulay
+over every field (Bjorner; Stanley, *Combinatorics and Commutative
+Algebra*, III.2), so an order the pass finds decides every field at
+once, with no link measured.  The pass is exact only one way: a pass
+that stops at a dead end decides nothing, and the walk below runs.  A
+graph gets no pass, since its walk is one connectivity test, cheaper
+than the pass.
+
 Only links that can fail are measured.  A nonempty face F that is not an
 intersection of facets has a vertex v in the intersection of the facets
 containing F but not in F; every facet of lk F contains v, so lk F is a
@@ -292,7 +301,10 @@ def _result(char: int, failure: tuple[int, int] | None) -> CohenMacaulayResult:
 def cohen_macaulay_by_field(cx: SimplicialComplex, fields) -> list[CohenMacaulayResult]:
     """The Reisner test over several fields in one walk: one result per field, in order.
 
-    Faces are visited once; each link's core, chain complex and mod-2
+    A pure complex of dimension >= 2 for which the greedy shelling pass
+    (``_kernels.greedy_shelling``) finds an order is shellable, so
+    Cohen-Macaulay over every field, and gets no walk.  Otherwise faces
+    are visited once; each link's core, chain complex and mod-2
     ranks are computed once for every field still passing, and a field
     stops at its first failing link (see ``_first_failures``).  Each
     result, witness included, is the one the traversal of every face
@@ -307,6 +319,8 @@ def cohen_macaulay_by_field(cx: SimplicialComplex, fields) -> list[CohenMacaulay
     chars = [parse_field(field) for field in fields]
     if not cx.is_pure:
         return [CohenMacaulayResult(False, field_label(char)) for char in chars]
+    if cx.dim >= 2 and _kernels.greedy_shelling(list(cx.facet_masks)) is not None:
+        return [CohenMacaulayResult(True, field_label(char)) for char in chars]
     failures = _first_failures(cx.facet_masks, cx.dim, chars)
     return [_result(char, failures[char]) for char in chars]
 
@@ -320,7 +334,7 @@ def is_cohen_macaulay(cx: SimplicialComplex, field="Q") -> CohenMacaulayResult:
     lexicographically, and the first failing link is reported as a
     witness: only the empty face and intersections of facets are
     visited, since the link of any other face is a cone, and the
-    shortcuts of ``_first_failures`` are exact, so the witness is the
-    one the full traversal finds.
+    shortcuts of ``_first_failures`` and the greedy shelling pass are
+    exact, so the witness is the one the full traversal finds.
     """
     return cohen_macaulay_by_field(cx, [field])[0]

@@ -107,12 +107,13 @@ class TestClassify:
     @pytest.mark.parametrize("k, shellable", [(2, False), (1, True)])
     def test_shellable_at_n64(self, capsys, monkeypatch, k, shellable):
         # vdW(64, 2) fails (S2) and vdW(64, 1) is certified by its shedding
-        # tree; no shelling search runs on either (the probe alone once took
-        # 30 s on vdW(64, 2))
-        def no_search(masks, budget):
+        # tree; neither the shelling search nor its greedy pass runs on
+        # either (the search as a probe once took 30 s on vdW(64, 2))
+        def no_search(*args):
             raise AssertionError("the shelling search ran")
 
         monkeypatch.setattr(_kernels, "search_shelling", no_search)
+        monkeypatch.setattr(_kernels, "greedy_shelling", no_search)
         code, out, _ = run_cli(
             capsys, "classify", "64", str(k), "--checks", "shellable", "--no-timings"
         )

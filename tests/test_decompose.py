@@ -3,9 +3,11 @@
 import dataclasses
 import json
 import random
+import time
 
 import pytest
 from conftest import (
+    RP2,
     brute_force_shellable,
     complex_from_masks,
     enumerate_antichains,
@@ -20,14 +22,14 @@ from vdwcomplex.certify import (
     verify_shedding_tree,
     verify_shelling,
 )
-from vdwcomplex.complexes import SimplicialComplex
+from vdwcomplex.complexes import SimplicialComplex, unpack
 from vdwcomplex.decompose import (
-    DEFAULT_SHELLING_BUDGET,
     DecompositionResult,
+    ShellingResult,
     is_shellable,
     is_vertex_decomposable,
 )
-from vdwcomplex.homology import is_cohen_macaulay
+from vdwcomplex.homology import CohenMacaulayResult, is_cohen_macaulay
 from vdwcomplex.ideals import _s2_witness
 from vdwcomplex.vdw import classify_closed_form, vdw_complex
 
@@ -418,28 +420,31 @@ class TestShellable:
         )
 
     def test_not_vertex_decomposable_skips_the_probe(self, monkeypatch):
-        budgets = []
-        search = _kernels.search_shelling
+        probes = []
+        greedy = _kernels.greedy_shelling
 
-        def recording(masks, budget):
-            budgets.append(budget)
-            return search(masks, budget)
+        def recording(masks):
+            probes.append(len(masks))
+            return greedy(masks)
 
-        monkeypatch.setattr(_kernels, "search_shelling", recording)
+        monkeypatch.setattr(_kernels, "greedy_shelling", recording)
         cx = vdw_complex(7, 2)
         res = is_shellable(cx, vd=is_vertex_decomposable(cx))
-        assert budgets == [] and res.nodes == 0  # refuted by (S2), no search
+        assert probes == [] and res.nodes == 0  # refuted by (S2), no search
         assert res.refutation.witness_degree == 0
-        assert is_shellable(cx).nodes == 10 and budgets == [len(cx.facets)]  # the probe
-        # shellable but not vertex decomposable: one search, under the whole budget
+        assert is_shellable(cx).nodes == 10 and probes == [len(cx.facets)]  # the probe
+        # RP^2 passes (S2) and fails the F2 walk, which repeats no greedy pass
+        probes.clear()
+        assert is_shellable(RP2).refutation.witness_degree == 1 and probes == [10]
+        # shellable but not vertex decomposable: the search alone, no probe
         facets = [
             (1, 3, 6), (1, 2, 6), (2, 5, 6), (4, 5, 6), (1, 2, 3), (3, 4, 6), (2, 5, 7), (1, 2, 7),
             (3, 4, 5), (2, 6, 7), (4, 5, 7), (2, 4, 5), (1, 5, 7), (1, 3, 7), (1, 3, 4),
         ]
         cx = SimplicialComplex.from_facets(7, facets)
-        budgets.clear()
+        probes.clear()
         res = is_shellable(cx, vd=is_vertex_decomposable(cx))
-        assert budgets == [DEFAULT_SHELLING_BUDGET]
+        assert probes == []
         assert res == is_shellable(cx)
 
     def test_more_facets_than_the_recursion_limit(self):
@@ -547,6 +552,70 @@ class TestReisnerRefutation:
         assert (res.status, res.nodes) == ("shellable", 12)
         assert verify_shelling(cx, res.order)
         assert is_shellable(cx, budget=11).status == "undecided"
+
+
+def _is_shellable_by_search_probe(cx, budget, vd):
+    """``is_shellable`` with ``search_shelling(masks, min(budget, s))`` as its probe."""
+    if budget is None:
+        budget = 1 << 62
+    if vd is not None and vd.value:
+        return is_shellable(cx, budget, vd)
+    masks = list(cx.facet_masks)
+    status, idx_order, nodes = _kernels.EXHAUSTED, None, 0
+    if vd is None:
+        status, idx_order, nodes = _kernels.search_shelling(masks, min(budget, len(masks)))
+    if status == _kernels.EXHAUSTED:
+        witness = _s2_witness(masks, cx.dim)
+        if witness is not None:
+            s2 = CohenMacaulayResult(False, "Fp:2", unpack(masks[witness[0]] & masks[witness[1]]), 0)
+            return ShellingResult("not-shellable", None, nodes, s2)
+        cm = is_cohen_macaulay(cx, 2)
+        if not cm:
+            return ShellingResult("not-shellable", None, nodes, cm)
+        if vd is not None or budget > len(masks):
+            status, idx_order, nodes = _kernels.search_shelling(masks, budget)
+    order = tuple(cx.facets[i] for i in idx_order) if idx_order is not None else None
+    status = {_kernels.FOUND: "shellable", _kernels.NOT_SHELLABLE: "not-shellable"}.get(status, "undecided")
+    return ShellingResult(status, order, nodes)
+
+
+class TestGreedyProbe:
+    """The greedy pass gives every result the search run as a probe gave."""
+
+    @staticmethod
+    def _same_as_search_probe(cx):
+        s = len(cx.facets)
+        vd = is_vertex_decomposable(cx)
+        for budget in (0, 1, 2, s - 1, s, s + 1, None):
+            for given in (None, vd):
+                got = is_shellable(cx, budget, given).to_json()
+                assert got == _is_shellable_by_search_probe(cx, budget, given).to_json(), (
+                    cx.facets, budget, given is not None,
+                )
+
+    def test_every_pure_antichain_on_5_vertices(self):
+        for masks in enumerate_antichains(5):
+            if masks and len({m.bit_count() for m in masks}) == 1:
+                self._same_as_search_probe(complex_from_masks(5, masks))
+
+    def test_random_pure_complexes_and_vdw_to_n12(self):
+        rng = random.Random(167)
+        cxs = [random_pure_complex(rng, 8) for _ in range(200)]
+        cxs += [vdw_complex(n, k) for n in range(2, 13) for k in range(1, n)]
+        for cx in cxs:
+            self._same_as_search_probe(cx)
+
+    def test_vdw_64_2_refuted_at_once(self):
+        # the search run as the probe backtracked for about 30 s (Python 3.11,
+        # 2 vCPUs) before (S2) refuted it; the greedy pass stops at its dead end
+        cx = vdw_complex(64, 2)
+        t0 = time.perf_counter()
+        res = is_shellable(cx)
+        elapsed = time.perf_counter() - t0
+        assert len(cx.facets) == 992 and (res.status, res.nodes) == ("not-shellable", 993)
+        assert res.refutation == is_shellable(cx, vd=is_vertex_decomposable(cx)).refutation
+        assert res.refutation.witness_degree == 0
+        assert elapsed < 2.0
 
 
 class TestVerifyShelling:

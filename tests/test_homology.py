@@ -536,6 +536,37 @@ class TestCore:
                 assert fast == slow
 
 
+class TestShellingFastPath:
+    """A greedy shelling order decides Cohen-Macaulayness over every field."""
+
+    FIELDS = ("Q", "F2", "Fp:3")
+
+    def test_every_pure_antichain_of_dimension_2_on_5_vertices(self):
+        shelled = checked = 0
+        for masks in enumerate_antichains(5):
+            if not masks or len({m.bit_count() for m in masks}) != 1 or masks[0].bit_count() < 3:
+                continue
+            cx = complex_from_masks(5, masks)
+            fast = [r.to_dict() for r in homology.cohen_macaulay_by_field(cx, self.FIELDS)]
+            assert fast == [_cohen_macaulay_naive(cx, f).to_dict() for f in self.FIELDS], masks
+            if _kernels.greedy_shelling(list(masks)) is not None:
+                # the walk, which the pass skipped, finds no failing link either
+                assert homology._first_failures(masks, cx.dim, (0, 2, 3)) == dict.fromkeys((0, 2, 3))
+                shelled += 1
+            checked += 1
+        assert shelled > 100 and checked - shelled > 50
+
+    def test_octahedron_builds_no_chain_complex(self, monkeypatch):
+        # the boundary of the cross-polytope: a 2-sphere with no dominated vertex
+        octahedron = SimplicialComplex.from_facets(
+            6, [(a, b, c) for a in (1, 4) for b in (2, 5) for c in (3, 6)]
+        )
+        assert sorted(homology._core(list(octahedron.facet_masks))) == sorted(octahedron.facet_masks)
+        built = _record_chain_complexes(monkeypatch)
+        assert all(homology.cohen_macaulay_by_field(octahedron, self.FIELDS))
+        assert built == []
+
+
 class TestFieldsInOneWalk:
     """The multi-field walk against one-field calls of the same decider."""
 

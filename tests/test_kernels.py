@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from conftest import RP2, fraction_rank, modp_rank
+from conftest import RP2, enumerate_antichains, fraction_rank, modp_rank, random_pure_complex
 
 from vdwcomplex import _kernels, homology
 from vdwcomplex.certify import _chain_complex, _reduced_betti
@@ -249,3 +249,42 @@ def test_pure_search_pinned(case):
     (masks, budget), expected = PINNED_SEARCHES[case]
     assert _kernels.search_shelling(masks, budget) == expected
 
+
+
+def _search_probe(masks):
+    """The order ``search_shelling`` finds with one node per facet, or None."""
+    status, order, _ = _kernels.search_shelling(masks, len(masks))
+    return order if status == _kernels.FOUND else None
+
+
+class TestGreedyShelling:
+    """The greedy pass against the search's first descent."""
+
+    def test_every_pure_antichain_on_5_vertices(self):
+        found = checked = 0
+        for masks in enumerate_antichains(5):
+            if masks and len({m.bit_count() for m in masks}) == 1:
+                order = _kernels.greedy_shelling(list(masks))
+                assert order == _search_probe(list(masks)), masks
+                found += order is not None
+                checked += 1
+        assert found > 100 and checked - found > 100
+
+    def test_pinned_pure_searches(self):
+        # "found-after-backtrack" among them: the first descent dead-ends
+        for case, ((masks, _), _) in sorted(PINNED_SEARCHES.items()):
+            if len({m.bit_count() for m in masks}) == 1:
+                assert _kernels.greedy_shelling(masks) == _search_probe(masks), case
+
+    def test_random_pure_complexes(self):
+        rng = random.Random(163)
+        found = 0
+        for _ in range(200):
+            masks = list(random_pure_complex(rng, 8).facet_masks)
+            order = _kernels.greedy_shelling(masks)
+            assert order == _search_probe(masks), masks
+            found += order is not None
+        assert 0 < found < 200
+
+    def test_empty_input(self):
+        assert _kernels.greedy_shelling([]) == []
