@@ -1,9 +1,11 @@
 """Certificates, their replays, and the exact reference homology they measure with.
 
 Shedding trees replay under :func:`verify_shedding_tree`, shelling orders
-under :func:`verify_shelling`, and Reisner witnesses (a face whose link
+under :func:`verify_shelling`, Reisner witnesses (a face whose link
 has reduced homology below its dimension) under
-:func:`verify_cohen_macaulay_witness`, on the literal link.  A replay
+:func:`verify_cohen_macaulay_witness`, and (S2) witness pairs (two facets
+in different components of the link of their intersection) under
+:func:`verify_s2_witness`, on the literal link.  A replay
 trusts no decider: from the package this module imports only
 ``complexes`` and ``_kernels``, and the deciders import from it.  The
 reference homology checks that boundary composed with boundary vanishes
@@ -19,7 +21,7 @@ import re
 from dataclasses import dataclass
 
 from vdwcomplex import _kernels
-from vdwcomplex.complexes import MAX_VERTICES, SimplicialComplex, _pack_checked
+from vdwcomplex.complexes import MAX_VERTICES, SimplicialComplex, _component, _pack_checked
 
 RATIONALS = 0
 _PRIME_DESCRIPTOR = re.compile(r"[Ff](?:[Pp]:)?([0-9]+)")  # F<p> or Fp:<p>
@@ -345,3 +347,26 @@ def verify_cohen_macaulay_witness(cx: SimplicialComplex, result) -> bool:
     if not link or not -1 <= degree < cx.dim - face.bit_count():
         return False
     return _reduced_betti(link, char).get(degree, 0) != 0
+
+
+def verify_s2_witness(cx: SimplicialComplex, pair) -> bool:
+    """Replay an (S2) witness pair, such as the one ``ideals._s2_witness`` returns.
+
+    ``pair`` is (i, j), two positions into ``cx.facet_masks``.  True iff
+    ``cx`` is pure, i and j are integers with 0 <= i < j < #facets, the
+    link of F = f_i & f_j has dimension >= 1, and f_i - F and f_j - F lie
+    in different components of that literal link.  Such a link refutes
+    Serre's (S2), so the dual ideal of ``cx`` is not linearly presented.
+    """
+    masks = cx.facet_masks
+    try:
+        i, j = pair
+    except (TypeError, ValueError):
+        return False
+    if not cx.is_pure or any(type(p) is not int for p in (i, j)) or not 0 <= i < j < len(masks):
+        return False
+    face = masks[i] & masks[j]
+    if cx.dim - face.bit_count() < 1:  # dim lk F, as cx is pure
+        return False
+    link = [g ^ face for g in masks if g & face == face]
+    return not _component(link, masks[i] ^ face) & (masks[j] ^ face)

@@ -23,9 +23,15 @@ from functools import partial
 
 from vdwcomplex.certify import field_label, parse_field, verify_shelling
 from vdwcomplex.complexes import MAX_VERTICES, SimplicialComplex
-from vdwcomplex.decompose import DEFAULT_SHELLING_BUDGET, is_shellable, is_vertex_decomposable
+from vdwcomplex.decompose import DEFAULT_SHELLING_BUDGET, _shellable, is_vertex_decomposable
 from vdwcomplex.homology import cohen_macaulay_by_field
-from vdwcomplex.ideals import LinearPresentationResult, _s2_witness, dual_ideal, taylor_syzygies
+from vdwcomplex.ideals import (
+    LinearPresentationResult,
+    _s2_witness,
+    _S2Column,
+    dual_ideal,
+    taylor_syzygies,
+)
 from vdwcomplex.vdw import _validate_params as _validate_vdw_params
 from vdwcomplex.vdw import (
     check_max_increment_overlap,
@@ -86,6 +92,7 @@ def compute_record(
     budget: int = DEFAULT_SHELLING_BUDGET,
     with_timings: bool = True,
     memo: dict | None = None,
+    column: _S2Column | None = None,
 ) -> dict:
     """Run the selected deciders on vdW(n, k) against the closed form.
 
@@ -103,6 +110,15 @@ def compute_record(
     vertex-decomposable complex is shelled in its tree's order with no
     search; when ``vd`` is checked too, that result is a memo hit, and the
     ``shellable`` timing includes it either way.
+
+    The shellable and linpres checks share one (S2) walk
+    (:func:`_s2_witness`), run at most once per record and only when a
+    check needs it: linpres always does, shellable only for a complex
+    that is not vertex decomposable.  Its time lands in the ``ms`` of the
+    first check that runs it: ``shellable`` when that check needs it,
+    ``linearly_presented`` otherwise.  ``column`` is the (S2) state to
+    carry from record to record (see :class:`_S2Column`); without one the
+    walk works on this complex alone.
     """
     if memo is None:
         memo = {}
@@ -120,14 +136,21 @@ def compute_record(
     rows = []
     if "vd" in checks:
         rows.append((["vd"], pred.vertex_decomposable, lambda: [is_vertex_decomposable(cx, memo)]))
+    witness: list = []  # the (S2) witness, once computed
+
+    def s2_witness():
+        if not witness:
+            witness.append(_s2_witness(cx.facet_masks, cx.dim, column))
+        return witness[0]
+
     if "shellable" in checks:
-        shellable = lambda: [is_shellable(cx, budget, is_vertex_decomposable(cx, memo))]
+        shellable = lambda: [_shellable(cx, budget, is_vertex_decomposable(cx, memo), s2_witness)]
         rows.append((["shellable"], pred.shellable, shellable))
     if "cm" in checks:  # one Reisner walk for every field
         keys = [_cm_key(c) for c in field_chars]
         rows.append((keys, pred.cohen_macaulay, lambda: cohen_macaulay_by_field(cx, field_chars)))
     if "linpres" in checks:
-        presented = lambda: [LinearPresentationResult(_s2_witness(cx.facet_masks, cx.dim) is None)]
+        presented = lambda: [LinearPresentationResult(s2_witness() is None)]
         rows.append((["linearly_presented"], pred.cohen_macaulay, presented))  # (S2) on cx, no ideal
     ms: dict = {}
     for keys, _, decide in rows:
@@ -144,16 +167,23 @@ def compute_record(
 
 
 def _sweep_column(k: int, n_max: int, checks, field_chars, budget: int, with_timings: bool) -> list:
-    """The records of vdW(n, k) for n = k + 1 .. n_max, with one VD memo for the column.
+    """The records of vdW(n, k) for n = k + 1 .. n_max, with one VD memo and one (S2) state.
 
     The facets of vdW(n, k) that avoid vertex n are those of
-    vdW(n - 1, k), and vertex n is the first candidate of the shedding
-    search whenever that deletion is pure, so the complex then finds the
-    previous one's verdict in the memo.
+    vdW(n - 1, k), in the same order.  Vertex n is the first candidate
+    of the shedding search whenever that deletion is pure, so the complex
+    then finds the previous one's verdict in the memo.  The (S2) state
+    (:class:`_S2Column`) holds the pairwise facet intersections the walk
+    visits, in its order, with the facets holding each; a record that
+    runs the walk folds in only the facets added since the last record
+    that ran it, those through the new vertices.  That is exact because
+    the facets only grow down the column: the state then holds exactly
+    the faces and holders the record's own walk would build.
     """
     memo: dict = {}
+    column = _S2Column()
     return [
-        compute_record(n, k, checks, field_chars, budget, with_timings, memo)
+        compute_record(n, k, checks, field_chars, budget, with_timings, memo, column)
         for n in range(k + 1, n_max + 1)
     ]
 

@@ -242,6 +242,15 @@ def is_shellable(
     refutation.  A ``budget`` that is not None or an integer at least 0
     raises ValueError.
     """
+    return _shellable(cx, budget, vd, lambda: _s2_witness(cx.facet_masks, cx.dim))
+
+
+def _shellable(cx: SimplicialComplex, budget, vd, s2_witness) -> ShellingResult:
+    """:func:`is_shellable`, taking step 3's witness from ``s2_witness()``.
+
+    ``s2_witness`` is called at most once, and only when step 3 runs, so a
+    caller can share one (S2) walk with its linear-presentation check.
+    """
     if cx.is_void:
         raise ValueError("shellability of the void complex is undefined")
     if not cx.is_pure:
@@ -261,7 +270,7 @@ def is_shellable(
         if idx_order is not None:
             return ShellingResult("shellable", tuple(cx.facets[i] for i in idx_order), s)
         nodes = min(budget, s) + 1
-    witness = _s2_witness(masks, cx.dim)
+    witness = s2_witness()
     if witness is not None:
         face = unpack(masks[witness[0]] & masks[witness[1]])
         s2 = CohenMacaulayResult(False, "Fp:2", face, 0)

@@ -24,7 +24,12 @@ dimension >= 1 and is disconnected, facets g1, g2 through F in two of
 its components meet exactly in F, since a further common vertex would
 join the components (for F empty, lk F is D and g1, g2 are disjoint).
 So ``_s2_witness`` visits those faces in ``_face_order`` and finds the
-first failing face of the full traversal.
+first failing face of the full traversal.  One complex at a time it
+intersects every pair of facets, sorts the small intersections and
+reads each visited link off the facets.  ``vdw sweep`` instead carries
+an ``_S2Column`` down each column k: the facets of vdW(n, k) that avoid
+n are those of vdW(n - 1, k), so the pairwise intersections, their order
+and the facets holding each face only grow, by the facets through n.
 
 A face F whose link is disconnected is mapped to a witness pair (i, j):
 i is the first facet containing F and j the first facet containing F in
@@ -40,6 +45,7 @@ in ``tests/conftest.py``, runs the graph search on every pair, in order.
 from __future__ import annotations
 
 import json
+from bisect import bisect
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -229,23 +235,93 @@ def is_linearly_presented(ideal: MonomialIdeal) -> LinearPresentationResult:
     return LinearPresentationResult(witness is None, witness)
 
 
-def _s2_witness(facets, dim: int) -> tuple[int, int] | None:
+def _s2_witness(facets, dim: int, column: _S2Column | None = None) -> tuple[int, int] | None:
     """Witness pair of the first face whose link fails (S2), or None.
 
     ``facets`` is a pure complex of dimension ``dim``.  The pairwise
     intersections with fewer than ``dim`` vertices are visited in
     ``_face_order``; the first whose link is disconnected gives (i, j):
     i is the first facet containing it, j the first one containing it in
-    another component of the link.
+    another component of the link.  Without ``column`` the faces are
+    found and sorted here and each link is read off ``facets``; with one,
+    ``facets`` is first folded into it and the walk reads its faces and
+    holders (see :class:`_S2Column`).  Holder positions are looked up
+    only for the failing face.
     """
-    faces = {f & g for p, f in enumerate(facets) for g in facets[:p]}
-    for face in sorted((m for m in faces if m.bit_count() < dim), key=_face_order):
-        holders = [p for p, g in enumerate(facets) if g & face == face]
-        link = [facets[p] ^ face for p in holders]
-        if not _is_connected(link):
-            reach = _component(link, link[0])
-            return holders[0], next(p for p, m in zip(holders, link) if not m & reach)
-    return None
+    if column is None:
+        pairs = {f & g for p, f in enumerate(facets) for g in facets[:p]}
+        faces = sorted((m for m in pairs if m.bit_count() < dim), key=_face_order)
+        failing = (m for m in faces if not _is_connected([g ^ m for g in facets if g & m == m]))
+        face = next(failing, None)
+    else:
+        column.fold(facets, dim)
+        face = column.first_disconnected()
+    if face is None:
+        return None
+    holders = [p for p, g in enumerate(facets) if g & face == face]
+    link = [facets[p] ^ face for p in holders]
+    reach = _component(link, link[0])
+    return holders[0], next(p for p, m in zip(holders, link) if not m & reach)
+
+
+class _S2Column:
+    """The faces ``_s2_witness`` visits, kept for a facet list that only grows.
+
+    A sweep column is such a list: the facets of vdW(n, k) that avoid n
+    are those of vdW(n - 1, k).  The state holds the facets folded so far
+    and their pairwise intersections with fewer than ``dim`` vertices,
+    ``faces``, in the order of their ``_face_order`` ``keys``; each key is
+    computed once and inserted by bisection.  A face gets its holders,
+    the folded facets that contain it, when a walk first reaches it, and
+    every later facet containing it joins them.  A face whose link was
+    connected is measured again only once it has gained a holder.  So a
+    fold costs only the facets not folded before: each meets every folded
+    facet once and every face with holders once.  The walk sees the faces,
+    links and verdicts of the per-complex walk, so it fails at the same
+    face.
+    """
+
+    def __init__(self) -> None:
+        self.dim: int | None = None
+        self.facets: set[int] = set()
+        self.keys: list[int] = []
+        self.faces: list[int] = []
+        self.kept: set[int] = set()
+        self.holders: dict[int, list[int]] = {}  # for the faces walked so far
+        self.connected: set[int] = set()  # faces whose link was connected at the last walk
+
+    def fold(self, facets, dim: int) -> None:
+        """Add the facets not folded yet; every folded facet must still be one."""
+        if self.dim is None:
+            self.dim = dim
+        new = [g for g in facets if g not in self.facets]
+        if dim != self.dim or len(facets) - len(new) != len(self.facets):
+            raise ValueError("a column's facet lists must keep their dimension and only grow")
+        for h in new:
+            for face, held in self.holders.items():
+                if h & face == face:
+                    held.append(h)
+                    self.connected.discard(face)
+            for face in {h & g for g in self.facets}.difference(self.kept):
+                if face.bit_count() < dim:
+                    self.kept.add(face)
+                    key = _face_order(face)
+                    at = bisect(self.keys, key)
+                    self.keys.insert(at, key)
+                    self.faces.insert(at, face)
+            self.facets.add(h)
+
+    def first_disconnected(self) -> int | None:
+        """The first face, in ``_face_order``, whose link in the folded facets is disconnected."""
+        for face in self.faces:
+            if face not in self.connected:
+                held = self.holders.get(face)
+                if held is None:
+                    held = self.holders[face] = [g for g in self.facets if g & face == face]
+                if not _is_connected([g ^ face for g in held]):
+                    return face
+                self.connected.add(face)
+        return None
 
 
 @dataclass(frozen=True)

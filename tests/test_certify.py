@@ -9,10 +9,11 @@ from conftest import RP2, complex_from_masks, enumerate_antichains, random_pure_
 
 import vdwcomplex
 from vdwcomplex import certify, decompose
-from vdwcomplex.certify import verify_cohen_macaulay_witness
-from vdwcomplex.complexes import SimplicialComplex
+from vdwcomplex.certify import verify_cohen_macaulay_witness, verify_s2_witness
+from vdwcomplex.complexes import SimplicialComplex, _is_connected
 from vdwcomplex.decompose import is_shellable, is_vertex_decomposable
 from vdwcomplex.homology import cohen_macaulay_by_field, is_cohen_macaulay
+from vdwcomplex.ideals import _s2_witness
 from vdwcomplex.vdw import vdw_complex
 
 SRC = Path(vdwcomplex.__file__).resolve().parent
@@ -139,3 +140,51 @@ class TestCohenMacaulayWitnessReplay:
         nonpure = SimplicialComplex.from_facets(6, [[1, 2, 3], [1, 4, 5], [6]])
         assert not verify_cohen_macaulay_witness(nonpure, res)
 
+
+
+class TestS2WitnessReplay:
+    def test_every_vdw_witness_to_n40_replays(self):
+        witnesses = 0
+        for n in range(2, 41):
+            for k in range(1, n):
+                cx = vdw_complex(n, k)
+                witness = _s2_witness(cx.facet_masks, cx.dim)
+                if witness is not None:
+                    assert verify_s2_witness(cx, witness), (n, k, witness)
+                    witnesses += 1
+        assert witnesses == 340
+
+    def test_tampered_pairs_refused(self):
+        cx = vdw_complex(9, 2)  # 16 facets; (1, 2, 3) and (1, 4, 7) meet in {1}
+        assert _s2_witness(cx.facet_masks, cx.dim) == (0, 2)
+        assert verify_s2_witness(cx, (0, 2)) and verify_s2_witness(cx, [0, 2])
+        for pair in (
+            (2, 0), (0, 0), (0, 16), (-1, 2), (0, 2, 2), (0,), None, "02",
+            (0.0, 2), (0, 2.0), (False, 2),
+        ):
+            assert not verify_s2_witness(cx, pair), pair
+
+    def test_a_pair_replays_only_on_a_disconnected_link(self):
+        # accepted pairs meet exactly in the faces whose link has dimension
+        # >= 1 and is disconnected, and each such face has an accepted pair
+        found = []
+        for cx in (vdw_complex(9, 2), vdw_complex(10, 3), vdw_complex(8, 4), RP2):
+            masks = cx.facet_masks
+            failing, accepted = set(), set()
+            for i in range(len(masks)):
+                for j in range(i + 1, len(masks)):
+                    face = masks[i] & masks[j]
+                    link = [g ^ face for g in masks if g & face == face]
+                    if cx.dim - face.bit_count() >= 1 and not _is_connected(link):
+                        failing.add(face)
+                    if verify_s2_witness(cx, (i, j)):
+                        accepted.add(face)
+            assert accepted == failing, cx.facets
+            found.append(len(failing))
+        assert found[0] > 0 and found[1] > 0 and found[2:] == [0, 0]
+
+    def test_nonpure_complex_rejected(self):
+        pure = SimplicialComplex.from_facets(6, [[1, 2, 3], [1, 4, 5]])
+        assert verify_s2_witness(pure, (0, 1))
+        nonpure = SimplicialComplex.from_facets(6, [[1, 2, 3], [1, 4, 5], [6]])
+        assert not verify_s2_witness(nonpure, (0, 1))

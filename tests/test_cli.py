@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from vdwcomplex import _kernels, cli
+from vdwcomplex import _kernels, cli, decompose, ideals
 from vdwcomplex.cli import main
-from vdwcomplex.decompose import DEFAULT_SHELLING_BUDGET, ShellingResult
+from vdwcomplex.decompose import ShellingResult
 
 
 def run_cli(capsys, *argv):
@@ -31,10 +31,10 @@ def _undecided_search(monkeypatch):
     the "undecided" paths of the CLI covered.
     """
 
-    def undecided(cx, budget=DEFAULT_SHELLING_BUDGET, vd=None):
+    def undecided(cx, budget, vd, s2_witness):
         return ShellingResult("undecided", None, budget + 1)
 
-    monkeypatch.setattr(cli, "is_shellable", undecided)
+    monkeypatch.setattr(cli, "_shellable", undecided)
 
 
 class TestGenerate:
@@ -340,7 +340,7 @@ class TestSweep:
         assert any(r["linearly_presented"] is False for r in records)
 
     def test_wrong_linpres_verdict_disagrees(self, capsys, monkeypatch):
-        def never_a_witness(facets, dim):
+        def never_a_witness(facets, dim, column=None):
             return None
 
         monkeypatch.setattr(cli, "_s2_witness", never_a_witness)
@@ -428,6 +428,71 @@ class TestSweep:
         assert code == 0 and pools == [2]  # three tasks, two CPUs
         code, _, _ = run_cli(capsys, "sweep", "2", "--checks", "vd", "--jobs", "3")
         assert code == 0 and pools == [2]  # one task runs in-process
+
+
+class TestSharedS2Witness:
+    """A record runs the (S2) walk at most once, and only when a check needs it."""
+
+    @staticmethod
+    def _counting_walk(monkeypatch):
+        calls = []
+        walk = cli._s2_witness
+
+        def counting(facets, dim, column=None):
+            calls.append(dim)
+            return walk(facets, dim, column)
+
+        def public_walk(*args):
+            raise AssertionError("the shellable check ran its own (S2) walk")
+
+        monkeypatch.setattr(cli, "_s2_witness", counting)
+        monkeypatch.setattr(decompose, "_s2_witness", public_walk)
+        return calls
+
+    def test_shellable_and_linpres_share_one_walk(self, monkeypatch):
+        calls = self._counting_walk(monkeypatch)
+        for checks in (["shellable", "linpres"], ["vd", "shellable", "linpres"], cli.CHECKS):
+            for n, k in ((9, 2), (12, 3), (6, 2), (9, 5)):  # two not VD, two VD
+                del calls[:]
+                rec = cli.compute_record(n, k, checks, [2], with_timings=False)
+                assert rec["agreement"] and len(calls) == 1, (checks, n, k)
+
+    def test_sweep_walks_once_per_record(self, capsys, monkeypatch):
+        calls = self._counting_walk(monkeypatch)
+        code, out, _ = run_cli(
+            capsys, "sweep", "14", "--checks", "vd,shellable,linpres", "--no-timings"
+        )
+        assert code == 0 and out.endswith("sweep n<=14: 91/91 records agree\n")
+        assert len(calls) == 91
+
+    @staticmethod
+    def _counting_folds(monkeypatch):
+        folded = []
+        fold = ideals._S2Column.fold
+
+        def counting(self, facets, dim):
+            before = len(self.facets)
+            fold(self, facets, dim)
+            folded.append(len(self.facets) - before)
+
+        monkeypatch.setattr(ideals._S2Column, "fold", counting)
+        return folded
+
+    def test_vertex_decomposable_records_fold_nothing(self, capsys, monkeypatch):
+        folded = self._counting_folds(monkeypatch)
+        code, out, _ = run_cli(capsys, "sweep", "6", "--checks", "shellable", "--no-timings")
+        assert code == 0 and out.endswith("sweep n<=6: 15/15 records agree\n")
+        records = cli._sweep_column(1, 30, ["shellable"], [2], 0, False)  # vdW(n, 1): all VD
+        assert all(r["shellable"] for r in records)
+        assert folded == []
+
+    def test_records_not_vd_fold_each_facet_once(self, monkeypatch):
+        folded = self._counting_folds(monkeypatch)
+        records = cli._sweep_column(2, 12, ["shellable"], [2], 0, False)
+        assert [r["n"] for r in records if not r["shellable"]] == list(range(7, 13))
+        # vdW(7, 2) folds all its facets, vdW(8, 2) .. vdW(12, 2) only those through n
+        sizes = [len(cli.vdw_complex(n, 2).facet_masks) for n in range(6, 13)]
+        assert folded == [sizes[1]] + [b - a for a, b in zip(sizes[1:], sizes[2:])]
 
 
 class TestInspect:

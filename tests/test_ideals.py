@@ -13,10 +13,11 @@ from conftest import (
 )
 
 from vdwcomplex.certify import _chain_complex
-from vdwcomplex.complexes import SimplicialComplex, _face_order, _is_connected, pack
+from vdwcomplex.complexes import SimplicialComplex, _canonical, _face_order, _is_connected, pack
 from vdwcomplex.ideals import (
     MonomialIdeal,
     _s2_witness,
+    _S2Column,
     dual_ideal,
     is_linearly_presented,
     nonlinear_obstruction_vdw,
@@ -295,6 +296,50 @@ class TestSerreFastPath:
         ideal = dual_ideal(cx)
         assert is_linearly_presented(ideal).witness == (0, 1)
         assert_fast_matches_graph_search(ideal)
+
+
+class TestS2Column:
+    """The column path of ``_s2_witness`` gives the per-complex witness, pair for pair."""
+
+    def test_every_vdw_column_to_n40(self):
+        witnesses = 0
+        for k in range(1, 40):
+            column = _S2Column()
+            for n in range(k + 1, 41):
+                cx = vdw_complex(n, k)
+                witness = _s2_witness(cx.facet_masks, cx.dim, column)
+                assert witness == _s2_witness(cx.facet_masks, cx.dim), (n, k)
+                witnesses += witness is not None
+        assert witnesses == 340
+
+    def test_random_growing_facet_lists(self):
+        # new facets land anywhere in canonical order, so positions shift
+        rng = random.Random(4421)
+        witnesses = 0
+        for _ in range(60):
+            n = rng.randint(6, 9)
+            dim = rng.randint(1, 3)
+            pool = [pack(f) for f in combinations(range(1, n + 1), dim + 1)]
+            rng.shuffle(pool)
+            column = _S2Column()
+            grown = 0
+            while grown < min(len(pool), 16):
+                grown += rng.randint(1, 3)
+                facets = _canonical(pool[:grown])
+                witness = _s2_witness(facets, dim, column)
+                assert witness == _s2_witness(facets, dim), facets
+                witnesses += witness is not None
+        assert witnesses > 100
+
+    def test_lists_must_only_grow(self):
+        column = _S2Column()
+        facets = vdw_complex(9, 2).facet_masks
+        _s2_witness(facets, 2, column)
+        _s2_witness(facets, 2, column)  # folding nothing new is allowed
+        with pytest.raises(ValueError):
+            _s2_witness(facets[1:], 2, column)
+        with pytest.raises(ValueError):
+            _s2_witness(vdw_complex(10, 3).facet_masks, 3, column)
 
 
 class TestObstruction:
