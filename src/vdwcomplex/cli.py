@@ -23,7 +23,12 @@ from functools import partial
 
 from vdwcomplex.certify import field_label, parse_field, verify_shelling
 from vdwcomplex.complexes import MAX_VERTICES, SimplicialComplex
-from vdwcomplex.decompose import DEFAULT_SHELLING_BUDGET, _shellable, is_vertex_decomposable
+from vdwcomplex.decompose import (
+    DEFAULT_SHELLING_BUDGET,
+    _shellable,
+    _vertex_decomposable,
+    _VDColumn,
+)
 from vdwcomplex.homology import cohen_macaulay_by_field
 from vdwcomplex.ideals import (
     LinearPresentationResult,
@@ -91,8 +96,8 @@ def compute_record(
     field_chars,
     budget: int = DEFAULT_SHELLING_BUDGET,
     with_timings: bool = True,
-    memo: dict | None = None,
-    column: _S2Column | None = None,
+    vd_column: _VDColumn | None = None,
+    s2_column: _S2Column | None = None,
 ) -> dict:
     """Run the selected deciders on vdW(n, k) against the closed form.
 
@@ -103,25 +108,26 @@ def compute_record(
     Eagon-Reiner in one direction and the paper's obstruction in the
     other.  The selected fields share one Reisner walk
     (:func:`cohen_macaulay_by_field`), so each ``cm_*`` key's timing is
-    that walk's.  ``memo`` is the vertex-decomposability memo to share with
-    other calls (see :func:`is_vertex_decomposable`); a fresh one is
-    used when it is None.  The shellable check hands the memo's
-    vertex-decomposability result to :func:`is_shellable`, so a
-    vertex-decomposable complex is shelled in its tree's order with no
-    search; when ``vd`` is checked too, that result is a memo hit, and the
-    ``shellable`` timing includes it either way.
+    that walk's.  ``vd_column`` is the vertex-decomposability state, the
+    memo and the top level's ridge counts, to carry from record to record
+    (see :class:`_VDColumn`); a fresh one is used when it is None.  The
+    shellable check hands its vertex-decomposability result to
+    :func:`is_shellable`, so a vertex-decomposable complex is shelled in
+    its tree's order with no search; when ``vd`` is checked too, that
+    result is a memo hit, and the ``shellable`` timing includes it either
+    way.
 
     The shellable and linpres checks share one (S2) walk
     (:func:`_s2_witness`), run at most once per record and only when a
     check needs it: linpres always does, shellable only for a complex
     that is not vertex decomposable.  Its time lands in the ``ms`` of the
     first check that runs it: ``shellable`` when that check needs it,
-    ``linearly_presented`` otherwise.  ``column`` is the (S2) state to
+    ``linearly_presented`` otherwise.  ``s2_column`` is the (S2) state to
     carry from record to record (see :class:`_S2Column`); without one the
     walk works on this complex alone.
     """
-    if memo is None:
-        memo = {}
+    if vd_column is None:
+        vd_column = _VDColumn()
     pred = classify_closed_form(n, k)
     rec: dict = {
         "n": n,
@@ -135,16 +141,19 @@ def compute_record(
     # an undecided None never agrees
     rows = []
     if "vd" in checks:
-        rows.append((["vd"], pred.vertex_decomposable, lambda: [is_vertex_decomposable(cx, memo)]))
+        decomposable = lambda: [_vertex_decomposable(cx, vd_column)]
+        rows.append((["vd"], pred.vertex_decomposable, decomposable))
     witness: list = []  # the (S2) witness, once computed
 
     def s2_witness():
         if not witness:
-            witness.append(_s2_witness(cx.facet_masks, cx.dim, column))
+            witness.append(_s2_witness(cx.facet_masks, cx.dim, s2_column))
         return witness[0]
 
     if "shellable" in checks:
-        shellable = lambda: [_shellable(cx, budget, is_vertex_decomposable(cx, memo), s2_witness)]
+        shellable = lambda: [
+            _shellable(cx, budget, _vertex_decomposable(cx, vd_column), s2_witness)
+        ]
         rows.append((["shellable"], pred.shellable, shellable))
     if "cm" in checks:  # one Reisner walk for every field
         keys = [_cm_key(c) for c in field_chars]
@@ -167,12 +176,15 @@ def compute_record(
 
 
 def _sweep_column(k: int, n_max: int, checks, field_chars, budget: int, with_timings: bool) -> list:
-    """The records of vdW(n, k) for n = k + 1 .. n_max, with one VD memo and one (S2) state.
+    """The records of vdW(n, k) for n = k + 1 .. n_max, with one VD state and one (S2) state.
 
     The facets of vdW(n, k) that avoid vertex n are those of
-    vdW(n - 1, k), in the same order.  Vertex n is the first candidate
-    of the shedding search whenever that deletion is pure, so the complex
-    then finds the previous one's verdict in the memo.  The (S2) state
+    vdW(n - 1, k), in the same order.  The VD state (:class:`_VDColumn`)
+    holds the memo and which ridges one facet holds alone; a record folds
+    in only the facets through n, and its top-level search reads its
+    shedding vertices off that state.  Vertex n is the first
+    candidate whenever it sheds, so the complex then finds the previous
+    one's verdict in the memo.  The (S2) state
     (:class:`_S2Column`) holds the pairwise facet intersections the walk
     visits, in its order, with the facets holding each; a record that
     runs the walk folds in only the facets added since the last record
@@ -180,10 +192,10 @@ def _sweep_column(k: int, n_max: int, checks, field_chars, budget: int, with_tim
     the facets only grow down the column: the state then holds exactly
     the faces and holders the record's own walk would build.
     """
-    memo: dict = {}
-    column = _S2Column()
+    vd_column = _VDColumn()
+    s2_column = _S2Column()
     return [
-        compute_record(n, k, checks, field_chars, budget, with_timings, memo, column)
+        compute_record(n, k, checks, field_chars, budget, with_timings, vd_column, s2_column)
         for n in range(k + 1, n_max + 1)
     ]
 

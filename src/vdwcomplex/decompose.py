@@ -7,7 +7,10 @@ vertex x sheds iff no face of its link is a facet of its deletion, i.e.
 the deletion at x is pure of the complex's dimension: every ridge F - x
 of a facet F through x lies in a second facet, which avoids x.  So one
 count of the ridges per subproblem tests every candidate vertex without
-building its deletion.  A vertex in every facet, a cone apex, never
+building its deletion.  Down a sweep column, where each complex's facets
+are the previous one's and those through the new vertex, the top level
+does not count: :class:`_VDColumn` carries which ridges one facet holds
+alone, and each record folds in only its new facets.  A vertex in every facet, a cone apex, never
 sheds, since its ridges F - x lie in F alone; a cone over C is vertex
 decomposable iff C is, by the vertices that shed C.  Every link of a
 vertex-decomposable complex is vertex decomposable (Provan-Billera,
@@ -16,8 +19,9 @@ whose link fails; only a failing deletion moves it on to the next
 candidate.  Subproblems are memoized on their facet masks, which link
 and deletion keep in canonical order, so equal subproblems meet under
 equal keys; the memo maps each key to its shedding tree, or to ``None``
-on failure.  A successful decision is certified by a shedding tree,
-which ``certify`` replays with no help from this module.
+on failure, and a sweep column keeps one memo beside its counts.  A
+successful decision is certified by a shedding tree, which ``certify``
+replays with no help from this module.
 
 Shellability is decided from certificates where they exist, and by a
 depth-first search over facet prefixes otherwise (see :func:`is_shellable`
@@ -46,7 +50,7 @@ from vdwcomplex import _kernels
 from vdwcomplex.certify import SheddingTree, _tree_order
 from vdwcomplex.complexes import SimplicialComplex, Vertices, unpack
 from vdwcomplex.homology import CohenMacaulayResult, _first_failures, _result
-from vdwcomplex.ideals import _s2_witness
+from vdwcomplex.ideals import _Column, _s2_witness
 
 DEFAULT_SHELLING_BUDGET = 5_000_000
 
@@ -79,7 +83,9 @@ def _decide(masks: tuple[int, ...], memo: dict) -> SheddingTree | None:
     return tree
 
 
-def _search(masks: tuple[int, ...], memo: dict) -> SheddingTree | None:
+def _search(
+    masks: tuple[int, ...], memo: dict, candidates: int | None = None
+) -> SheddingTree | None:
     """First shedding tree of a canonical, pure facet list, shedding high vertices first.
 
     For facets of size d, x sheds iff every ridge F - x of a facet F
@@ -94,30 +100,36 @@ def _search(masks: tuple[int, ...], memo: dict) -> SheddingTree | None:
     complex is vertex decomposable.  A failing deletion only moves the
     search on to the next candidate.  A vertex-decomposable complex has
     no failing link, so its tree is the one the full search finds.
+
+    ``candidates`` is the mask of shedding vertices when the caller
+    already knows it (see :class:`_VDColumn`); otherwise the ridges are
+    counted here.
     """
     if not masks:
         return _LEAF_VOID
     if len(masks) == 1:
         return _LEAF_EMPTY if masks[0] == 0 else _LEAF_SIMPLEX
-    support = 0
-    ridges: dict[int, int] = {}
-    for m in masks:
-        support |= m
-        rest = m
-        while rest:
-            low = rest & -rest
-            ridges[m ^ low] = ridges.get(m ^ low, 0) + 1
-            rest ^= low
-    lonely = 0  # vertices x with some facet F whose ridge F - x lies in F alone
-    for m in masks:
-        rest = m & ~lonely
-        while rest:
-            low = rest & -rest
-            if ridges[m ^ low] == 1:
-                lonely |= low
-            rest ^= low
-    # candidates in descending vertex order; a vertex in every facet is lonely
-    rest = support & ~lonely
+    if candidates is None:
+        support = 0
+        ridges: dict[int, int] = {}
+        for m in masks:
+            support |= m
+            rest = m
+            while rest:
+                low = rest & -rest
+                ridges[m ^ low] = ridges.get(m ^ low, 0) + 1
+                rest ^= low
+        lonely = 0  # vertices x with some facet F whose ridge F - x lies in F alone
+        for m in masks:
+            rest = m & ~lonely
+            while rest:
+                low = rest & -rest
+                if ridges[m ^ low] == 1:
+                    lonely |= low
+                rest ^= low
+        candidates = support & ~lonely  # a vertex in every facet is lonely
+    # candidates in descending vertex order
+    rest = candidates
     while rest:
         bit = 1 << (rest.bit_length() - 1)
         rest ^= bit
@@ -152,6 +164,67 @@ def is_vertex_decomposable(cx: SimplicialComplex, memo: dict | None = None) -> D
         memo = {}
     tree = _decide(cx.facet_masks, memo)
     return DecompositionResult(tree is not None, tree)
+
+
+def _vertex_decomposable(cx: SimplicialComplex, column: _VDColumn) -> DecompositionResult:
+    """:func:`is_vertex_decomposable`, on a complex of a column that only grows.
+
+    ``cx``'s facets are folded into ``column`` first.  The memo is the
+    column's, and on a miss the top level of the search takes its
+    candidates from the column's ridge counts; links and deletions count
+    their own.
+    """
+    masks = cx.facet_masks
+    sizes = {m.bit_count() for m in masks}
+    if len(sizes) > 1:
+        raise ValueError("vertex decomposability is defined for pure complexes")
+    column.fold(masks, sizes.pop() - 1 if sizes else None)
+    memo = column.memo
+    tree = memo.get(masks, _MISSING)
+    if tree is _MISSING:
+        tree = memo[masks] = _search(masks, memo, column.support & ~column.lonely)
+    return DecompositionResult(tree is not None, tree)
+
+
+class _VDColumn(_Column):
+    """The VD memo and the top-level shedding test, kept for a facet list that only grows.
+
+    ``holder`` maps each ridge of the folded facets held by one facet to
+    that facet, and each ridge held by two or more to 0 (a facet with a
+    ridge is never 0).  ``singles`` maps a vertex bit x to the number of
+    ridges F - x held by F alone, and ``lonely`` is the vertices it maps
+    to a nonzero number.  So ``support & ~lonely`` are the vertices that
+    shed the folded complex, the candidates ``_search`` would count, and a
+    new facet of size d costs O(d).
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.memo: dict = {}
+        self.holder: dict[int, int] = {}
+        self.singles: dict[int, int] = {}
+        self.support = 0
+        self.lonely = 0
+
+    def _add(self, h: int) -> None:
+        holder, singles = self.holder, self.singles
+        self.support |= h
+        rest = h
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            ridge = h ^ bit
+            g = holder.get(ridge)
+            if g is None:  # h - bit lies in h alone
+                holder[ridge] = h
+                singles[bit] = singles.get(bit, 0) + 1
+                self.lonely |= bit
+            elif g:  # g no longer holds the ridge alone: one single fewer for x = g - ridge
+                holder[ridge] = 0
+                x = g ^ ridge
+                singles[x] -= 1
+                if not singles[x]:
+                    self.lonely &= ~x
 
 
 @dataclass(frozen=True)

@@ -264,31 +264,18 @@ def _s2_witness(facets, dim: int, column: _S2Column | None = None) -> tuple[int,
     return holders[0], next(p for p, m in zip(holders, link) if not m & reach)
 
 
-class _S2Column:
-    """The faces ``_s2_witness`` visits, kept for a facet list that only grows.
+class _Column:
+    """A facet list that only grows, folded in one facet at a time.
 
     A sweep column is such a list: the facets of vdW(n, k) that avoid n
-    are those of vdW(n - 1, k).  The state holds the facets folded so far
-    and their pairwise intersections with fewer than ``dim`` vertices,
-    ``faces``, in the order of their ``_face_order`` ``keys``; each key is
-    computed once and inserted by bisection.  A face gets its holders,
-    the folded facets that contain it, when a walk first reaches it, and
-    every later facet containing it joins them.  A face whose link was
-    connected is measured again only once it has gained a holder.  So a
-    fold costs only the facets not folded before: each meets every folded
-    facet once and every face with holders once.  The walk sees the faces,
-    links and verdicts of the per-complex walk, so it fails at the same
-    face.
+    are those of vdW(n - 1, k).  :meth:`fold` checks that and hands each
+    facet not folded before to ``_add``, which a subclass defines to keep
+    its own state up to date.
     """
 
     def __init__(self) -> None:
         self.dim: int | None = None
         self.facets: set[int] = set()
-        self.keys: list[int] = []
-        self.faces: list[int] = []
-        self.kept: set[int] = set()
-        self.holders: dict[int, list[int]] = {}  # for the faces walked so far
-        self.connected: set[int] = set()  # faces whose link was connected at the last walk
 
     def fold(self, facets, dim: int) -> None:
         """Add the facets not folded yet; every folded facet must still be one."""
@@ -298,18 +285,46 @@ class _S2Column:
         if dim != self.dim or len(facets) - len(new) != len(self.facets):
             raise ValueError("a column's facet lists must keep their dimension and only grow")
         for h in new:
-            for face, held in self.holders.items():
-                if h & face == face:
-                    held.append(h)
-                    self.connected.discard(face)
-            for face in {h & g for g in self.facets}.difference(self.kept):
-                if face.bit_count() < dim:
-                    self.kept.add(face)
-                    key = _face_order(face)
-                    at = bisect(self.keys, key)
-                    self.keys.insert(at, key)
-                    self.faces.insert(at, face)
+            self._add(h)
             self.facets.add(h)
+
+
+class _S2Column(_Column):
+    """The faces ``_s2_witness`` visits, kept for a facet list that only grows.
+
+    The state holds the facets folded so far and their pairwise
+    intersections with fewer than ``dim`` vertices, ``faces``, in the
+    order of their ``_face_order`` ``keys``; each key is computed once and
+    inserted by bisection.  A face gets its holders, the folded facets
+    that contain it, when a walk first reaches it, and every later facet
+    containing it joins them.  A face whose link was connected is
+    measured again only once it has gained a holder.  So a fold costs
+    only the facets not folded before: each meets every folded facet once
+    and every face with holders once.  The walk sees the faces, links and
+    verdicts of the per-complex walk, so it fails at the same face.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.keys: list[int] = []
+        self.faces: list[int] = []
+        self.kept: set[int] = set()
+        self.holders: dict[int, list[int]] = {}  # for the faces walked so far
+        self.connected: set[int] = set()  # faces whose link was connected at the last walk
+
+    def _add(self, h: int) -> None:
+        dim = self.dim
+        for face, held in self.holders.items():
+            if h & face == face:
+                held.append(h)
+                self.connected.discard(face)
+        for face in {h & g for g in self.facets}.difference(self.kept):
+            if face.bit_count() < dim:
+                self.kept.add(face)
+                key = _face_order(face)
+                at = bisect(self.keys, key)
+                self.keys.insert(at, key)
+                self.faces.insert(at, face)
 
     def first_disconnected(self) -> int | None:
         """The first face, in ``_face_order``, whose link in the folded facets is disconnected."""

@@ -639,7 +639,7 @@ class TestInternalErrors:
         def crashing(*args):
             raise exc("decider crashed")
 
-        monkeypatch.setattr(cli, "is_vertex_decomposable", crashing)
+        monkeypatch.setattr(cli, "_vertex_decomposable", crashing)
         code, out, err = run_cli(capsys, *argv)
         assert code == cli.EXIT_ERROR == 4
         assert out == "" and err.startswith("Traceback")
@@ -649,7 +649,7 @@ class TestInternalErrors:
         def interrupted(*args):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(cli, "is_vertex_decomposable", interrupted)
+        monkeypatch.setattr(cli, "_vertex_decomposable", interrupted)
         with pytest.raises(KeyboardInterrupt):
             main(["classify", "7", "2", "--checks", "vd"])
 

@@ -4,6 +4,8 @@ import dataclasses
 import json
 import random
 import time
+from collections import Counter
+from itertools import combinations
 
 import pytest
 from conftest import (
@@ -22,15 +24,17 @@ from vdwcomplex.certify import (
     verify_shedding_tree,
     verify_shelling,
 )
-from vdwcomplex.complexes import SimplicialComplex, unpack
+from vdwcomplex.complexes import SimplicialComplex, _canonical, pack, unpack
 from vdwcomplex.decompose import (
     DecompositionResult,
     ShellingResult,
+    _vertex_decomposable,
+    _VDColumn,
     is_shellable,
     is_vertex_decomposable,
 )
 from vdwcomplex.homology import CohenMacaulayResult, is_cohen_macaulay
-from vdwcomplex.ideals import _s2_witness
+from vdwcomplex.ideals import _s2_witness, _S2Column
 from vdwcomplex.vdw import classify_closed_form, vdw_complex
 
 
@@ -268,6 +272,80 @@ class TestSheddingSearchMatchesNaive:
         memo = {}
         res = is_vertex_decomposable(cx, memo)
         assert memo[cx.facet_masks] is res.tree
+
+
+def _shedding_vertices(masks) -> int:
+    """The vertices that shed a pure facet list, from a fresh count of each ridge's facets."""
+    bits = [[1 << v for v in range(f.bit_length()) if f >> v & 1] for f in masks]
+    ridges = Counter(f ^ b for f, fb in zip(masks, bits) for b in fb)
+    support = lonely = 0
+    for f, fb in zip(masks, bits):
+        support |= f
+        lonely |= sum(b for b in fb if ridges[f ^ b] == 1)
+    return support & ~lonely
+
+
+def _tree_json(res):
+    return res.tree.to_json() if res.tree is not None else None
+
+
+class TestVDColumn:
+    """Counts carried down a column equal a fresh count, and the trees a fresh search."""
+
+    def test_every_vdw_column_to_n64(self):
+        decomposable = 0
+        for k in range(1, 64):
+            column = _VDColumn()
+            for n in range(k + 1, 65):
+                cx = vdw_complex(n, k)
+                res = _vertex_decomposable(cx, column)
+                assert column.support & ~column.lonely == _shedding_vertices(cx.facet_masks), (n, k)
+                fresh = is_vertex_decomposable(cx)
+                assert res.value is fresh.value and _tree_json(res) == _tree_json(fresh), (n, k)
+                decomposable += res.value
+        grid = [(n, k) for n in range(2, 65) for k in range(1, n)]
+        assert decomposable == sum(classify_closed_form(n, k).vertex_decomposable for n, k in grid)
+
+    def test_random_facet_lists_grown_one_facet_at_a_time(self):
+        # new facets land anywhere in canonical order, and ridges go from one holder to two
+        rng = random.Random(2917)
+        verdicts = Counter()
+        for _ in range(60):
+            n = rng.randint(5, 8)
+            dim = rng.randint(1, 3)
+            pool = [pack(f) for f in combinations(range(1, n + 1), dim + 1)]
+            rng.shuffle(pool)
+            column = _VDColumn()
+            for grown in range(1, min(len(pool), 14) + 1):
+                masks = _canonical(pool[:grown])
+                cx = SimplicialComplex.from_facets(n, map(unpack, masks))
+                res = _vertex_decomposable(cx, column)
+                assert column.support & ~column.lonely == _shedding_vertices(masks), masks
+                assert _tree_json(res) == _tree_json(is_vertex_decomposable(cx)), masks
+                verdicts[res.value] += 1
+        assert verdicts[True] > 100 and verdicts[False] > 100
+
+    @pytest.mark.parametrize("kind", [_VDColumn, _S2Column])
+    def test_facet_lists_must_only_grow(self, kind):
+        column = kind()
+        facets = vdw_complex(9, 2).facet_masks
+        column.fold(facets, 2)
+        column.fold(facets, 2)  # folding nothing new is allowed
+        column.fold(vdw_complex(10, 2).facet_masks, 2)
+        with pytest.raises(ValueError, match="only grow"):
+            column.fold(facets[1:], 2)  # drops a facet folded before
+        with pytest.raises(ValueError, match="keep their dimension"):
+            column.fold(vdw_complex(10, 3).facet_masks, 3)
+
+    def test_growth_checked_on_the_sweep_entry(self):
+        column = _VDColumn()
+        _vertex_decomposable(vdw_complex(9, 2), column)
+        with pytest.raises(ValueError):
+            _vertex_decomposable(vdw_complex(8, 2), column)
+        with pytest.raises(ValueError):
+            _vertex_decomposable(vdw_complex(9, 3), column)
+        with pytest.raises(ValueError, match="pure"):
+            _vertex_decomposable(SimplicialComplex.from_facets(3, [[1, 2], [3]]), _VDColumn())
 
 
 class TestShellable:
