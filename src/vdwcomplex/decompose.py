@@ -10,16 +10,16 @@ count of the ridges per subproblem tests every candidate vertex without
 building its deletion.  Down a sweep column, where each complex's facets
 are the previous one's and those through the new vertex, the top level
 does not count: :class:`_VDColumn` carries which ridges one facet holds
-alone, and each record folds in only its new facets.  A vertex in every facet, a cone apex, never
-sheds, since its ridges F - x lie in F alone; a cone over C is vertex
-decomposable iff C is, by the vertices that shed C.  Every link of a
-vertex-decomposable complex is vertex decomposable (Provan-Billera,
-Math. Oper. Res. 5 (1980)), so the search fails at the first candidate
-whose link fails; only a failing deletion moves it on to the next
-candidate.  Subproblems are memoized on their facet masks, which link
+alone, and each record folds in only its new facets.  A vertex in every
+facet, a cone apex, never sheds, since its ridges F - x lie in F alone;
+a cone over C is vertex decomposable iff C is, by the vertices that shed
+C.  Every link of a vertex-decomposable complex is vertex decomposable
+(Provan-Billera, Math. Oper. Res. 5 (1980)), so the search fails at the
+first candidate whose link fails; only a failing deletion moves it on to
+the next candidate.  Subproblems are memoized on their facet masks, which link
 and deletion keep in canonical order, so equal subproblems meet under
 equal keys; the memo maps each key to its shedding tree, or to ``None``
-on failure, and a sweep column keeps one memo beside its counts.  A
+on failure, and a sweep column keeps one memo beside its ridges.  A
 successful decision is certified by a shedding tree, which ``certify``
 replays with no help from this module.
 
@@ -171,8 +171,8 @@ def _vertex_decomposable(cx: SimplicialComplex, column: _VDColumn) -> Decomposit
 
     ``cx``'s facets are folded into ``column`` first.  The memo is the
     column's, and on a miss the top level of the search takes its
-    candidates from the column's ridge counts; links and deletions count
-    their own.
+    candidates from the column's ridges; links and deletions count their
+    own.
     """
     masks = cx.facet_masks
     sizes = {m.bit_count() for m in masks}
