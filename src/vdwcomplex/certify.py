@@ -244,7 +244,11 @@ class SheddingTree:
         )
 
 
-def _tree_order(masks: tuple[int, ...], tree: SheddingTree) -> list[int]:
+def _tree_order(
+    masks: tuple[int, ...],
+    tree: SheddingTree,
+    verified: tuple[SheddingTree, tuple[int, ...], list[int]] | None = None,
+) -> list[int]:
     """Replay a shedding tree on a pure facet list; return its shelling order (Provan-Billera).
 
     A subproblem is kept as the facets of ``masks`` that hold every vertex
@@ -259,9 +263,22 @@ def _tree_order(masks: tuple[int, ...], tree: SheddingTree) -> list[int]:
     order is the deletion's, then the link's.  The two subtrees split the
     facets, and each leaf but the void complex's holds one, so a tree that
     replays on a nonvoid complex has 2 * #facets - 1 nodes.
+
+    ``verified`` is ``(tree, facets, order)`` from an earlier replay that
+    returned ``order`` for that tree on those facets.  A node whose subtree
+    is that tree object, on an equal facet list with nothing joined, takes
+    ``order`` without a second walk: a tree is immutable and the walk
+    depends only on the tree, the subproblem and ``joined``.  Down a sweep
+    column the top node's deletion subtree is the previous record's tree,
+    so only the new top node and its link are walked.  A different object,
+    however equal, is walked in full.
     """
+    known, facets, known_order = verified if verified is not None else (None, None, None)
+    known_facets = list(facets) if facets is not None else None
 
     def order(sub: list[int], tree: SheddingTree, joined: int) -> list[int]:
+        if tree is known and not joined and sub == known_facets:
+            return known_order
         kind = tree.kind if isinstance(tree, SheddingTree) else None
         if kind == "shed":
             x = tree.vertex

@@ -109,13 +109,16 @@ def compute_record(
     other.  The selected fields share one Reisner walk
     (:func:`cohen_macaulay_by_field`), so each ``cm_*`` key's timing is
     that walk's.  ``vd_column`` is the vertex-decomposability state, the
-    memo and the top level's ridge counts, to carry from record to record
-    (see :class:`_VDColumn`); a fresh one is used when it is None.  The
-    shellable check hands its vertex-decomposability result to
-    :func:`is_shellable`, so a vertex-decomposable complex is shelled in
-    its tree's order with no search; when ``vd`` is checked too, that
-    result is a memo hit, and the ``shellable`` timing includes it either
-    way.
+    memo, the top level's ridge counts and the last verified tree replay,
+    to carry from record to record (see :class:`_VDColumn`); a fresh one
+    is used when it is None.  The shellable check hands its
+    vertex-decomposability result and ``vd_column`` to :func:`_shellable`
+    (:func:`is_shellable` with the shared (S2) walk below), so a
+    vertex-decomposable complex is shelled in its tree's order with no
+    search, walking only the nodes the previous record's replay did not
+    cover, and its order stays as masks, since only ``.value`` is read.
+    When ``vd`` is checked too, that result is a memo hit, and the
+    ``shellable`` timing includes it either way.
 
     The shellable and linpres checks share one (S2) walk
     (:func:`_s2_witness`), run at most once per record and only when a
@@ -152,7 +155,7 @@ def compute_record(
 
     if "shellable" in checks:
         shellable = lambda: [
-            _shellable(cx, budget, _vertex_decomposable(cx, vd_column), s2_witness)
+            _shellable(cx, budget, _vertex_decomposable(cx, vd_column), s2_witness, vd_column)
         ]
         rows.append((["shellable"], pred.shellable, shellable))
     if "cm" in checks:  # one Reisner walk for every field
@@ -184,9 +187,12 @@ def _sweep_column(k: int, n_max: int, checks, field_chars, budget: int, with_tim
     in only the facets through n, and its top-level search reads its
     shedding vertices off that state.  Vertex n is the first
     candidate whenever it sheds, so the complex then finds the previous
-    one's verdict in the memo.  The (S2) state
+    one's verdict in the memo, and the shellable check replays only the
+    new top node and its link, taking the rest of the order from the
+    previous record's verified replay.  The (S2) state
     (:class:`_S2Column`) holds the pairwise facet intersections the walk
-    visits, in its order, with the facets holding each; a record that
+    visits, in its order, with the facets holding each, and for each face
+    whose link was connected that link's vertices; a record that
     runs the walk folds in only the facets added since the last record
     that ran it, those through the new vertices.  That is exact because
     the facets only grow down the column: the state then holds exactly
@@ -444,7 +450,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="classify every (n, k) with 0 < k < n <= n_max",
     )
     p.add_argument("n_max", type=int)
-    p.add_argument("--checks", default="vd,shellable,cm,linpres", metavar="LIST")
+    p.add_argument(
+        "--checks",
+        default="vd,shellable,cm,linpres",
+        metavar="LIST",
+        help="comma-separated subset of vd,shellable,cm,linpres",
+    )
     p.add_argument("--no-timings", action="store_true", help="omit timings (deterministic output)")
     p.add_argument("--force", action="store_true", help="override the per-check n_max limits")
     p.set_defaults(func=cmd_sweep)

@@ -54,12 +54,10 @@ def pack(vertices: Iterable[int]) -> int:
 def unpack(mask: int) -> Vertices:
     """Sorted vertex tuple of a bitmask."""
     out = []
-    v = 1
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
+    while mask:  # one step per set bit, lowest first
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
     return tuple(out)
 
 

@@ -45,10 +45,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from vdwcomplex import _kernels
 from vdwcomplex.certify import SheddingTree, _tree_order
-from vdwcomplex.complexes import SimplicialComplex, Vertices, unpack
+from vdwcomplex.complexes import SimplicialComplex, Vertices, pack, unpack
 from vdwcomplex.homology import CohenMacaulayResult, _first_failures, _result
 from vdwcomplex.ideals import _Column, _s2_witness
 
@@ -196,6 +197,11 @@ class _VDColumn(_Column):
     to a nonzero number.  So ``support & ~lonely`` are the vertices that
     shed the folded complex, the candidates ``_search`` would count, and a
     new facet of size d costs O(d).
+
+    ``replay`` is the last replay ``_shellable`` verified in this column,
+    ``(tree, facets, order)``, or None.  The next record's tree sheds its
+    new vertex first, so its deletion subtree is that tree, found in the
+    memo, and ``_tree_order`` reuses the order instead of walking it again.
     """
 
     def __init__(self) -> None:
@@ -205,6 +211,7 @@ class _VDColumn(_Column):
         self.singles: dict[int, int] = {}
         self.support = 0
         self.lonely = 0
+        self.replay: tuple[SheddingTree, tuple[int, ...], list[int]] | None = None
 
     def _add(self, h: int) -> None:
         holder, singles = self.holder, self.singles
@@ -227,19 +234,58 @@ class _VDColumn(_Column):
                     self.lonely &= ~x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class ShellingResult:
     """Outcome of a shellability decision: shellable / not-shellable / undecided.
 
     ``refutation`` is set when a failed test, not the exhausted search,
     showed the complex is not shellable: an (S2) witness, reported as a
     degree-0 witness over F2, or a failing Reisner test over F2.
+    ``order_masks`` is the shelling order as facet masks, None without
+    one; ``order`` is the same order as vertex tuples, built on first
+    read.  ``ShellingResult(status, order, nodes, refutation)`` takes that
+    tuple form.
     """
 
     status: str
-    order: tuple[Vertices, ...] | None
+    order_masks: tuple[int, ...] | None
     nodes: int
-    refutation: CohenMacaulayResult | None = None
+    refutation: CohenMacaulayResult | None
+
+    def __init__(
+        self,
+        status: str,
+        order: tuple[Vertices, ...] | None,
+        nodes: int,
+        refutation: CohenMacaulayResult | None = None,
+    ) -> None:
+        masks = None if order is None else tuple(map(pack, order))
+        self._hold(status, masks, nodes, refutation)
+        object.__setattr__(self, "order", order)  # read back as given
+
+    @classmethod
+    def _from_masks(cls, status: str, masks, nodes: int) -> "ShellingResult":
+        """A result whose order is the facet masks ``masks`` (or None), unpacked only when read."""
+        result = cls.__new__(cls)
+        result._hold(status, None if masks is None else tuple(masks), nodes, None)
+        return result
+
+    def _hold(self, status, masks, nodes, refutation) -> None:
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "order_masks", masks)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "refutation", refutation)
+
+    @cached_property
+    def order(self) -> tuple[Vertices, ...] | None:
+        masks = self.order_masks
+        return None if masks is None else tuple(map(unpack, masks))
+
+    def __repr__(self) -> str:
+        return (
+            f"ShellingResult(status={self.status!r}, order={self.order!r}, "
+            f"nodes={self.nodes!r}, refutation={self.refutation!r})"
+        )
 
     @property
     def value(self) -> bool | None:
@@ -318,11 +364,16 @@ def is_shellable(
     return _shellable(cx, budget, vd, lambda: _s2_witness(cx.facet_masks, cx.dim))
 
 
-def _shellable(cx: SimplicialComplex, budget, vd, s2_witness) -> ShellingResult:
+def _shellable(
+    cx: SimplicialComplex, budget, vd, s2_witness, column: _VDColumn | None = None
+) -> ShellingResult:
     """:func:`is_shellable`, taking step 3's witness from ``s2_witness()``.
 
     ``s2_witness`` is called at most once, and only when step 3 runs, so a
     caller can share one (S2) walk with its linear-presentation check.
+    With ``column``, the column ``vd`` was decided in, step 1 hands the
+    column's last verified replay to ``_tree_order`` and keeps its own
+    there for the next record.
     """
     if cx.is_void:
         raise ValueError("shellability of the void complex is undefined")
@@ -333,15 +384,19 @@ def _shellable(cx: SimplicialComplex, budget, vd, s2_witness) -> ShellingResult:
     if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
         raise ValueError(f"the shelling budget must be None or an integer >= 0, got {budget!r}")
     if vd is not None and vd.value:
-        order = _tree_order(cx.facet_masks, vd.tree)
-        return ShellingResult("shellable", tuple(map(unpack, order)), 0)
+        if column is None:
+            order = _tree_order(cx.facet_masks, vd.tree)
+        else:
+            order = _tree_order(cx.facet_masks, vd.tree, column.replay)
+            column.replay = (vd.tree, cx.facet_masks, order)
+        return ShellingResult._from_masks("shellable", order, 0)
     masks = list(cx.facet_masks)
     s = len(masks)
     nodes = 0
     if vd is None:  # the probe: search_shelling(masks, min(budget, s)), see step 2
         idx_order = _kernels.greedy_shelling(masks) if budget >= s else None
         if idx_order is not None:
-            return ShellingResult("shellable", tuple(cx.facets[i] for i in idx_order), s)
+            return ShellingResult._from_masks("shellable", [masks[i] for i in idx_order], s)
         nodes = min(budget, s) + 1
     witness = s2_witness()
     if witness is not None:
@@ -355,5 +410,5 @@ def _shellable(cx: SimplicialComplex, budget, vd, s2_witness) -> ShellingResult:
     if vd is None and budget <= s:  # the probe had the whole budget
         return ShellingResult("undecided", None, nodes)
     status, idx_order, nodes = _kernels.search_shelling(masks, budget)
-    order = tuple(cx.facets[i] for i in idx_order) if idx_order is not None else None
-    return ShellingResult(_STATUS[status], order, nodes)
+    order = [masks[i] for i in idx_order] if idx_order is not None else None
+    return ShellingResult._from_masks(_STATUS[status], order, nodes)

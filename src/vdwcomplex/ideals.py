@@ -297,11 +297,16 @@ class _S2Column(_Column):
     order of their ``_face_order`` ``keys``; each key is computed once and
     inserted by bisection.  A face gets its holders, the folded facets
     that contain it, when a walk first reaches it, and every later facet
-    containing it joins them.  A face whose link was connected is
-    measured again only once it has gained a holder.  So a fold costs
-    only the facets not folded before: each meets every folded facet once
-    and every face with holders once.  The walk sees the faces, links and
-    verdicts of the per-complex walk, so it fails at the same face.
+    containing it joins them.  ``connected`` maps each face whose link was
+    connected when last measured to the union of that link's vertices.  A
+    connected link stays connected when a new holder h meets the union
+    outside the face, since h - F then shares a vertex with it; the union
+    grows by h - F and the face is not measured again.  A holder that
+    misses the union leaves the link disconnected, and sends the face back
+    to the full test at the next walk.  So a fold costs only the facets
+    not folded before: each meets every folded facet once and every face
+    with holders once.  The walk sees the faces, links and verdicts of the
+    per-complex walk, so it fails at the same face.
     """
 
     def __init__(self) -> None:
@@ -310,14 +315,20 @@ class _S2Column(_Column):
         self.faces: list[int] = []
         self.kept: set[int] = set()
         self.holders: dict[int, list[int]] = {}  # for the faces walked so far
-        self.connected: set[int] = set()  # faces whose link was connected at the last walk
+        self.connected: dict[int, int] = {}  # face -> vertex union of its connected link
 
     def _add(self, h: int) -> None:
         dim = self.dim
+        connected = self.connected
         for face, held in self.holders.items():
             if h & face == face:
                 held.append(h)
-                self.connected.discard(face)
+                union = connected.get(face)
+                if union is not None:
+                    if h & union:  # h - F meets the connected link
+                        connected[face] = union | (h ^ face)
+                    else:
+                        del connected[face]
         for face in {h & g for g in self.facets}.difference(self.kept):
             if face.bit_count() < dim:
                 self.kept.add(face)
@@ -328,14 +339,19 @@ class _S2Column(_Column):
 
     def first_disconnected(self) -> int | None:
         """The first face, in ``_face_order``, whose link in the folded facets is disconnected."""
+        connected = self.connected
         for face in self.faces:
-            if face not in self.connected:
+            if face not in connected:
                 held = self.holders.get(face)
                 if held is None:
                     held = self.holders[face] = [g for g in self.facets if g & face == face]
-                if not _is_connected([g ^ face for g in held]):
+                link = [g ^ face for g in held]
+                union = 0
+                for m in link:
+                    union |= m
+                if _component(link, union & -union) != union:
                     return face
-                self.connected.add(face)
+                connected[face] = union
         return None
 
 

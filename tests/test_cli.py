@@ -31,7 +31,7 @@ def _undecided_search(monkeypatch):
     the "undecided" paths of the CLI covered.
     """
 
-    def undecided(cx, budget, vd, s2_witness):
+    def undecided(cx, budget, vd, s2_witness, column=None):
         return ShellingResult("undecided", None, budget + 1)
 
     monkeypatch.setattr(cli, "_shellable", undecided)
@@ -626,6 +626,14 @@ class TestOptions:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("command", ["classify", "sweep"])
+    def test_checks_help(self, capsys, command):
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0
+        assert "--checks LIST comma-separated subset of vd,shellable,cm,linpres" in " ".join(
+            out.split()
+        )
 
 
 class TestInternalErrors:

@@ -417,6 +417,35 @@ class TestCanonicalForm:
             SimplicialComplex(6, cx.facets, cx.facet_masks)
 
 
+def _unpack_by_position(mask: int) -> tuple[int, ...]:
+    """The vertex tuple of a mask, one step per bit position."""
+    out = []
+    v = 1
+    while mask:
+        if mask & 1:
+            out.append(v)
+        mask >>= 1
+        v += 1
+    return tuple(out)
+
+
+class TestUnpack:
+    """``unpack`` steps over set bits only and gives the tuples of the position loop."""
+
+    def test_every_mask_below_2_to_12(self):
+        for mask in range(1 << 12):
+            assert unpack(mask) == _unpack_by_position(mask), mask
+
+    def test_random_64_bit_masks(self):
+        rng = random.Random(6113)
+        for _ in range(3000):
+            mask = rng.getrandbits(64)
+            if rng.random() < 0.5:  # sparser masks, as facets are
+                mask &= rng.getrandbits(64) & rng.getrandbits(64)
+            assert unpack(mask) == _unpack_by_position(mask), mask
+        assert unpack(1 << 63) == (64,) and unpack((1 << 64) - 1) == tuple(range(1, 65))
+
+
 class TestSerialization:
     def test_canonical_json(self):
         assert vdw_complex(5, 2).to_json() == '{"n":5,"facets":[[1,2,3],[1,3,5],[2,3,4],[3,4,5]]}'

@@ -20,6 +20,7 @@ from conftest import (
 from vdwcomplex import _kernels
 from vdwcomplex.certify import (
     SheddingTree,
+    _tree_order,
     verify_cohen_macaulay_witness,
     verify_shedding_tree,
     verify_shelling,
@@ -28,6 +29,7 @@ from vdwcomplex.complexes import SimplicialComplex, _canonical, pack, unpack
 from vdwcomplex.decompose import (
     DecompositionResult,
     ShellingResult,
+    _shellable,
     _vertex_decomposable,
     _VDColumn,
     is_shellable,
@@ -346,6 +348,131 @@ class TestVDColumn:
             _vertex_decomposable(vdw_complex(9, 3), column)
         with pytest.raises(ValueError, match="pure"):
             _vertex_decomposable(SimplicialComplex.from_facets(3, [[1, 2], [3]]), _VDColumn())
+
+
+def _sweep_shellable(cx, column):
+    """The sweep's shellable check on ``cx``: VD in ``column``, then the carried replay."""
+    vd = _vertex_decomposable(cx, column)
+    return vd, _shellable(cx, None, vd, lambda: _s2_witness(cx.facet_masks, cx.dim), column)
+
+
+class TestCarriedReplay:
+    """Down a sweep column the replay reuses the previous record's verified order."""
+
+    def test_every_sweep_column_to_n40(self):
+        reused = 0
+        for k in range(1, 40):
+            column = _VDColumn()
+            for n in range(k + 1, 41):
+                cx = vdw_complex(n, k)
+                carried = column.replay
+                vd, res = _sweep_shellable(cx, column)
+                assert res.value is vd.value, (n, k)
+                if vd.value:
+                    assert res.order_masks == tuple(_tree_order(cx.facet_masks, vd.tree)), (n, k)
+                    assert "order" not in vars(res)  # no vertex tuples until read
+                    assert column.replay[0] is vd.tree and column.replay[1] == cx.facet_masks
+                    reused += carried is not None and vd.tree.deletion is carried[0]
+        # every VD record after a VD one: its deletion is the previous record's tree
+        after_vd = [
+            (n, k) for n in range(3, 41) for k in range(1, n - 1)
+            if classify_closed_form(n - 1, k).vertex_decomposable
+            and classify_closed_form(n, k).vertex_decomposable
+        ]
+        assert reused == len(after_vd) == 401
+
+    def test_carried_order_taken_without_a_walk(self):
+        masks = vdw_complex(7, 1).facet_masks
+        tree = is_vertex_decomposable(vdw_complex(7, 1)).tree
+        stand_in = [-1]  # no walk returns this
+        assert _tree_order(masks, tree, (tree, masks, stand_in)) is stand_in
+        copy = SheddingTree.from_dict(tree.to_dict())  # equal, but another object
+        assert copy == tree and copy is not tree
+        assert _tree_order(masks, copy, (tree, masks, stand_in)) == _tree_order(masks, tree)
+
+    @staticmethod
+    def _column_at(n, k):
+        """A column that has verified vdW(n, k)'s replay."""
+        column = _VDColumn()
+        for m in range(k + 1, n + 1):
+            vd, _ = _sweep_shellable(vdw_complex(m, k), column)
+        assert vd.value and column.replay[0] is vd.tree
+        return column
+
+    def test_forged_top_node_rejected(self):
+        column = self._column_at(6, 1)
+        previous = column.replay[0]
+        cx = vdw_complex(7, 1)
+        vd = _vertex_decomposable(cx, column)
+        assert vd.tree.deletion is previous
+        forged = [
+            SheddingTree("shed", 7, SheddingTree("simplex"), previous),  # the link is six points
+            SheddingTree("shed", 6, vd.tree.link, previous),  # 6 is not the new vertex
+            SheddingTree("shed", 7, previous, previous),
+        ]
+        for tree in forged:
+            with pytest.raises(ValueError):
+                _shellable(cx, None, DecompositionResult(True, tree), lambda: None, column)
+            assert column.replay[0] is previous  # a failed replay leaves the carried one
+        assert _sweep_shellable(cx, column)[1].value is True
+
+    def test_equal_looking_subtree_walked_in_full(self):
+        column = self._column_at(6, 1)
+        previous = column.replay[0]
+        cx = vdw_complex(7, 1)
+        vd = _vertex_decomposable(cx, column)
+        # the same root as the previous tree, a forged leaf at the end of its deletion spine
+        data = node = previous.to_dict()
+        while node["deletion"]["kind"] == "shed":
+            node = node["deletion"]
+        node["deletion"] = {"kind": "void"}
+        copy = SheddingTree.from_dict(data)
+        assert copy.vertex == previous.vertex and copy.link == previous.link
+        tree = SheddingTree("shed", 7, vd.tree.link, copy)
+        with pytest.raises(ValueError):
+            _shellable(cx, None, DecompositionResult(True, tree), lambda: None, column)
+
+    def test_previous_tree_on_other_facets_rejected(self):
+        column = self._column_at(6, 1)
+        previous, facets, order = column.replay
+        for other in (vdw_complex(7, 1), vdw_complex(6, 2), vdw_complex(5, 1)):
+            with pytest.raises(ValueError):
+                _tree_order(other.facet_masks, previous, column.replay)
+        with pytest.raises(ValueError):
+            _shellable(vdw_complex(7, 1), None, DecompositionResult(True, previous), None, column)
+        assert column.replay == (previous, facets, order)
+
+    def test_reused_only_with_nothing_joined(self):
+        # the point 2 is a simplex; lk 2 in the two points 1, 2 holds the same
+        # facet, but with 2 joined it is the empty complex, not a simplex
+        simplex = SheddingTree("simplex")
+        verified = (simplex, (0b10,), _tree_order((0b10,), simplex))
+        tree = SheddingTree("shed", 2, simplex, SheddingTree("simplex"))
+        with pytest.raises(ValueError):
+            _tree_order((0b1, 0b10), tree, verified)
+        tree = SheddingTree("shed", 2, SheddingTree("empty"), simplex)
+        assert _tree_order((0b1, 0b10), tree, verified) == [0b1, 0b10]
+
+
+class TestShellingResultOrder:
+    """The order is kept as masks; the vertex tuples are built on first read."""
+
+    def test_tuples_built_on_first_read(self):
+        cx = vdw_complex(6, 2)
+        res = is_shellable(cx, vd=is_vertex_decomposable(cx))
+        assert "order" not in vars(res)
+        assert res.order == tuple(map(unpack, res.order_masks))
+        assert verify_shelling(cx, res.order)
+
+    def test_positional_tuple_constructor(self):
+        order = ((1, 2, 3), (2, 3, 4))
+        res = ShellingResult("shellable", order, 2)
+        assert res.order is order and res.order_masks == (0b111, 0b1110)
+        assert res.refutation is None and res.value is True
+        assert res == ShellingResult._from_masks("shellable", [0b111, 0b1110], 2)
+        assert ShellingResult("undecided", None, 5).to_json() == (
+            '{"status":"undecided","order":null,"nodes":5,"refutation":null}'
+        )
 
 
 class TestShellable:

@@ -298,6 +298,14 @@ class TestSerreFastPath:
         assert_fast_matches_graph_search(ideal)
 
 
+def _link_vertices(facets, face: int) -> int:
+    union = 0
+    for g in facets:
+        if g & face == face:
+            union |= g ^ face
+    return union
+
+
 class TestS2Column:
     """The column path of ``_s2_witness`` gives the per-complex witness, pair for pair."""
 
@@ -330,6 +338,46 @@ class TestS2Column:
                 assert witness == _s2_witness(facets, dim), facets
                 witnesses += witness is not None
         assert witnesses > 100
+
+    def test_every_step_of_random_growth(self):
+        # one facet at a time; a new holder may miss a connected link, and
+        # a link found disconnected may be joined up again later
+        rng = random.Random(9133)
+        missed = rejoined = witnesses = 0
+        for _ in range(80):
+            n = rng.randint(6, 9)
+            dim = rng.randint(1, 3)
+            pool = [pack(f) for f in combinations(range(1, n + 1), dim + 1)]
+            rng.shuffle(pool)
+            column = _S2Column()
+            failed = set()
+            for grown in range(1, min(len(pool), 18) + 1):
+                h = pool[grown - 1]
+                before = dict(column.connected)
+                facets = _canonical(pool[:grown])
+                witness = _s2_witness(facets, dim, column)
+                assert witness == _s2_witness(facets, dim), facets
+                missed += sum(h & face == face and not h & union for face, union in before.items())
+                rejoined += len(failed & column.connected.keys())
+                failed -= column.connected.keys()
+                if witness is not None:
+                    witnesses += 1
+                    failed.add(facets[witness[0]] & facets[witness[1]])
+                for face, union in column.connected.items():  # the union is the link's vertices
+                    assert union == _link_vertices(facets, face), (facets, face)
+        assert missed >= 10 and rejoined > 100 and witnesses > 500
+
+    def test_holder_missing_the_union_disconnects_and_a_bridge_joins(self):
+        column = _S2Column()
+        star = [pack(f) for f in ((1, 2, 3), (1, 3, 4), (1, 4, 5))]  # lk 1: the path 2-3-4-5
+        assert _s2_witness(_canonical(star), 2, column) is None
+        assert column.connected == {0b1: pack((2, 3, 4, 5))}
+        grown = _canonical(star + [pack((1, 6, 7))])  # lk 1 gains the edge 6-7, apart
+        assert _s2_witness(grown, 2, column) == _s2_witness(grown, 2) == (0, 3)
+        assert 0b1 not in column.connected
+        bridged = _canonical(star + [pack((1, 6, 7)), pack((1, 5, 6))])  # 5-6 joins the two
+        assert _s2_witness(bridged, 2, column) is _s2_witness(bridged, 2) is None
+        assert column.connected[0b1] == pack((2, 3, 4, 5, 6, 7))
 
     def test_lists_must_only_grow(self):
         column = _S2Column()
