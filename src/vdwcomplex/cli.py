@@ -23,20 +23,9 @@ from functools import partial
 
 from vdwcomplex.certify import field_label, parse_field, verify_shelling
 from vdwcomplex.complexes import MAX_VERTICES, SimplicialComplex
-from vdwcomplex.decompose import (
-    DEFAULT_SHELLING_BUDGET,
-    _shellable,
-    _vertex_decomposable,
-    _VDColumn,
-)
+from vdwcomplex.decompose import DEFAULT_SHELLING_BUDGET, _Column, _shellable, _vertex_decomposable
 from vdwcomplex.homology import cohen_macaulay_by_field
-from vdwcomplex.ideals import (
-    LinearPresentationResult,
-    _s2_witness,
-    _S2Column,
-    dual_ideal,
-    taylor_syzygies,
-)
+from vdwcomplex.ideals import LinearPresentationResult, _s2_witness, dual_ideal, taylor_syzygies
 from vdwcomplex.vdw import _validate_params as _validate_vdw_params
 from vdwcomplex.vdw import (
     check_max_increment_overlap,
@@ -96,8 +85,7 @@ def compute_record(
     field_chars,
     budget: int = DEFAULT_SHELLING_BUDGET,
     with_timings: bool = True,
-    vd_column: _VDColumn | None = None,
-    s2_column: _S2Column | None = None,
+    column: _Column | None = None,
 ) -> dict:
     """Run the selected deciders on vdW(n, k) against the closed form.
 
@@ -108,29 +96,24 @@ def compute_record(
     Eagon-Reiner in one direction and the paper's obstruction in the
     other.  The selected fields share one Reisner walk
     (:func:`cohen_macaulay_by_field`), so each ``cm_*`` key's timing is
-    that walk's.  ``vd_column`` is the vertex-decomposability state, the
-    memo, the top level's ridge counts and the last verified tree replay,
-    to carry from record to record (see :class:`_VDColumn`); a fresh one
-    is used when it is None.  The shellable check hands its
-    vertex-decomposability result and ``vd_column`` to :func:`_shellable`
-    (:func:`is_shellable` with the shared (S2) walk below), so a
-    vertex-decomposable complex is shelled in its tree's order with no
-    search, walking only the nodes the previous record's replay did not
-    cover, and its order stays as masks, since only ``.value`` is read.
-    When ``vd`` is checked too, that result is a memo hit, and the
-    ``shellable`` timing includes it either way.
+    that walk's.
+
+    ``column``, the sweep column k (see :class:`_Column`), last held
+    vdW(n - 1, k); a fresh one is used when it is None.  It grows vdW(n, k)
+    before any ``ms`` starts, and folds the new facets into a state in the
+    ``ms`` of the first check that reads it.  VD is decided once, in
+    ``vd``'s ``ms`` when that check is selected, else in ``shellable``'s,
+    which hands the result and the column to :func:`_shellable`: a
+    vertex-decomposable complex is shelled in its tree's order, walking
+    only the nodes the previous record's replay did not cover.
 
     The shellable and linpres checks share one (S2) walk
-    (:func:`_s2_witness`), run at most once per record and only when a
-    check needs it: linpres always does, shellable only for a complex
-    that is not vertex decomposable.  Its time lands in the ``ms`` of the
-    first check that runs it: ``shellable`` when that check needs it,
-    ``linearly_presented`` otherwise.  ``s2_column`` is the (S2) state to
-    carry from record to record (see :class:`_S2Column`); without one the
-    walk works on this complex alone.
+    (:func:`_s2_witness`), run at most once per record, when a check needs
+    it (linpres always, shellable only with no shedding tree), in the
+    ``ms`` of the first check that runs it.
     """
-    if vd_column is None:
-        vd_column = _VDColumn()
+    if column is None:
+        column = _Column(k)
     pred = classify_closed_form(n, k)
     rec: dict = {
         "n": n,
@@ -139,23 +122,22 @@ def compute_record(
         "pred_shellable": pred.shellable,
         "pred_cm": pred.cohen_macaulay,
     }
-    cx = vdw_complex(n, k)
+    cx = column.grow(n, k)
     # (record keys, predicted flag, decider returning one result per key);
     # an undecided None never agrees
     rows = []
     if "vd" in checks:
-        decomposable = lambda: [_vertex_decomposable(cx, vd_column)]
-        rows.append((["vd"], pred.vertex_decomposable, decomposable))
+        rows.append((["vd"], pred.vertex_decomposable, lambda: [_vertex_decomposable(column)]))
     witness: list = []  # the (S2) witness, once computed
 
     def s2_witness():
         if not witness:
-            witness.append(_s2_witness(cx.facet_masks, cx.dim, s2_column))
+            witness.append(_s2_witness(cx.facet_masks, k, column))
         return witness[0]
 
     if "shellable" in checks:
         shellable = lambda: [
-            _shellable(cx, budget, _vertex_decomposable(cx, vd_column), s2_witness, vd_column)
+            _shellable(cx, budget, _vertex_decomposable(column), s2_witness, column)
         ]
         rows.append((["shellable"], pred.shellable, shellable))
     if "cm" in checks:  # one Reisner walk for every field
@@ -179,29 +161,16 @@ def compute_record(
 
 
 def _sweep_column(k: int, n_max: int, checks, field_chars, budget: int, with_timings: bool) -> list:
-    """The records of vdW(n, k) for n = k + 1 .. n_max, with one VD state and one (S2) state.
+    """The records of vdW(n, k) for n = k + 1 .. n_max, on one :class:`_Column`.
 
-    The facets of vdW(n, k) that avoid vertex n are those of
-    vdW(n - 1, k), in the same order.  The VD state (:class:`_VDColumn`)
-    holds the memo and which ridges one facet holds alone; a record folds
-    in only the facets through n, and its top-level search reads its
-    shedding vertices off that state.  Vertex n is the first
-    candidate whenever it sheds, so the complex then finds the previous
-    one's verdict in the memo, and the shellable check replays only the
-    new top node and its link, taking the rest of the order from the
-    previous record's verified replay.  The (S2) state
-    (:class:`_S2Column`) holds the pairwise facet intersections the walk
-    visits, in its order, with the facets holding each, and for each face
-    whose link was connected that link's vertices; a record that
-    runs the walk folds in only the facets added since the last record
-    that ran it, those through the new vertices.  That is exact because
-    the facets only grow down the column: the state then holds exactly
-    the faces and holders the record's own walk would build.
+    The facets of vdW(n, k) that avoid n are those of vdW(n - 1, k), in
+    the same order, so the column builds, validates and folds only the
+    facets through n, and holds exactly what each record's own search and
+    (S2) walk would build.
     """
-    vd_column = _VDColumn()
-    s2_column = _S2Column()
+    column = _Column(k)
     return [
-        compute_record(n, k, checks, field_chars, budget, with_timings, vd_column, s2_column)
+        compute_record(n, k, checks, field_chars, budget, with_timings, column)
         for n in range(k + 1, n_max + 1)
     ]
 

@@ -164,14 +164,25 @@ def _check_universe(n: int) -> None:
         raise ValueError(f"at most {MAX_VERTICES} vertices are supported, got n={n}")
 
 
-def _check_antichain(n: int, masks: tuple[int, ...], noun: str) -> None:
+def _check_antichain(n: int, masks: tuple[int, ...], noun: str, fresh=None) -> None:
     """Reject ``masks`` unless it is a canonical antichain on 1..n.
 
     Canonical means: vertices in range, members pairwise
     inclusion-incomparable and in lexicographic order.  ``noun``
     ("facet", "generator") names a member in the messages.
+
+    ``fresh`` lists the increasing positions of members added to a pure
+    canonical antichain: only they are checked, for range, and for size and
+    strict order against both neighbours, which keeps the whole list so.
     """
     _check_universe(n)
+    if fresh is not None:
+        for p in fresh:
+            near = masks[max(p - 1, 0) : p + 2]
+            for a, b in zip(near, near[1:]):
+                if a.bit_count() != b.bit_count() or not (a ^ b) & -(a ^ b) & a or masks[p] >> n:
+                    raise ValueError(f"added {noun}s must be in 1..{n}, of one size and in order")
+        return
     if any(m >> n for m in masks):
         raise ValueError(f"{noun}s must have their vertices in 1..{n}")
     # distinct members of one size are incomparable: a pure complex needs no pairwise test
@@ -203,14 +214,14 @@ class SimplicialComplex:
         self._hold(n, tuple(_pack_checked(n, facets, "facet", increasing=True)))
 
     @classmethod
-    def _from_masks(cls, n: int, masks: tuple[int, ...]) -> "SimplicialComplex":
-        """The complex whose facet masks are ``masks``, validated as they are."""
+    def _from_masks(cls, n: int, masks: tuple[int, ...], fresh=None) -> "SimplicialComplex":
+        """The complex whose facet masks are ``masks``, validated as they are, or at ``fresh``."""
         cx = cls.__new__(cls)
-        cx._hold(n, masks)
+        cx._hold(n, masks, fresh)
         return cx
 
-    def _hold(self, n: int, masks: tuple[int, ...]) -> None:
-        _check_antichain(n, masks, "facet")
+    def _hold(self, n: int, masks: tuple[int, ...], fresh=None) -> None:
+        _check_antichain(n, masks, "facet", fresh)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "facet_masks", masks)
 

@@ -7,21 +7,22 @@ vertex x sheds iff no face of its link is a facet of its deletion, i.e.
 the deletion at x is pure of the complex's dimension: every ridge F - x
 of a facet F through x lies in a second facet, which avoids x.  So one
 count of the ridges per subproblem tests every candidate vertex without
-building its deletion.  Down a sweep column, where each complex's facets
-are the previous one's and those through the new vertex, the top level
-does not count: :class:`_VDColumn` carries which ridges one facet holds
-alone, and each record folds in only its new facets.  A vertex in every
-facet, a cone apex, never sheds, since its ridges F - x lie in F alone;
-a cone over C is vertex decomposable iff C is, by the vertices that shed
-C.  Every link of a vertex-decomposable complex is vertex decomposable
-(Provan-Billera, Math. Oper. Res. 5 (1980)), so the search fails at the
-first candidate whose link fails; only a failing deletion moves it on to
-the next candidate.  Subproblems are memoized on their facet masks, which link
-and deletion keep in canonical order, so equal subproblems meet under
-equal keys; the memo maps each key to its shedding tree, or to ``None``
-on failure, and a sweep column keeps one memo beside its ridges.  A
+building its deletion.  A vertex in every facet, a cone apex, never
+sheds, since its ridges F - x lie in F alone; a cone over C is vertex
+decomposable iff C is, by the vertices that shed C.  Every link of a
+vertex-decomposable complex is vertex decomposable (Provan-Billera, Math.
+Oper. Res. 5 (1980)), so the search fails at the first candidate whose
+link fails; only a failing deletion moves it on to the next candidate.
+Subproblems are memoized on their facet masks, which link and deletion
+keep in canonical order, so equal subproblems meet under equal keys; the
+memo maps each key to its shedding tree, or to ``None`` on failure.  A
 successful decision is certified by a shedding tree, which ``certify``
 replays with no help from this module.
+
+``vdw sweep`` carries one :class:`_Column` down each column k.  The
+deletion of n in vdW(n, k) is vdW(n - 1, k), so a record adds only the
+facets through n, folds each once into the state a check reads (ridge
+counts, the (S2) walk's faces), and searches only n's link when n sheds.
 
 Shellability is decided from certificates where they exist, and by a
 depth-first search over facet prefixes otherwise (see :func:`is_shellable`
@@ -45,13 +46,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from heapq import heappop, heappush
+from operator import or_
 
 from vdwcomplex import _kernels
 from vdwcomplex.certify import SheddingTree, _tree_order
-from vdwcomplex.complexes import SimplicialComplex, Vertices, pack, unpack
+from vdwcomplex.complexes import SimplicialComplex, Vertices, _component, _face_order, pack, unpack
 from vdwcomplex.homology import CohenMacaulayResult, _first_failures, _result
-from vdwcomplex.ideals import _Column, _s2_witness
+from vdwcomplex.ideals import _s2_witness
+from vdwcomplex.vdw import _grown, vdw_complex
 
 DEFAULT_SHELLING_BUDGET = 5_000_000
 
@@ -103,7 +107,7 @@ def _search(
     no failing link, so its tree is the one the full search finds.
 
     ``candidates`` is the mask of shedding vertices when the caller
-    already knows it (see :class:`_VDColumn`); otherwise the ridges are
+    already knows it (see :class:`_Column`); otherwise the ridges are
     counted here.
     """
     if not masks:
@@ -167,71 +171,155 @@ def is_vertex_decomposable(cx: SimplicialComplex, memo: dict | None = None) -> D
     return DecompositionResult(tree is not None, tree)
 
 
-def _vertex_decomposable(cx: SimplicialComplex, column: _VDColumn) -> DecompositionResult:
-    """:func:`is_vertex_decomposable`, on a complex of a column that only grows.
+def _vertex_decomposable(column: _Column) -> DecompositionResult:
+    """:func:`is_vertex_decomposable` on the column's complex, decided once per record.
 
-    ``cx``'s facets are folded into ``column`` first.  The memo is the
-    column's, and on a miss the top level of the search takes its
-    candidates from the column's ridges; links and deletions count their
-    own.
+    Candidates and memo are the column's.  A new vertex n that sheds is tried
+    first: its link is the added facets less n, its deletion the last complex.
     """
-    masks = cx.facet_masks
-    sizes = {m.bit_count() for m in masks}
-    if len(sizes) > 1:
-        raise ValueError("vertex decomposability is defined for pure complexes")
-    column.fold(masks, sizes.pop() - 1 if sizes else None)
-    memo = column.memo
-    tree = memo.get(masks, _MISSING)
-    if tree is _MISSING:
-        tree = memo[masks] = _search(masks, memo, column.support & ~column.lonely)
-    return DecompositionResult(tree is not None, tree)
+    if column.vd is None:
+        column._fold_vd()
+        candidates, top = column.support & ~column.lonely, 1 << (column.cx.n - 1)
+        if column.through is None or not candidates & top:
+            tree = _search(column.cx.facet_masks, column.memo, candidates)
+        elif (link := _decide(tuple(h ^ top for h in column.through), column.memo)) is None:
+            tree = None  # every link of a vertex-decomposable complex is one
+        elif column.previous.tree is not None:
+            tree = SheddingTree("shed", column.cx.n, link, column.previous.tree)
+        else:  # the deletion fails: on to the next candidate, as in _search
+            tree = _search(column.cx.facet_masks, column.memo, candidates ^ top)
+        column.vd = DecompositionResult(tree is not None, tree)
+    return column.vd
 
 
-class _VDColumn(_Column):
-    """The VD memo and the top-level shedding test, kept for a facet list that only grows.
+class _Column:
+    """One sweep column k: vdW(n, k) grown one vertex at a time, and what its checks carry.
 
-    ``holder`` maps each ridge of the folded facets held by one facet to
-    that facet, and each ridge held by two or more to 0 (a facet with a
-    ridge is never 0).  ``singles`` maps a vertex bit x to the number of
-    ridges F - x held by F alone, and ``lonely`` is the vertices it maps
-    to a nonzero number.  So ``support & ~lonely`` are the vertices that
-    shed the folded complex, the candidates ``_search`` would count, and a
-    new facet of size d costs O(d).
+    :meth:`grow` validates only the facets through n and appends them to
+    ``added``; the VD and (S2) states fold in, once, those they have not
+    seen, when a check reads them.  VD: ``holder`` maps a ridge held by
+    one facet to it (by more, to 0), ``singles`` counts per vertex bit x
+    the ridges F - x held by F alone, and ``support & ~lonely`` are the
+    shedding vertices.  ``vd`` is the record's verdict, ``previous`` the
+    last one's, kept with ``through`` (the added facets) when the last
+    complex is the new vertex's deletion, and ``replay`` the last verified
+    ``(tree, facets, order)`` (see ``_shellable``).
 
-    ``replay`` is the last replay ``_shellable`` verified in this column,
-    ``(tree, facets, order)``, or None.  The next record's tree sheds its
-    new vertex first, so its deletion subtree is that tree, found in the
-    memo, and ``_tree_order`` reuses the order instead of walking it again.
+    (S2): ``unsure`` is a heap, in ``_face_order``, of the pairwise
+    intersections with fewer than k vertices whose links are not known to
+    be connected; ``connected`` maps the others to their links' vertices.
+    A face's ``holders`` are found from the facets through its lowest
+    vertex (``facets_at``) when a walk first tests it, and ``walked``
+    indexes it under that bit (0 for the empty face), so a new facet h
+    visits only walked faces it can hold.  An h that meets a connected
+    link outside F keeps it connected; one that misses it sends F back to
+    ``unsure``.  So the walk fails at the per-complex walk's face.
     """
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.memo: dict = {}
-        self.holder: dict[int, int] = {}
-        self.singles: dict[int, int] = {}
-        self.support = 0
-        self.lonely = 0
-        self.replay: tuple[SheddingTree, tuple[int, ...], list[int]] | None = None
+    def __init__(self, k: int) -> None:
+        self.k = k
+        self.cx: SimplicialComplex | None = None
+        self.added: list[int] = []
+        self.vd_folded = self.s2_folded = self.support = self.lonely = 0
+        self.memo, self.holder, self.singles = {}, {}, {}
+        self.vd = self.previous = self.through = self.replay = None
+        self.kept, self.unsure, self.connected = set(), [], {}
+        self.holders, self.facets_at, self.walked = {}, {}, {}
 
-    def _add(self, h: int) -> None:
-        holder, singles = self.holder, self.singles
-        self.support |= h
-        rest = h
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            ridge = h ^ bit
-            g = holder.get(ridge)
-            if g is None:  # h - bit lies in h alone
-                holder[ridge] = h
-                singles[bit] = singles.get(bit, 0) + 1
-                self.lonely |= bit
-            elif g:  # g no longer holds the ridge alone: one single fewer for x = g - ridge
-                holder[ridge] = 0
-                x = g ^ ridge
-                singles[x] -= 1
-                if not singles[x]:
-                    self.lonely &= ~x
+    def grow(self, n: int, k: int) -> SimplicialComplex:
+        """vdW(n, k), the column's next complex: built whole first, then one vertex at a time."""
+        last = self.cx
+        if k != self.k or last is not None and n != last.n + 1:
+            raise ValueError(f"column k = {self.k} grows by one vertex, not to vdW({n}, {k})")
+        cx, new = _grown(last, k) if last is not None else (vdw_complex(n, k), None)
+        self._extend(cx, cx.facet_masks if new is None else new)
+        return cx
+
+    def _extend(self, cx: SimplicialComplex, new) -> None:
+        """Make ``cx``, the last complex's facets and ``new`` in canonical order, the column's."""
+        top = 1 << (cx.n - 1)
+        grew = self.cx is not None and self.cx.n == cx.n - 1 and all(h & top for h in new)
+        self.previous, self.vd = self.vd, None
+        self.through = new if grew and self.previous is not None else None
+        self.cx = cx
+        self.added += new
+
+    def _fold_vd(self) -> None:
+        holder, singles, lonely = self.holder, self.singles, self.lonely
+        for h in self.added[self.vd_folded :]:
+            self.support |= h
+            rest = h
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                ridge = h ^ bit
+                g = holder.get(ridge)
+                if g is None:  # h - bit lies in h alone
+                    holder[ridge] = h
+                    singles[bit] = singles.get(bit, 0) + 1
+                    lonely |= bit
+                elif g:  # g no longer holds the ridge alone: one single fewer for x = g - ridge
+                    holder[ridge] = 0
+                    x = g ^ ridge
+                    singles[x] -= 1
+                    if not singles[x]:
+                        lonely &= ~x
+        self.lonely = lonely
+        self.vd_folded = len(self.added)
+
+    def _fold_s2(self) -> None:
+        added, connected, facets_at, kept = self.added, self.connected, self.facets_at, self.kept
+        for i in range(self.s2_folded, len(added)):
+            h = added[i]
+            bits = [0]  # the empty face's index, then h's vertices
+            rest = h
+            while rest:
+                bits.append(rest & -rest)
+                rest ^= bits[-1]
+            for bit in bits:
+                for face in self.walked.get(bit, ()):
+                    if h & face == face:
+                        self.holders[face].append(h)
+                        union = connected.get(face)
+                        if union is not None and h & union:  # h - F meets the connected link
+                            connected[face] = union | (h ^ face)
+                        elif union is not None:
+                            del connected[face]
+                            heappush(self.unsure, (_face_order(face), face))
+            # h meets the facets through its vertices, and the rest in the empty face
+            near = [facets_at[bit] for bit in bits[1:] if bit in facets_at]
+            if sum(map(len, near)) < i:
+                meets = {h & g for through in near for g in through}
+                if 0 not in kept and not all(h & g for g in added[:i]):
+                    meets.add(0)
+            else:
+                meets = {h & g for g in added[:i]}
+            for face in meets.difference(kept):
+                if face.bit_count() < self.k:
+                    kept.add(face)
+                    heappush(self.unsure, (_face_order(face), face))
+            for bit in bits[1:]:
+                facets_at.setdefault(bit, []).append(h)
+        self.s2_folded = len(added)
+
+    def first_disconnected(self) -> int | None:
+        """The first face, in ``_face_order``, whose link in the column complex is disconnected."""
+        self._fold_s2()
+        unsure = self.unsure
+        while unsure:
+            face = unsure[0][1]
+            held = self.holders.get(face)
+            if held is None:
+                pool = self.facets_at[face & -face] if face else self.added
+                held = self.holders[face] = [g for g in pool if g & face == face]
+                self.walked.setdefault(face & -face, []).append(face)
+            link = [g ^ face for g in held]
+            union = reduce(or_, link, 0)
+            if _component(link, union & -union) != union:
+                return face  # it stays first
+            self.connected[face] = union
+            heappop(unsure)
+        return None
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -365,7 +453,7 @@ def is_shellable(
 
 
 def _shellable(
-    cx: SimplicialComplex, budget, vd, s2_witness, column: _VDColumn | None = None
+    cx: SimplicialComplex, budget, vd, s2_witness, column: _Column | None = None
 ) -> ShellingResult:
     """:func:`is_shellable`, taking step 3's witness from ``s2_witness()``.
 

@@ -251,16 +251,18 @@ def _first_failures(facet_masks, dim: int, chars) -> dict[int, tuple[int, int] |
     are visited by increasing dimension, then lexicographically, once for
     all fields: only the empty face and intersections of facets with
     fewer than ``dim`` vertices (any other link is a cone or has
-    dimension < 1).  A 1-dimensional link is decided by connectivity,
-    for every field at once; any other is reduced to its core, passes if
-    that is one simplex, fails or passes by its one Betti number if that
-    is the boundary of a simplex, and is otherwise measured over every
-    field still passing (``_betti_per_field``).  A field leaves the walk
-    at its first failure, and the walk ends when no field is left.
+    dimension < 1), so a graph's walk visits the empty face alone.  A
+    1-dimensional link is decided by connectivity, for every field at
+    once; any other is reduced to its core, passes if that is one
+    simplex, fails or passes by its one Betti number if that is the
+    boundary of a simplex, and is otherwise measured over every field
+    still passing (``_betti_per_field``).  A field leaves the walk at its
+    first failure, and the walk ends when no field is left.
     """
     failures: dict[int, tuple[int, int] | None] = dict.fromkeys(chars)
     pending = list(failures)
-    faces = [m for m in _facet_intersections(facet_masks) if m.bit_count() < dim]
+    closure = [0] if dim == 1 else _facet_intersections(facet_masks)  # a graph: the empty face
+    faces = [m for m in closure if m.bit_count() < dim]
     for fmask in sorted(faces, key=_face_order):
         if not pending:
             break

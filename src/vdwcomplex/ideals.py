@@ -26,9 +26,9 @@ join the components (for F empty, lk F is D and g1, g2 are disjoint).
 So ``_s2_witness`` visits those faces in ``_face_order`` and finds the
 first failing face of the full traversal.  One complex at a time it
 intersects every pair of facets, sorts the small intersections and
-reads each visited link off the facets.  ``vdw sweep`` instead carries
-an ``_S2Column`` down each column k: the facets of vdW(n, k) that avoid
-n are those of vdW(n - 1, k), so the pairwise intersections, their order
+reads each visited link off the facets.  ``vdw sweep`` reads the faces
+its column k carries (``decompose._Column``) instead: the facets of
+vdW(n, k) that avoid n are those of vdW(n - 1, k), so the intersections
 and the facets holding each face only grow, by the facets through n.
 
 A face F whose link is disconnected is mapped to a witness pair (i, j):
@@ -45,7 +45,6 @@ in ``tests/conftest.py``, runs the graph search on every pair, in order.
 from __future__ import annotations
 
 import json
-from bisect import bisect
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -235,7 +234,7 @@ def is_linearly_presented(ideal: MonomialIdeal) -> LinearPresentationResult:
     return LinearPresentationResult(witness is None, witness)
 
 
-def _s2_witness(facets, dim: int, column: _S2Column | None = None) -> tuple[int, int] | None:
+def _s2_witness(facets, dim: int, column=None) -> tuple[int, int] | None:
     """Witness pair of the first face whose link fails (S2), or None.
 
     ``facets`` is a pure complex of dimension ``dim``.  The pairwise
@@ -244,9 +243,9 @@ def _s2_witness(facets, dim: int, column: _S2Column | None = None) -> tuple[int,
     i is the first facet containing it, j the first one containing it in
     another component of the link.  Without ``column`` the faces are
     found and sorted here and each link is read off ``facets``; with one,
-    ``facets`` is first folded into it and the walk reads its faces and
-    holders (see :class:`_S2Column`).  Holder positions are looked up
-    only for the failing face.
+    a sweep column whose complex ``facets`` is, the walk reads the faces
+    and holders it carries (``decompose._Column.first_disconnected``).
+    Holder positions are looked up only for the failing face.
     """
     if column is None:
         pairs = {f & g for p, f in enumerate(facets) for g in facets[:p]}
@@ -254,7 +253,6 @@ def _s2_witness(facets, dim: int, column: _S2Column | None = None) -> tuple[int,
         failing = (m for m in faces if not _is_connected([g ^ m for g in facets if g & m == m]))
         face = next(failing, None)
     else:
-        column.fold(facets, dim)
         face = column.first_disconnected()
     if face is None:
         return None
@@ -262,97 +260,6 @@ def _s2_witness(facets, dim: int, column: _S2Column | None = None) -> tuple[int,
     link = [facets[p] ^ face for p in holders]
     reach = _component(link, link[0])
     return holders[0], next(p for p, m in zip(holders, link) if not m & reach)
-
-
-class _Column:
-    """A facet list that only grows, folded in one facet at a time.
-
-    A sweep column is such a list: the facets of vdW(n, k) that avoid n
-    are those of vdW(n - 1, k).  :meth:`fold` checks that and hands each
-    facet not folded before to ``_add``, which a subclass defines to keep
-    its own state up to date.
-    """
-
-    def __init__(self) -> None:
-        self.dim: int | None = None
-        self.facets: set[int] = set()
-
-    def fold(self, facets, dim: int) -> None:
-        """Add the facets not folded yet; every folded facet must still be one."""
-        if self.dim is None:
-            self.dim = dim
-        new = [g for g in facets if g not in self.facets]
-        if dim != self.dim or len(facets) - len(new) != len(self.facets):
-            raise ValueError("a column's facet lists must keep their dimension and only grow")
-        for h in new:
-            self._add(h)
-            self.facets.add(h)
-
-
-class _S2Column(_Column):
-    """The faces ``_s2_witness`` visits, kept for a facet list that only grows.
-
-    The state holds the facets folded so far and their pairwise
-    intersections with fewer than ``dim`` vertices, ``faces``, in the
-    order of their ``_face_order`` ``keys``; each key is computed once and
-    inserted by bisection.  A face gets its holders, the folded facets
-    that contain it, when a walk first reaches it, and every later facet
-    containing it joins them.  ``connected`` maps each face whose link was
-    connected when last measured to the union of that link's vertices.  A
-    connected link stays connected when a new holder h meets the union
-    outside the face, since h - F then shares a vertex with it; the union
-    grows by h - F and the face is not measured again.  A holder that
-    misses the union leaves the link disconnected, and sends the face back
-    to the full test at the next walk.  So a fold costs only the facets
-    not folded before: each meets every folded facet once and every face
-    with holders once.  The walk sees the faces, links and verdicts of the
-    per-complex walk, so it fails at the same face.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.keys: list[int] = []
-        self.faces: list[int] = []
-        self.kept: set[int] = set()
-        self.holders: dict[int, list[int]] = {}  # for the faces walked so far
-        self.connected: dict[int, int] = {}  # face -> vertex union of its connected link
-
-    def _add(self, h: int) -> None:
-        dim = self.dim
-        connected = self.connected
-        for face, held in self.holders.items():
-            if h & face == face:
-                held.append(h)
-                union = connected.get(face)
-                if union is not None:
-                    if h & union:  # h - F meets the connected link
-                        connected[face] = union | (h ^ face)
-                    else:
-                        del connected[face]
-        for face in {h & g for g in self.facets}.difference(self.kept):
-            if face.bit_count() < dim:
-                self.kept.add(face)
-                key = _face_order(face)
-                at = bisect(self.keys, key)
-                self.keys.insert(at, key)
-                self.faces.insert(at, face)
-
-    def first_disconnected(self) -> int | None:
-        """The first face, in ``_face_order``, whose link in the folded facets is disconnected."""
-        connected = self.connected
-        for face in self.faces:
-            if face not in connected:
-                held = self.holders.get(face)
-                if held is None:
-                    held = self.holders[face] = [g for g in self.facets if g & face == face]
-                link = [g ^ face for g in held]
-                union = 0
-                for m in link:
-                    union |= m
-                if _component(link, union & -union) != union:
-                    return face
-                connected[face] = union
-        return None
 
 
 @dataclass(frozen=True)

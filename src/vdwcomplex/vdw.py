@@ -12,6 +12,7 @@ bounds that drive the non-Cohen-Macaulay cases.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from vdwcomplex.complexes import SimplicialComplex, _check_universe
 
@@ -98,6 +99,27 @@ def vdw_complex(n: int, k: int) -> SimplicialComplex:
     bases = [sum(1 << j * d for j in range(k + 1)) for d in range(1, (n - 1) // k + 1)]
     masks = tuple(base << i for i in range(n - k) for base in bases[: (n - 1 - i) // k])
     return SimplicialComplex._from_masks(n, masks)
+
+
+def _grown(cx: SimplicialComplex, k: int) -> tuple[SimplicialComplex, list[int]]:
+    """vdW(n, k) from ``cx`` = vdW(n - 1, k), and its facets through n, in canonical order.
+
+    The facet through n of increment d, base_d = (2^(d(k+1)) - 1) / (2^d - 1)
+    shifted, follows ``cx``'s starting at n - kd and precedes the
+    (d - 1)(kd - 2)/2 starting later.  Only the added facets are validated.
+    """
+    n = cx.n + 1
+    kept = cx.facet_masks
+    parts, new, fresh, at = [], [], [], 0
+    for d in range((n - 1) // k, 0, -1):  # by start, n - kd
+        p = len(kept) - (d - 1) * (k * d - 2) // 2
+        h = ((1 << d * (k + 1)) - 1) // ((1 << d) - 1) << (n - 1 - k * d)
+        parts += (kept[at:p], (h,))
+        fresh.append(p + len(new))
+        new.append(h)
+        at = p
+    parts.append(kept[at:])
+    return SimplicialComplex._from_masks(n, tuple(chain.from_iterable(parts)), fresh), new
 
 
 def max_increment(n: int, k: int) -> int:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from vdwcomplex import _kernels, cli, decompose, ideals
+from vdwcomplex import _kernels, cli, decompose
 from vdwcomplex.cli import main
 from vdwcomplex.decompose import ShellingResult
 
@@ -466,16 +466,18 @@ class TestSharedS2Witness:
         assert len(calls) == 91
 
     @staticmethod
-    def _counting_folds(monkeypatch):
+    def _counting_folds(monkeypatch, state="s2"):
+        """The number of facets each fold of the column's (S2) or VD state takes in."""
         folded = []
-        fold = ideals._S2Column.fold
+        name = f"_fold_{state}"
+        fold = getattr(decompose._Column, name)
 
-        def counting(self, facets, dim):
-            before = len(self.facets)
-            fold(self, facets, dim)
-            folded.append(len(self.facets) - before)
+        def counting(self):
+            before = getattr(self, f"{state}_folded")
+            fold(self)
+            folded.append(getattr(self, f"{state}_folded") - before)
 
-        monkeypatch.setattr(ideals._S2Column, "fold", counting)
+        monkeypatch.setattr(decompose._Column, name, counting)
         return folded
 
     def test_vertex_decomposable_records_fold_nothing(self, capsys, monkeypatch):
@@ -493,6 +495,23 @@ class TestSharedS2Witness:
         # vdW(7, 2) folds all its facets, vdW(8, 2) .. vdW(12, 2) only those through n
         sizes = [len(cli.vdw_complex(n, 2).facet_masks) for n in range(6, 13)]
         assert folded == [sizes[1]] + [b - a for a, b in zip(sizes[1:], sizes[2:])]
+
+    def test_vd_decided_once_per_record(self, monkeypatch):
+        folded = self._counting_folds(monkeypatch, "vd")
+        for checks in (["vd", "shellable"], ["shellable", "linpres"]):
+            del folded[:]
+            records = cli._sweep_column(3, 20, checks, [2], 0, False)
+            assert all(r["agreement"] for r in records)
+            # one fold per record, of vdW(4, 3), then of the facets through n
+            sizes = [0] + [len(cli.vdw_complex(n, 3).facet_masks) for n in range(4, 21)]
+            assert folded == [b - a for a, b in zip(sizes, sizes[1:])], checks
+
+    def test_cm_sweep_folds_no_column_state(self, monkeypatch):
+        folded_vd = self._counting_folds(monkeypatch, "vd")
+        folded_s2 = self._counting_folds(monkeypatch)
+        records = cli._sweep_column(2, 14, ["cm"], [0, 2], 0, False)
+        assert all(r["agreement"] for r in records)
+        assert folded_vd == folded_s2 == []
 
 
 class TestInspect:

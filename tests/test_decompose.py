@@ -25,18 +25,19 @@ from vdwcomplex.certify import (
     verify_shedding_tree,
     verify_shelling,
 )
-from vdwcomplex.complexes import SimplicialComplex, _canonical, pack, unpack
+from vdwcomplex.complexes import SimplicialComplex, _canonical, _check_antichain, pack, unpack
 from vdwcomplex.decompose import (
     DecompositionResult,
     ShellingResult,
     _shellable,
+    _Column,
     _vertex_decomposable,
-    _VDColumn,
     is_shellable,
     is_vertex_decomposable,
 )
 from vdwcomplex.homology import CohenMacaulayResult, is_cohen_macaulay
-from vdwcomplex.ideals import _s2_witness, _S2Column
+from vdwcomplex.cli import compute_record
+from vdwcomplex.ideals import _s2_witness
 from vdwcomplex.vdw import classify_closed_form, vdw_complex
 
 
@@ -297,13 +298,14 @@ class TestVDColumn:
     def test_every_vdw_column_to_n64(self):
         decomposable = 0
         for k in range(1, 64):
-            column = _VDColumn()
+            column = _Column(k)
             for n in range(k + 1, 65):
-                cx = vdw_complex(n, k)
-                res = _vertex_decomposable(cx, column)
+                cx = column.grow(n, k)
+                res = _vertex_decomposable(column)
                 assert column.support & ~column.lonely == _shedding_vertices(cx.facet_masks), (n, k)
                 fresh = is_vertex_decomposable(cx)
                 assert res.value is fresh.value and _tree_json(res) == _tree_json(fresh), (n, k)
+                assert _vertex_decomposable(column) is res  # decided once per record
                 decomposable += res.value
         grid = [(n, k) for n in range(2, 65) for k in range(1, n)]
         assert decomposable == sum(classify_closed_form(n, k).vertex_decomposable for n, k in grid)
@@ -317,43 +319,81 @@ class TestVDColumn:
             dim = rng.randint(1, 3)
             pool = [pack(f) for f in combinations(range(1, n + 1), dim + 1)]
             rng.shuffle(pool)
-            column = _VDColumn()
+            column = _Column(dim)
             for grown in range(1, min(len(pool), 14) + 1):
                 masks = _canonical(pool[:grown])
                 cx = SimplicialComplex.from_facets(n, map(unpack, masks))
-                res = _vertex_decomposable(cx, column)
+                column._extend(cx, [pool[grown - 1]])
+                res = _vertex_decomposable(column)
                 assert column.support & ~column.lonely == _shedding_vertices(masks), masks
                 assert _tree_json(res) == _tree_json(is_vertex_decomposable(cx)), masks
                 verdicts[res.value] += 1
         assert verdicts[True] > 100 and verdicts[False] > 100
 
-    @pytest.mark.parametrize("kind", [_VDColumn, _S2Column])
-    def test_facet_lists_must_only_grow(self, kind):
-        column = kind()
-        facets = vdw_complex(9, 2).facet_masks
-        column.fold(facets, 2)
-        column.fold(facets, 2)  # folding nothing new is allowed
-        column.fold(vdw_complex(10, 2).facet_masks, 2)
-        with pytest.raises(ValueError, match="only grow"):
-            column.fold(facets[1:], 2)  # drops a facet folded before
-        with pytest.raises(ValueError, match="keep their dimension"):
-            column.fold(vdw_complex(10, 3).facet_masks, 3)
+    def test_new_vertex_with_a_failing_deletion_is_passed_over(self):
+        # two disjoint edges are not VD; joined through vertex 5 they form a path,
+        # which is: 5 sheds with a VD link, and the search moves on to vertex 4
+        column = _Column(1)
+        edges = complex_from_masks(4, (0b0011, 0b1100))
+        column._extend(edges, edges.facet_masks)
+        assert _vertex_decomposable(column).value is False
+        path = complex_from_masks(5, (0b00011, 0b10010, 0b01100, 0b10100))
+        column._extend(path, [0b10010, 0b10100])
+        assert column.through == [0b10010, 0b10100]
+        res = _vertex_decomposable(column)
+        assert res.value and _tree_json(res) == _tree_json(is_vertex_decomposable(path))
+
+    def test_facet_lists_must_only_grow(self):
+        column = _Column(2)
+        column.grow(9, 2)
+        for n, k in ((9, 2), (8, 2), (11, 2), (10, 3)):  # the same, fewer, a vertex skipped, k
+            with pytest.raises(ValueError, match="grows by one vertex"):
+                column.grow(n, k)
+        assert column.grow(10, 2).facet_masks == vdw_complex(10, 2).facet_masks
+        with pytest.raises(ValueError, match="grows by one vertex"):
+            _Column(3).grow(9, 2)
 
     def test_growth_checked_on_the_sweep_entry(self):
-        column = _VDColumn()
-        _vertex_decomposable(vdw_complex(9, 2), column)
-        with pytest.raises(ValueError):
-            _vertex_decomposable(vdw_complex(8, 2), column)
-        with pytest.raises(ValueError):
-            _vertex_decomposable(vdw_complex(9, 3), column)
-        with pytest.raises(ValueError, match="pure"):
-            _vertex_decomposable(SimplicialComplex.from_facets(3, [[1, 2], [3]]), _VDColumn())
+        column = _Column(2)
+        compute_record(9, 2, ["vd"], [2], column=column)
+        for n, k in ((8, 2), (9, 3)):
+            with pytest.raises(ValueError, match="grows by one vertex"):
+                compute_record(n, k, ["vd"], [2], column=column)
+        assert compute_record(10, 2, ["vd"], [2], column=column)["agreement"]
 
 
-def _sweep_shellable(cx, column):
-    """The sweep's shellable check on ``cx``: VD in ``column``, then the carried replay."""
-    vd = _vertex_decomposable(cx, column)
-    return vd, _shellable(cx, None, vd, lambda: _s2_witness(cx.facet_masks, cx.dim), column)
+class TestGrownColumn:
+    """The column's complexes are vdW(n, k), built from the last one's facets."""
+
+    def test_every_column_to_n64(self):
+        for k in range(1, 64):
+            column = _Column(k)
+            for n in range(k + 1, 65):
+                cx = column.grow(n, k)
+                assert cx.facet_masks == vdw_complex(n, k).facet_masks, (n, k)
+                assert sorted(column.added) == sorted(cx.facet_masks), (n, k)
+
+    @pytest.mark.parametrize(
+        "masks, fresh",
+        [
+            ((0b0111, 0b1101, 0b1011), [2]),  # 124 after 134, which it precedes
+            ((0b0111, 0b1011, 0b1011), [2]),  # a kept facet again
+            ((0b0111, 0b0111, 0b1011), [0]),  # a kept facet again, first
+            ((0b0111, 0b1011, 0b1100), [2]),  # two vertices, not three
+            ((0b0111, 0b1011, 0b11010), [2]),  # vertex 5 beyond n = 4
+        ],
+    )
+    def test_added_facets_validated(self, masks, fresh):
+        with pytest.raises(ValueError):
+            _check_antichain(4, masks, "facet", fresh)
+        _check_antichain(4, (0b0111, 0b1011, 0b1101), "facet", [2])  # 123, 124, 134
+
+
+def _sweep_shellable(column, n, k):
+    """The sweep's shellable check on vdW(n, k): VD in ``column``, then the carried replay."""
+    cx = column.grow(n, k)
+    vd = _vertex_decomposable(column)
+    return cx, vd, _shellable(cx, None, vd, lambda: _s2_witness(cx.facet_masks, k), column)
 
 
 class TestCarriedReplay:
@@ -362,11 +402,10 @@ class TestCarriedReplay:
     def test_every_sweep_column_to_n40(self):
         reused = 0
         for k in range(1, 40):
-            column = _VDColumn()
+            column = _Column(k)
             for n in range(k + 1, 41):
-                cx = vdw_complex(n, k)
                 carried = column.replay
-                vd, res = _sweep_shellable(cx, column)
+                cx, vd, res = _sweep_shellable(column, n, k)
                 assert res.value is vd.value, (n, k)
                 if vd.value:
                     assert res.order_masks == tuple(_tree_order(cx.facet_masks, vd.tree)), (n, k)
@@ -393,17 +432,17 @@ class TestCarriedReplay:
     @staticmethod
     def _column_at(n, k):
         """A column that has verified vdW(n, k)'s replay."""
-        column = _VDColumn()
+        column = _Column(k)
         for m in range(k + 1, n + 1):
-            vd, _ = _sweep_shellable(vdw_complex(m, k), column)
+            _, vd, _ = _sweep_shellable(column, m, k)
         assert vd.value and column.replay[0] is vd.tree
         return column
 
     def test_forged_top_node_rejected(self):
         column = self._column_at(6, 1)
         previous = column.replay[0]
-        cx = vdw_complex(7, 1)
-        vd = _vertex_decomposable(cx, column)
+        cx = column.grow(7, 1)
+        vd = _vertex_decomposable(column)
         assert vd.tree.deletion is previous
         forged = [
             SheddingTree("shed", 7, SheddingTree("simplex"), previous),  # the link is six points
@@ -414,13 +453,13 @@ class TestCarriedReplay:
             with pytest.raises(ValueError):
                 _shellable(cx, None, DecompositionResult(True, tree), lambda: None, column)
             assert column.replay[0] is previous  # a failed replay leaves the carried one
-        assert _sweep_shellable(cx, column)[1].value is True
+        assert _shellable(cx, None, vd, lambda: None, column).value is True
 
     def test_equal_looking_subtree_walked_in_full(self):
         column = self._column_at(6, 1)
         previous = column.replay[0]
-        cx = vdw_complex(7, 1)
-        vd = _vertex_decomposable(cx, column)
+        cx = column.grow(7, 1)
+        vd = _vertex_decomposable(column)
         # the same root as the previous tree, a forged leaf at the end of its deletion spine
         data = node = previous.to_dict()
         while node["deletion"]["kind"] == "shed":

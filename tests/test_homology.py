@@ -536,6 +536,36 @@ class TestCore:
                 assert fast == slow
 
 
+class TestGraphWalk:
+    """A graph's Reisner walk visits the empty face alone and builds no intersections."""
+
+    FIELDS = ("Q", "F2", "Fp:3")
+
+    def _assert_naive(self, monkeypatch, cx):
+        def no_closure(facet_masks):
+            raise AssertionError("a graph's walk built the facet intersections")
+
+        monkeypatch.setattr(homology, "_facet_intersections", no_closure)
+        fast = [r.to_dict() for r in homology.cohen_macaulay_by_field(cx, self.FIELDS)]
+        monkeypatch.undo()
+        assert fast == [_cohen_macaulay_naive(cx, f).to_dict() for f in self.FIELDS], cx.facets
+        return fast[0]["cohen_macaulay"]
+
+    def test_every_graph_on_5_vertices(self, monkeypatch):
+        connected = checked = 0
+        for n in range(2, 6):
+            edges = list(combinations(range(1, n + 1), 2))
+            for chosen in range(1, 1 << len(edges)):
+                graph = [e for i, e in enumerate(edges) if chosen >> i & 1]
+                connected += self._assert_naive(monkeypatch, SimplicialComplex(n, sorted(graph)))
+                checked += 1
+        assert checked == 1 + 7 + 63 + 1023 and 0 < connected < checked
+
+    def test_vdw_graphs_to_n20(self, monkeypatch):
+        for n in range(3, 21):
+            assert self._assert_naive(monkeypatch, vdw_complex(n, 1))
+
+
 class TestShellingFastPath:
     """A greedy shelling order decides Cohen-Macaulayness over every field."""
 

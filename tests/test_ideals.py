@@ -14,10 +14,10 @@ from conftest import (
 
 from vdwcomplex.certify import _chain_complex
 from vdwcomplex.complexes import SimplicialComplex, _canonical, _face_order, _is_connected, pack
+from vdwcomplex.decompose import _Column
 from vdwcomplex.ideals import (
     MonomialIdeal,
     _s2_witness,
-    _S2Column,
     dual_ideal,
     is_linearly_presented,
     nonlinear_obstruction_vdw,
@@ -306,15 +306,28 @@ def _link_vertices(facets, face: int) -> int:
     return union
 
 
+def _grown_by(column, n, facets):
+    """``column`` holding the complex ``facets``: its last one's facets and the rest."""
+    old = set(column.added)
+    column._extend(complex_from_masks(n, facets), [m for m in facets if m not in old])
+
+
+def _assert_index(column, facets):
+    """Every walked face is indexed by its lowest vertex and held by every facet containing it."""
+    for face, held in column.holders.items():
+        assert face in column.walked[face & -face], (facets, face)
+        assert sorted(held) == sorted(g for g in facets if g & face == face), (facets, face)
+
+
 class TestS2Column:
     """The column path of ``_s2_witness`` gives the per-complex witness, pair for pair."""
 
     def test_every_vdw_column_to_n40(self):
         witnesses = 0
         for k in range(1, 40):
-            column = _S2Column()
+            column = _Column(k)
             for n in range(k + 1, 41):
-                cx = vdw_complex(n, k)
+                cx = column.grow(n, k)
                 witness = _s2_witness(cx.facet_masks, cx.dim, column)
                 assert witness == _s2_witness(cx.facet_masks, cx.dim), (n, k)
                 witnesses += witness is not None
@@ -329,13 +342,15 @@ class TestS2Column:
             dim = rng.randint(1, 3)
             pool = [pack(f) for f in combinations(range(1, n + 1), dim + 1)]
             rng.shuffle(pool)
-            column = _S2Column()
+            column = _Column(dim)
             grown = 0
             while grown < min(len(pool), 16):
                 grown += rng.randint(1, 3)
                 facets = _canonical(pool[:grown])
+                _grown_by(column, n, facets)
                 witness = _s2_witness(facets, dim, column)
                 assert witness == _s2_witness(facets, dim), facets
+                _assert_index(column, facets)
                 witnesses += witness is not None
         assert witnesses > 100
 
@@ -349,12 +364,13 @@ class TestS2Column:
             dim = rng.randint(1, 3)
             pool = [pack(f) for f in combinations(range(1, n + 1), dim + 1)]
             rng.shuffle(pool)
-            column = _S2Column()
+            column = _Column(dim)
             failed = set()
             for grown in range(1, min(len(pool), 18) + 1):
                 h = pool[grown - 1]
                 before = dict(column.connected)
                 facets = _canonical(pool[:grown])
+                _grown_by(column, n, facets)
                 witness = _s2_witness(facets, dim, column)
                 assert witness == _s2_witness(facets, dim), facets
                 missed += sum(h & face == face and not h & union for face, union in before.items())
@@ -365,29 +381,35 @@ class TestS2Column:
                     failed.add(facets[witness[0]] & facets[witness[1]])
                 for face, union in column.connected.items():  # the union is the link's vertices
                     assert union == _link_vertices(facets, face), (facets, face)
+                _assert_index(column, facets)
         assert missed >= 10 and rejoined > 100 and witnesses > 500
 
     def test_holder_missing_the_union_disconnects_and_a_bridge_joins(self):
-        column = _S2Column()
+        column = _Column(2)
         star = [pack(f) for f in ((1, 2, 3), (1, 3, 4), (1, 4, 5))]  # lk 1: the path 2-3-4-5
+        _grown_by(column, 7, _canonical(star))
         assert _s2_witness(_canonical(star), 2, column) is None
         assert column.connected == {0b1: pack((2, 3, 4, 5))}
         grown = _canonical(star + [pack((1, 6, 7))])  # lk 1 gains the edge 6-7, apart
+        _grown_by(column, 7, grown)
         assert _s2_witness(grown, 2, column) == _s2_witness(grown, 2) == (0, 3)
         assert 0b1 not in column.connected
         bridged = _canonical(star + [pack((1, 6, 7)), pack((1, 5, 6))])  # 5-6 joins the two
+        _grown_by(column, 7, bridged)
         assert _s2_witness(bridged, 2, column) is _s2_witness(bridged, 2) is None
         assert column.connected[0b1] == pack((2, 3, 4, 5, 6, 7))
 
     def test_lists_must_only_grow(self):
-        column = _S2Column()
-        facets = vdw_complex(9, 2).facet_masks
-        _s2_witness(facets, 2, column)
-        _s2_witness(facets, 2, column)  # folding nothing new is allowed
-        with pytest.raises(ValueError):
-            _s2_witness(facets[1:], 2, column)
-        with pytest.raises(ValueError):
-            _s2_witness(vdw_complex(10, 3).facet_masks, 3, column)
+        column = _Column(2)
+        facets = column.grow(9, 2).facet_masks
+        assert _s2_witness(facets, 2, column) == _s2_witness(facets, 2)
+        assert _s2_witness(facets, 2, column) == _s2_witness(facets, 2)  # folding nothing new
+        with pytest.raises(ValueError, match="grows by one vertex"):
+            column.grow(9, 2)
+        with pytest.raises(ValueError, match="grows by one vertex"):
+            column.grow(10, 3)
+        facets = column.grow(10, 2).facet_masks
+        assert _s2_witness(facets, 2, column) == _s2_witness(facets, 2)
 
 
 class TestObstruction:
