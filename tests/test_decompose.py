@@ -292,6 +292,10 @@ def _tree_json(res):
     return res.tree.to_json() if res.tree is not None else None
 
 
+def _verdict(res):
+    return res.value, _tree_json(res)
+
+
 class TestVDColumn:
     """Counts carried down a column equal a fresh count, and the trees a fresh search."""
 
@@ -343,13 +347,33 @@ class TestVDColumn:
         res = _vertex_decomposable(column)
         assert res.value and _tree_json(res) == _tree_json(is_vertex_decomposable(path))
 
-    def test_facet_lists_must_only_grow(self):
+    # the column's two carried states, each named for the column class that once held it alone
+    @pytest.mark.parametrize(
+        "carried, fresh",
+        [
+            pytest.param(
+                lambda column: _verdict(_vertex_decomposable(column)),
+                lambda cx: _verdict(is_vertex_decomposable(cx)),
+                id="_VDColumn",
+            ),
+            pytest.param(
+                lambda column: _s2_witness(column.cx.facet_masks, column.cx.dim, column),
+                lambda cx: _s2_witness(cx.facet_masks, cx.dim),
+                id="_S2Column",
+            ),
+        ],
+    )
+    def test_facet_lists_must_only_grow(self, carried, fresh):
         column = _Column(2)
         column.grow(9, 2)
+        before = carried(column)  # folds the state in
         for n, k in ((9, 2), (8, 2), (11, 2), (10, 3)):  # the same, fewer, a vertex skipped, k
             with pytest.raises(ValueError, match="grows by one vertex"):
                 column.grow(n, k)
-        assert column.grow(10, 2).facet_masks == vdw_complex(10, 2).facet_masks
+        assert carried(column) == before == fresh(vdw_complex(9, 2))  # refused growths change nothing
+        cx = column.grow(10, 2)
+        assert cx.facet_masks == vdw_complex(10, 2).facet_masks
+        assert carried(column) == fresh(cx)
         with pytest.raises(ValueError, match="grows by one vertex"):
             _Column(3).grow(9, 2)
 
