@@ -25,7 +25,7 @@ from vdwcomplex.certify import field_label, parse_field, verify_shelling
 from vdwcomplex.complexes import MAX_VERTICES, SimplicialComplex
 from vdwcomplex.decompose import DEFAULT_SHELLING_BUDGET, _Column, _shellable, _vertex_decomposable
 from vdwcomplex.homology import cohen_macaulay_by_field
-from vdwcomplex.ideals import LinearPresentationResult, _s2_witness, dual_ideal, taylor_syzygies
+from vdwcomplex.ideals import LinearPresentationResult, dual_ideal, taylor_syzygies
 from vdwcomplex.vdw import _validate_params as _validate_vdw_params
 from vdwcomplex.vdw import (
     check_max_increment_overlap,
@@ -108,12 +108,14 @@ def compute_record(
     only the nodes the previous record's replay did not cover.
 
     The shellable and linpres checks share one (S2) walk
-    (:func:`_s2_witness`), run at most once per record, when a check needs
+    (``column.s2_witness``), run at most once per record, when a check needs
     it (linpres always, shellable only with no shedding tree), in the
     ``ms`` of the first check that runs it.
     """
     if column is None:
         column = _Column(k)
+    elif column.k != k:
+        raise ValueError(f"column k = {column.k} grows by one vertex, not to vdW({n}, {k})")
     pred = classify_closed_form(n, k)
     rec: dict = {
         "n": n,
@@ -122,7 +124,7 @@ def compute_record(
         "pred_shellable": pred.shellable,
         "pred_cm": pred.cohen_macaulay,
     }
-    cx = column.grow(n, k)
+    cx = column.grow(n)
     # (record keys, predicted flag, decider returning one result per key);
     # an undecided None never agrees
     rows = []
@@ -132,7 +134,7 @@ def compute_record(
 
     def s2_witness():
         if not witness:
-            witness.append(_s2_witness(cx.facet_masks, k, column))
+            witness.append(column.s2_witness())
         return witness[0]
 
     if "shellable" in checks:

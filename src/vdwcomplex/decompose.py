@@ -22,7 +22,8 @@ replays with no help from this module.
 ``vdw sweep`` carries one :class:`_Column` down each column k.  The
 deletion of n in vdW(n, k) is vdW(n - 1, k), so a record adds only the
 facets through n, folds each once into the state a check reads (ridge
-counts, the (S2) walk's faces), and searches only n's link when n sheds.
+counts here, the (S2) walk's faces in ``ideals._S2Walk``), and searches
+only n's link when n sheds.
 
 Shellability is decided from certificates where they exist, and by a
 depth-first search over facet prefixes otherwise (see :func:`is_shellable`
@@ -46,15 +47,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from heapq import heappop, heappush
-from operator import or_
+from functools import cached_property
 
 from vdwcomplex import _kernels
 from vdwcomplex.certify import SheddingTree, _tree_order
-from vdwcomplex.complexes import SimplicialComplex, Vertices, _component, _face_order, pack, unpack
+from vdwcomplex.complexes import SimplicialComplex, Vertices, pack, unpack
 from vdwcomplex.homology import CohenMacaulayResult, _first_failures, _result
-from vdwcomplex.ideals import _s2_witness
+from vdwcomplex.ideals import _S2Walk, _s2_witness
 from vdwcomplex.vdw import _grown, vdw_complex
 
 DEFAULT_SHELLING_BUDGET = 5_000_000
@@ -196,7 +195,8 @@ class _Column:
     """One sweep column k: vdW(n, k) grown one vertex at a time, and what its checks carry.
 
     :meth:`grow` validates only the facets through n and appends them to
-    ``added``; the VD and (S2) states fold in, once, those they have not
+    ``added``; the VD state and the (S2) walk (``s2``, an
+    ``ideals._S2Walk`` over ``added``) fold in, once, those they have not
     seen, when a check reads them.  VD: ``holder`` maps a ridge held by
     one facet to it (by more, to 0), ``singles`` counts per vertex bit x
     the ridges F - x held by F alone, and ``support & ~lonely`` are the
@@ -204,34 +204,23 @@ class _Column:
     last one's, kept with ``through`` (the added facets) when the last
     complex is the new vertex's deletion, and ``replay`` the last verified
     ``(tree, facets, order)`` (see ``_shellable``).
-
-    (S2): ``unsure`` is a heap, in ``_face_order``, of the pairwise
-    intersections with fewer than k vertices whose links are not known to
-    be connected; ``connected`` maps the others to their links' vertices.
-    A face's ``holders`` are found from the facets through its lowest
-    vertex (``facets_at``) when a walk first tests it, and ``walked``
-    indexes it under that bit (0 for the empty face), so a new facet h
-    visits only walked faces it can hold.  An h that meets a connected
-    link outside F keeps it connected; one that misses it sends F back to
-    ``unsure``.  So the walk fails at the per-complex walk's face.
     """
 
     def __init__(self, k: int) -> None:
         self.k = k
         self.cx: SimplicialComplex | None = None
         self.added: list[int] = []
-        self.vd_folded = self.s2_folded = self.support = self.lonely = 0
+        self.vd_folded = self.support = self.lonely = 0
         self.memo, self.holder, self.singles = {}, {}, {}
         self.vd = self.previous = self.through = self.replay = None
-        self.kept, self.unsure, self.connected = set(), [], {}
-        self.holders, self.facets_at, self.walked = {}, {}, {}
+        self.s2 = _S2Walk(k, self.added)
 
-    def grow(self, n: int, k: int) -> SimplicialComplex:
+    def grow(self, n: int) -> SimplicialComplex:
         """vdW(n, k), the column's next complex: built whole first, then one vertex at a time."""
         last = self.cx
-        if k != self.k or last is not None and n != last.n + 1:
-            raise ValueError(f"column k = {self.k} grows by one vertex, not to vdW({n}, {k})")
-        cx, new = _grown(last, k) if last is not None else (vdw_complex(n, k), None)
+        if last is not None and n != last.n + 1:
+            raise ValueError(f"column k = {self.k} grows by one vertex, not to vdW({n}, {self.k})")
+        cx, new = _grown(last, self.k) if last is not None else (vdw_complex(n, self.k), None)
         self._extend(cx, cx.facet_masks if new is None else new)
         return cx
 
@@ -243,6 +232,10 @@ class _Column:
         self.through = new if grew and self.previous is not None else None
         self.cx = cx
         self.added += new
+
+    def s2_witness(self) -> tuple[int, int] | None:
+        """``ideals._s2_witness`` of the column's complex, from the (S2) walk it carries."""
+        return self.s2.witness(self.cx.facet_masks)
 
     def _fold_vd(self) -> None:
         holder, singles, lonely = self.holder, self.singles, self.lonely
@@ -266,60 +259,6 @@ class _Column:
                         lonely &= ~x
         self.lonely = lonely
         self.vd_folded = len(self.added)
-
-    def _fold_s2(self) -> None:
-        added, connected, facets_at, kept = self.added, self.connected, self.facets_at, self.kept
-        for i in range(self.s2_folded, len(added)):
-            h = added[i]
-            bits = [0]  # the empty face's index, then h's vertices
-            rest = h
-            while rest:
-                bits.append(rest & -rest)
-                rest ^= bits[-1]
-            for bit in bits:
-                for face in self.walked.get(bit, ()):
-                    if h & face == face:
-                        self.holders[face].append(h)
-                        union = connected.get(face)
-                        if union is not None and h & union:  # h - F meets the connected link
-                            connected[face] = union | (h ^ face)
-                        elif union is not None:
-                            del connected[face]
-                            heappush(self.unsure, (_face_order(face), face))
-            # h meets the facets through its vertices, and the rest in the empty face
-            near = [facets_at[bit] for bit in bits[1:] if bit in facets_at]
-            if sum(map(len, near)) < i:
-                meets = {h & g for through in near for g in through}
-                if 0 not in kept and not all(h & g for g in added[:i]):
-                    meets.add(0)
-            else:
-                meets = {h & g for g in added[:i]}
-            for face in meets.difference(kept):
-                if face.bit_count() < self.k:
-                    kept.add(face)
-                    heappush(self.unsure, (_face_order(face), face))
-            for bit in bits[1:]:
-                facets_at.setdefault(bit, []).append(h)
-        self.s2_folded = len(added)
-
-    def first_disconnected(self) -> int | None:
-        """The first face, in ``_face_order``, whose link in the column complex is disconnected."""
-        self._fold_s2()
-        unsure = self.unsure
-        while unsure:
-            face = unsure[0][1]
-            held = self.holders.get(face)
-            if held is None:
-                pool = self.facets_at[face & -face] if face else self.added
-                held = self.holders[face] = [g for g in pool if g & face == face]
-                self.walked.setdefault(face & -face, []).append(face)
-            link = [g ^ face for g in held]
-            union = reduce(or_, link, 0)
-            if _component(link, union & -union) != union:
-                return face  # it stays first
-            self.connected[face] = union
-            heappop(unsure)
-        return None
 
 
 @dataclass(frozen=True, init=False, repr=False)

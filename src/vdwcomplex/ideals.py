@@ -26,10 +26,10 @@ join the components (for F empty, lk F is D and g1, g2 are disjoint).
 So ``_s2_witness`` visits those faces in ``_face_order`` and finds the
 first failing face of the full traversal.  One complex at a time it
 intersects every pair of facets, sorts the small intersections and
-reads each visited link off the facets.  ``vdw sweep`` reads the faces
-its column k carries (``decompose._Column``) instead: the facets of
-vdW(n, k) that avoid n are those of vdW(n - 1, k), so the intersections
-and the facets holding each face only grow, by the facets through n.
+reads each visited link off the facets.  ``vdw sweep`` keeps the faces
+in an ``_S2Walk`` per column k instead: the facets of vdW(n, k) that
+avoid n are those of vdW(n - 1, k), so the intersections and the facets
+holding each face only grow, by the facets through n.
 
 A face F whose link is disconnected is mapped to a witness pair (i, j):
 i is the first facet containing F and j the first facet containing F in
@@ -46,7 +46,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from heapq import heappop, heappush
+from operator import or_
 from typing import Iterable
 
 from vdwcomplex.complexes import (
@@ -234,32 +236,90 @@ def is_linearly_presented(ideal: MonomialIdeal) -> LinearPresentationResult:
     return LinearPresentationResult(witness is None, witness)
 
 
-def _s2_witness(facets, dim: int, column=None) -> tuple[int, int] | None:
+def _s2_witness(facets, dim: int) -> tuple[int, int] | None:
     """Witness pair of the first face whose link fails (S2), or None.
 
     ``facets`` is a pure complex of dimension ``dim``.  The pairwise
     intersections with fewer than ``dim`` vertices are visited in
-    ``_face_order``; the first whose link is disconnected gives (i, j):
-    i is the first facet containing it, j the first one containing it in
-    another component of the link.  Without ``column`` the faces are
-    found and sorted here and each link is read off ``facets``; with one,
-    a sweep column whose complex ``facets`` is, the walk reads the faces
-    and holders it carries (``decompose._Column.first_disconnected``).
-    Holder positions are looked up only for the failing face.
+    ``_face_order``; the first whose link is disconnected gives the pair.
     """
-    if column is None:
-        pairs = {f & g for p, f in enumerate(facets) for g in facets[:p]}
-        faces = sorted((m for m in pairs if m.bit_count() < dim), key=_face_order)
-        failing = (m for m in faces if not _is_connected([g ^ m for g in facets if g & m == m]))
-        face = next(failing, None)
-    else:
-        face = column.first_disconnected()
-    if face is None:
-        return None
+    pairs = {f & g for p, f in enumerate(facets) for g in facets[:p]}
+    faces = sorted((m for m in pairs if m.bit_count() < dim), key=_face_order)
+    failing = (m for m in faces if not _is_connected([g ^ m for g in facets if g & m == m]))
+    face = next(failing, None)
+    return None if face is None else _witness_pair(facets, face)
+
+
+def _witness_pair(facets, face: int) -> tuple[int, int]:
+    """(i, j): the first facet through ``face``, and the first in another component of its link."""
     holders = [p for p, g in enumerate(facets) if g & face == face]
     link = [facets[p] ^ face for p in holders]
     reach = _component(link, link[0])
     return holders[0], next(p for p, m in zip(holders, link) if not m & reach)
+
+
+class _S2Walk:
+    """The faces ``_s2_witness`` visits, kept for a pure complex that only gains facets.
+
+    ``facets`` is the list its owner appends the complex's facets to, in
+    any order; a walk first folds in, once each, those past the first
+    ``folded``.  ``unsure`` is a heap, in ``_face_order``, of the pairwise
+    intersections with fewer than ``dim`` vertices whose links are not
+    known to be connected; ``connected`` maps the others to their links'
+    vertices.  A face gets its ``holders``, the folded facets containing
+    it, when a walk first tests it, and ``walked`` indexes it under its
+    lowest vertex bit (0 for the empty face), so a new facet h visits only
+    walked faces it can hold.  An h that meets a connected link outside F
+    keeps it connected; one that misses it sends F back to ``unsure``.  So
+    the walk sees the faces, links and verdicts of the per-complex walk,
+    and fails at the same face.  ``decompose._Column`` keeps one per sweep column.
+    """
+
+    def __init__(self, dim: int, facets: list[int]) -> None:
+        self.dim, self.facets, self.folded = dim, facets, 0
+        self.kept, self.unsure, self.connected, self.holders, self.walked = set(), [], {}, {}, {}
+
+    def witness(self, masks) -> tuple[int, int] | None:
+        """``_s2_witness(masks, dim)``, for ``masks`` the facets in canonical order."""
+        self._fold()
+        unsure = self.unsure
+        while unsure:
+            face = unsure[0][1]
+            held = self.holders.get(face)
+            if held is None:
+                held = self.holders[face] = [g for g in self.facets if g & face == face]
+                self.walked.setdefault(face & -face, []).append(face)
+            link = [g ^ face for g in held]
+            union = reduce(or_, link, 0)
+            if _component(link, union & -union) != union:
+                return _witness_pair(masks, face)  # the face stays first
+            self.connected[face] = union
+            heappop(unsure)
+        return None
+
+    def _fold(self) -> None:
+        facets, connected, kept = self.facets, self.connected, self.kept
+        for i in range(self.folded, len(facets)):
+            h = facets[i]
+            rest, bits = h, [0]  # the empty face's index, then h's vertices
+            while rest:
+                bits.append(rest & -rest)
+                rest ^= bits[-1]
+            for bit in bits:
+                for face in self.walked.get(bit, ()):
+                    if h & face == face:
+                        self.holders[face].append(h)
+                        union = connected.get(face)
+                        if union is not None and h & union:  # h - F meets the connected link
+                            connected[face] = union | (h ^ face)
+                        elif union is not None:
+                            del connected[face]
+                            heappush(self.unsure, (_face_order(face), face))
+            for face in {h & g for g in facets[:i]}.difference(kept):
+                if face.bit_count() < self.dim:
+                    kept.add(face)
+                    heappush(self.unsure, (_face_order(face), face))
+        self.folded = len(facets)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from vdwcomplex import _kernels, cli, decompose
+from vdwcomplex import _kernels, cli, decompose, ideals
 from vdwcomplex.cli import main
 from vdwcomplex.decompose import ShellingResult
 
@@ -340,10 +340,10 @@ class TestSweep:
         assert any(r["linearly_presented"] is False for r in records)
 
     def test_wrong_linpres_verdict_disagrees(self, capsys, monkeypatch):
-        def never_a_witness(facets, dim, column=None):
+        def never_a_witness(column):
             return None
 
-        monkeypatch.setattr(cli, "_s2_witness", never_a_witness)
+        monkeypatch.setattr(decompose._Column, "s2_witness", never_a_witness)
         code, out, _ = run_cli(capsys, "sweep", "7", "--checks", "linpres", "--no-timings")
         assert code == 1
         records = json.loads(out.splitlines()[0])
@@ -436,16 +436,16 @@ class TestSharedS2Witness:
     @staticmethod
     def _counting_walk(monkeypatch):
         calls = []
-        walk = cli._s2_witness
+        walk = decompose._Column.s2_witness
 
-        def counting(facets, dim, column=None):
-            calls.append(dim)
-            return walk(facets, dim, column)
+        def counting(column):
+            calls.append(column.k)
+            return walk(column)
 
         def public_walk(*args):
             raise AssertionError("the shellable check ran its own (S2) walk")
 
-        monkeypatch.setattr(cli, "_s2_witness", counting)
+        monkeypatch.setattr(decompose._Column, "s2_witness", counting)
         monkeypatch.setattr(decompose, "_s2_witness", public_walk)
         return calls
 
@@ -467,17 +467,20 @@ class TestSharedS2Witness:
 
     @staticmethod
     def _counting_folds(monkeypatch, state="s2"):
-        """The number of facets each fold of the column's (S2) or VD state takes in."""
+        """The number of facets each fold of the column's (S2) walk or VD state takes in."""
         folded = []
-        name = f"_fold_{state}"
-        fold = getattr(decompose._Column, name)
+        owner, name, count = {
+            "s2": (ideals._S2Walk, "_fold", "folded"),
+            "vd": (decompose._Column, "_fold_vd", "vd_folded"),
+        }[state]
+        fold = getattr(owner, name)
 
         def counting(self):
-            before = getattr(self, f"{state}_folded")
+            before = getattr(self, count)
             fold(self)
-            folded.append(getattr(self, f"{state}_folded") - before)
+            folded.append(getattr(self, count) - before)
 
-        monkeypatch.setattr(decompose._Column, name, counting)
+        monkeypatch.setattr(owner, name, counting)
         return folded
 
     def test_vertex_decomposable_records_fold_nothing(self, capsys, monkeypatch):

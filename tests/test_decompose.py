@@ -304,7 +304,7 @@ class TestVDColumn:
         for k in range(1, 64):
             column = _Column(k)
             for n in range(k + 1, 65):
-                cx = column.grow(n, k)
+                cx = column.grow(n)
                 res = _vertex_decomposable(column)
                 assert column.support & ~column.lonely == _shedding_vertices(cx.facet_masks), (n, k)
                 fresh = is_vertex_decomposable(cx)
@@ -357,7 +357,7 @@ class TestVDColumn:
                 id="_VDColumn",
             ),
             pytest.param(
-                lambda column: _s2_witness(column.cx.facet_masks, column.cx.dim, column),
+                lambda column: column.s2_witness(),
                 lambda cx: _s2_witness(cx.facet_masks, cx.dim),
                 id="_S2Column",
             ),
@@ -365,17 +365,15 @@ class TestVDColumn:
     )
     def test_facet_lists_must_only_grow(self, carried, fresh):
         column = _Column(2)
-        column.grow(9, 2)
+        column.grow(9)
         before = carried(column)  # folds the state in
-        for n, k in ((9, 2), (8, 2), (11, 2), (10, 3)):  # the same, fewer, a vertex skipped, k
+        for n in (9, 8, 11):  # the same, fewer, a vertex skipped
             with pytest.raises(ValueError, match="grows by one vertex"):
-                column.grow(n, k)
+                column.grow(n)
         assert carried(column) == before == fresh(vdw_complex(9, 2))  # refused growths change nothing
-        cx = column.grow(10, 2)
+        cx = column.grow(10)
         assert cx.facet_masks == vdw_complex(10, 2).facet_masks
         assert carried(column) == fresh(cx)
-        with pytest.raises(ValueError, match="grows by one vertex"):
-            _Column(3).grow(9, 2)
 
     def test_growth_checked_on_the_sweep_entry(self):
         column = _Column(2)
@@ -393,7 +391,7 @@ class TestGrownColumn:
         for k in range(1, 64):
             column = _Column(k)
             for n in range(k + 1, 65):
-                cx = column.grow(n, k)
+                cx = column.grow(n)
                 assert cx.facet_masks == vdw_complex(n, k).facet_masks, (n, k)
                 assert sorted(column.added) == sorted(cx.facet_masks), (n, k)
 
@@ -415,7 +413,7 @@ class TestGrownColumn:
 
 def _sweep_shellable(column, n, k):
     """The sweep's shellable check on vdW(n, k): VD in ``column``, then the carried replay."""
-    cx = column.grow(n, k)
+    cx = column.grow(n)
     vd = _vertex_decomposable(column)
     return cx, vd, _shellable(cx, None, vd, lambda: _s2_witness(cx.facet_masks, k), column)
 
@@ -465,7 +463,7 @@ class TestCarriedReplay:
     def test_forged_top_node_rejected(self):
         column = self._column_at(6, 1)
         previous = column.replay[0]
-        cx = column.grow(7, 1)
+        cx = column.grow(7)
         vd = _vertex_decomposable(column)
         assert vd.tree.deletion is previous
         forged = [
@@ -482,7 +480,7 @@ class TestCarriedReplay:
     def test_equal_looking_subtree_walked_in_full(self):
         column = self._column_at(6, 1)
         previous = column.replay[0]
-        cx = column.grow(7, 1)
+        cx = column.grow(7)
         vd = _vertex_decomposable(column)
         # the same root as the previous tree, a forged leaf at the end of its deletion spine
         data = node = previous.to_dict()

@@ -17,6 +17,7 @@ from vdwcomplex.complexes import SimplicialComplex, _canonical, _face_order, _is
 from vdwcomplex.decompose import _Column
 from vdwcomplex.ideals import (
     MonomialIdeal,
+    _S2Walk,
     _s2_witness,
     dual_ideal,
     is_linearly_presented,
@@ -306,29 +307,29 @@ def _link_vertices(facets, face: int) -> int:
     return union
 
 
-def _grown_by(column, n, facets):
-    """``column`` holding the complex ``facets``: its last one's facets and the rest."""
-    old = set(column.added)
-    column._extend(complex_from_masks(n, facets), [m for m in facets if m not in old])
+def _grown_by(walk, facets):
+    """``walk`` over the complex ``facets``: its last one's facets and the rest, appended."""
+    old = set(walk.facets)
+    walk.facets += [m for m in facets if m not in old]
 
 
-def _assert_index(column, facets):
+def _assert_index(walk, facets):
     """Every walked face is indexed by its lowest vertex and held by every facet containing it."""
-    for face, held in column.holders.items():
-        assert face in column.walked[face & -face], (facets, face)
+    for face, held in walk.holders.items():
+        assert face in walk.walked[face & -face], (facets, face)
         assert sorted(held) == sorted(g for g in facets if g & face == face), (facets, face)
 
 
 class TestS2Column:
-    """The column path of ``_s2_witness`` gives the per-complex witness, pair for pair."""
+    """The (S2) walk carried down a growing complex gives the per-complex witness, pair for pair."""
 
     def test_every_vdw_column_to_n40(self):
         witnesses = 0
         for k in range(1, 40):
             column = _Column(k)
             for n in range(k + 1, 41):
-                cx = column.grow(n, k)
-                witness = _s2_witness(cx.facet_masks, cx.dim, column)
+                cx = column.grow(n)
+                witness = column.s2_witness()
                 assert witness == _s2_witness(cx.facet_masks, cx.dim), (n, k)
                 witnesses += witness is not None
         assert witnesses == 340
@@ -342,15 +343,15 @@ class TestS2Column:
             dim = rng.randint(1, 3)
             pool = [pack(f) for f in combinations(range(1, n + 1), dim + 1)]
             rng.shuffle(pool)
-            column = _Column(dim)
+            walk = _S2Walk(dim, [])
             grown = 0
             while grown < min(len(pool), 16):
                 grown += rng.randint(1, 3)
                 facets = _canonical(pool[:grown])
-                _grown_by(column, n, facets)
-                witness = _s2_witness(facets, dim, column)
+                _grown_by(walk, facets)
+                witness = walk.witness(facets)
                 assert witness == _s2_witness(facets, dim), facets
-                _assert_index(column, facets)
+                _assert_index(walk, facets)
                 witnesses += witness is not None
         assert witnesses > 100
 
@@ -364,52 +365,53 @@ class TestS2Column:
             dim = rng.randint(1, 3)
             pool = [pack(f) for f in combinations(range(1, n + 1), dim + 1)]
             rng.shuffle(pool)
-            column = _Column(dim)
+            walk = _S2Walk(dim, [])
             failed = set()
             for grown in range(1, min(len(pool), 18) + 1):
                 h = pool[grown - 1]
-                before = dict(column.connected)
+                before = dict(walk.connected)
                 facets = _canonical(pool[:grown])
-                _grown_by(column, n, facets)
-                witness = _s2_witness(facets, dim, column)
+                _grown_by(walk, facets)
+                witness = walk.witness(facets)
                 assert witness == _s2_witness(facets, dim), facets
                 missed += sum(h & face == face and not h & union for face, union in before.items())
-                rejoined += len(failed & column.connected.keys())
-                failed -= column.connected.keys()
+                rejoined += len(failed & walk.connected.keys())
+                failed -= walk.connected.keys()
                 if witness is not None:
                     witnesses += 1
                     failed.add(facets[witness[0]] & facets[witness[1]])
-                for face, union in column.connected.items():  # the union is the link's vertices
+                for face, union in walk.connected.items():  # the union is the link's vertices
                     assert union == _link_vertices(facets, face), (facets, face)
-                _assert_index(column, facets)
+                _assert_index(walk, facets)
         assert missed >= 10 and rejoined > 100 and witnesses > 500
 
     def test_holder_missing_the_union_disconnects_and_a_bridge_joins(self):
-        column = _Column(2)
+        walk = _S2Walk(2, [])
         star = [pack(f) for f in ((1, 2, 3), (1, 3, 4), (1, 4, 5))]  # lk 1: the path 2-3-4-5
-        _grown_by(column, 7, _canonical(star))
-        assert _s2_witness(_canonical(star), 2, column) is None
-        assert column.connected == {0b1: pack((2, 3, 4, 5))}
+        _grown_by(walk, _canonical(star))
+        assert walk.witness(_canonical(star)) is None
+        assert walk.connected == {0b1: pack((2, 3, 4, 5))}
         grown = _canonical(star + [pack((1, 6, 7))])  # lk 1 gains the edge 6-7, apart
-        _grown_by(column, 7, grown)
-        assert _s2_witness(grown, 2, column) == _s2_witness(grown, 2) == (0, 3)
-        assert 0b1 not in column.connected
+        _grown_by(walk, grown)
+        assert walk.witness(grown) == _s2_witness(grown, 2) == (0, 3)
+        assert 0b1 not in walk.connected
         bridged = _canonical(star + [pack((1, 6, 7)), pack((1, 5, 6))])  # 5-6 joins the two
-        _grown_by(column, 7, bridged)
-        assert _s2_witness(bridged, 2, column) is _s2_witness(bridged, 2) is None
-        assert column.connected[0b1] == pack((2, 3, 4, 5, 6, 7))
+        _grown_by(walk, bridged)
+        assert walk.witness(bridged) is _s2_witness(bridged, 2) is None
+        assert walk.connected[0b1] == pack((2, 3, 4, 5, 6, 7))
 
     def test_lists_must_only_grow(self):
         column = _Column(2)
-        facets = column.grow(9, 2).facet_masks
-        assert _s2_witness(facets, 2, column) == _s2_witness(facets, 2)
-        assert _s2_witness(facets, 2, column) == _s2_witness(facets, 2)  # folding nothing new
-        with pytest.raises(ValueError, match="grows by one vertex"):
-            column.grow(9, 2)
-        with pytest.raises(ValueError, match="grows by one vertex"):
-            column.grow(10, 3)
-        facets = column.grow(10, 2).facet_masks
-        assert _s2_witness(facets, 2, column) == _s2_witness(facets, 2)
+        facets = column.grow(9).facet_masks
+        assert column.s2_witness() == _s2_witness(facets, 2)
+        assert column.s2_witness() == _s2_witness(facets, 2)  # folding nothing new
+        assert column.s2.folded == len(column.added) == len(facets)
+        for n in (9, 8, 11):
+            with pytest.raises(ValueError, match="grows by one vertex"):
+                column.grow(n)
+        facets = column.grow(10).facet_masks
+        assert column.s2_witness() == _s2_witness(facets, 2)
+        assert column.s2.folded == len(column.added) == len(facets)
 
 
 class TestObstruction:
