@@ -378,7 +378,7 @@ class TestVDColumn:
     def test_growth_checked_on_the_sweep_entry(self):
         column = _Column(2)
         compute_record(9, 2, ["vd"], [2], column=column)
-        for n, k in ((8, 2), (9, 3)):
+        for n, k in ((8, 2), (9, 3), (10, 3)):  # fewer vertices, the same n, another k
             with pytest.raises(ValueError, match="grows by one vertex"):
                 compute_record(n, k, ["vd"], [2], column=column)
         assert compute_record(10, 2, ["vd"], [2], column=column)["agreement"]
