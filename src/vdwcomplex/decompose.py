@@ -4,26 +4,26 @@ Vertex decomposability follows the Provan-Billera recursion: a pure
 complex qualifies if it is void, the empty complex, or a simplex, or if
 some shedding vertex x has a vertex-decomposable link and deletion.  A
 vertex x sheds iff no face of its link is a facet of its deletion, i.e.
-the deletion at x is pure of the complex's dimension: every ridge F - x
-of a facet F through x lies in a second facet, which avoids x.  So one
-count of the ridges per subproblem tests every candidate vertex without
-building its deletion.  A vertex in every facet, a cone apex, never
-sheds, since its ridges F - x lie in F alone; a cone over C is vertex
-decomposable iff C is, by the vertices that shed C.  Every link of a
-vertex-decomposable complex is vertex decomposable (Provan-Billera, Math.
-Oper. Res. 5 (1980)), so the search fails at the first candidate whose
-link fails; only a failing deletion moves it on to the next candidate.
+every ridge F - x of a facet F through x lies in a second facet, which
+avoids x.  Every subproblem is lk_L(del_W K) of the top complex K, so
+one map of K's ridges to the vertices completing them to facets tests
+every candidate of every subproblem.  A vertex in every facet, a cone
+apex, never sheds, since its ridges F - x lie in F alone.  A facet
+sharing no ridge ends the search: a shellable complex, and so a
+vertex-decomposable one, is strongly connected (Björner).  Every link of
+a vertex-decomposable complex is vertex decomposable (Provan-Billera,
+Math. Oper. Res. 5 (1980)), so the search fails at the first candidate
+whose link fails; only a failing deletion moves it on to the next.
 Subproblems are memoized on their facet masks, which link and deletion
-keep in canonical order, so equal subproblems meet under equal keys; the
-memo maps each key to its shedding tree, or to ``None`` on failure.  A
-successful decision is certified by a shedding tree, which ``certify``
-replays with no help from this module.
+keep in canonical order; the memo maps each to its shedding tree, or to
+``None`` on failure.  A successful decision is certified by a shedding
+tree, which ``certify`` replays with no help from this module.
 
 ``vdw sweep`` carries one :class:`_Column` down each column k.  The
 deletion of n in vdW(n, k) is vdW(n - 1, k), so a record adds only the
-facets through n, folds each once into the state a check reads (ridge
-counts here, the (S2) walk's faces in ``ideals._S2Walk``), and searches
-only n's link when n sheds.
+facets through n, folds each once into the state a check reads (the
+ridge map here, the (S2) walk's faces in ``ideals._S2Walk``), and
+searches only n's link when n sheds.
 
 Shellability is decided from certificates where they exist, and by a
 depth-first search over facet prefixes otherwise (see :func:`is_shellable`
@@ -75,29 +75,57 @@ _LEAF_EMPTY = SheddingTree("empty")
 _LEAF_SIMPLEX = SheddingTree("simplex")
 
 
-def _decide(masks: tuple[int, ...], memo: dict) -> SheddingTree | None:
-    """Memoized :func:`_search`, keyed by the canonical facet masks.
+def _ends(masks) -> dict[int, int]:
+    """Map each ridge R of a pure facet list to the OR of the vertex bits x with R + x a facet."""
+    ends: dict[int, int] = {}
+    for m in masks:
+        rest = m
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            ends[m ^ bit] = ends.get(m ^ bit, 0) | bit
+    return ends
 
-    The memo maps ``masks`` to its shedding tree, or to ``None`` when
-    the complex is not vertex decomposable.
+
+def _candidates(masks: tuple[int, ...], ends: dict, face: int, gone: int) -> int | None:
+    """The shedding vertices of ``masks``, two or more facets of lk_face(del_gone K).
+
+    y is lonely in a facet m, its ridge m - y in m alone, iff K's ``ends[(m | face) - y]``
+    outside ``gone`` is y alone.  None when a facet has every vertex lonely.
     """
+    keep, support, lonely = ~gone, 0, 0
+    for m in masks:
+        support |= m
+        facet, own, rest = m | face, 0, m
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if ends[facet ^ bit] & keep == bit:
+                own |= bit
+        if own == m:
+            return None
+        lonely |= own
+    return support & ~lonely  # a vertex in every facet is lonely
+
+
+def _decide(masks: tuple[int, ...], memo: dict, ends: dict, face=0, gone=0) -> SheddingTree | None:
+    """Memoized :func:`_search`: ``memo`` maps ``masks`` to its shedding tree, or to ``None``."""
     tree = memo.get(masks, _MISSING)
     if tree is _MISSING:
-        tree = memo[masks] = _search(masks, memo)
+        tree = memo[masks] = _search(masks, memo, ends, face, gone)
     return tree
 
 
 def _search(
-    masks: tuple[int, ...], memo: dict, candidates: int | None = None
+    masks: tuple[int, ...], memo: dict, ends: dict, face=0, gone=0, candidates: int | None = None
 ) -> SheddingTree | None:
     """First shedding tree of a canonical, pure facet list, shedding high vertices first.
 
-    For facets of size d, x sheds iff every ridge F - x of a facet F
-    containing x lies in a second facet; the deletion is then the facets
-    that avoid x, each absorbing those ridges.  Otherwise the deletion
-    keeps some F - x as a facet of size d - 1, beside facets of size d
-    or, when x lies in every facet, alone.  So a cone is decided on its
-    base, and its tree is the base's.
+    ``masks`` is lk_face(del_gone K) for the complex K whose ridges
+    ``ends`` maps (see :func:`_ends`).  Only shedding vertices x are
+    tried, whose deletion is the facets avoiding x: the link and deletion
+    at x are the subproblems at face + x and at gone + x.  A cone apex
+    never sheds, so a cone is decided on its base, and its tree is the base's.
 
     A candidate whose link is not vertex decomposable ends the search
     with ``None``: by Provan-Billera, every link of a vertex-decomposable
@@ -106,43 +134,28 @@ def _search(
     no failing link, so its tree is the one the full search finds.
 
     ``candidates`` is the mask of shedding vertices when the caller
-    already knows it (see :class:`_Column`); otherwise the ridges are
-    counted here.
+    already knows it (see :class:`_Column`); otherwise it is read off
+    ``ends`` (see :func:`_candidates`).
     """
     if not masks:
         return _LEAF_VOID
     if len(masks) == 1:
         return _LEAF_EMPTY if masks[0] == 0 else _LEAF_SIMPLEX
     if candidates is None:
-        support = 0
-        ridges: dict[int, int] = {}
-        for m in masks:
-            support |= m
-            rest = m
-            while rest:
-                low = rest & -rest
-                ridges[m ^ low] = ridges.get(m ^ low, 0) + 1
-                rest ^= low
-        lonely = 0  # vertices x with some facet F whose ridge F - x lies in F alone
-        for m in masks:
-            rest = m & ~lonely
-            while rest:
-                low = rest & -rest
-                if ridges[m ^ low] == 1:
-                    lonely |= low
-                rest ^= low
-        candidates = support & ~lonely  # a vertex in every facet is lonely
-    # candidates in descending vertex order
-    rest = candidates
+        candidates = _candidates(masks, ends, face, gone)
+        if candidates is None:  # a facet shares no ridge: not strongly connected
+            return None
+    rest = candidates  # tried in descending vertex order
     while rest:
         bit = 1 << (rest.bit_length() - 1)
         rest ^= bit
         # every facet of the link has the bit cleared: the order is kept
         link = tuple(m ^ bit for m in masks if m & bit)
-        link_tree = _decide(link, memo)
+        link_tree = _decide(link, memo, ends, face | bit, gone)
         if link_tree is None:  # every link of a vertex-decomposable complex is one
             return None
-        deletion_tree = _decide(tuple(m for m in masks if not m & bit), memo)
+        deletion = tuple(m for m in masks if not m & bit)
+        deletion_tree = _decide(deletion, memo, ends, face, gone | bit)
         if deletion_tree is None:
             continue
         return SheddingTree("shed", bit.bit_length(), link_tree, deletion_tree)
@@ -166,27 +179,31 @@ def is_vertex_decomposable(cx: SimplicialComplex, memo: dict | None = None) -> D
         raise ValueError("vertex decomposability is defined for pure complexes")
     if memo is None:
         memo = {}
-    tree = _decide(cx.facet_masks, memo)
+    masks = cx.facet_masks
+    tree = memo.get(masks, _MISSING)
+    if tree is _MISSING:
+        tree = memo[masks] = _search(masks, memo, _ends(masks))
     return DecompositionResult(tree is not None, tree)
 
 
 def _vertex_decomposable(column: _Column) -> DecompositionResult:
     """:func:`is_vertex_decomposable` on the column's complex, decided once per record.
 
-    Candidates and memo are the column's.  A new vertex n that sheds is tried
-    first: its link is the added facets less n, its deletion the last complex.
+    Candidates, ``ends`` and memo are the column's.  A shedding new vertex n
+    is tried first: its link is the added facets less n, its deletion the last.
     """
     if column.vd is None:
         column._fold_vd()
+        masks, memo, ends = column.cx.facet_masks, column.memo, column.ends
         candidates, top = column.support & ~column.lonely, 1 << (column.cx.n - 1)
         if column.through is None or not candidates & top:
-            tree = _search(column.cx.facet_masks, column.memo, candidates)
-        elif (link := _decide(tuple(h ^ top for h in column.through), column.memo)) is None:
+            tree = _search(masks, memo, ends, candidates=candidates)
+        elif (link := _decide(tuple(h ^ top for h in column.through), memo, ends, top)) is None:
             tree = None  # every link of a vertex-decomposable complex is one
         elif column.previous.tree is not None:
             tree = SheddingTree("shed", column.cx.n, link, column.previous.tree)
         else:  # the deletion fails: on to the next candidate, as in _search
-            tree = _search(column.cx.facet_masks, column.memo, candidates ^ top)
+            tree = _search(masks, memo, ends, candidates=candidates ^ top)
         column.vd = DecompositionResult(tree is not None, tree)
     return column.vd
 
@@ -197,12 +214,12 @@ class _Column:
     :meth:`grow` validates only the facets through n and appends them to
     ``added``; the VD state and the (S2) walk (``s2``, an
     ``ideals._S2Walk`` over ``added``) fold in, once, those they have not
-    seen, when a check reads them.  VD: ``holder`` maps a ridge held by
-    one facet to it (by more, to 0), ``singles`` counts per vertex bit x
-    the ridges F - x held by F alone, and ``support & ~lonely`` are the
-    shedding vertices.  ``vd`` is the record's verdict, ``previous`` the
-    last one's, kept with ``through`` (the added facets) when the last
-    complex is the new vertex's deletion, and ``replay`` the last verified
+    seen, when a check reads them.  VD: ``ends`` is :func:`_ends` of the
+    complex, ``singles`` counts per vertex bit x the ridges F - x held by
+    F alone, and ``support & ~lonely`` are the shedding vertices.  ``vd``
+    is the record's verdict, ``previous`` the last one's, kept with
+    ``through`` (the added facets) when the last complex is the new
+    vertex's deletion, and ``replay`` the last verified
     ``(tree, facets, order)`` (see ``_shellable``).
     """
 
@@ -211,7 +228,7 @@ class _Column:
         self.cx: SimplicialComplex | None = None
         self.added: list[int] = []
         self.vd_folded = self.support = self.lonely = 0
-        self.memo, self.holder, self.singles = {}, {}, {}
+        self.memo, self.ends, self.singles = {}, {}, {}
         self.vd = self.previous = self.through = self.replay = None
         self.s2 = _S2Walk(k, self.added)
 
@@ -238,7 +255,7 @@ class _Column:
         return self.s2.witness(self.cx.facet_masks)
 
     def _fold_vd(self) -> None:
-        holder, singles, lonely = self.holder, self.singles, self.lonely
+        ends, singles, lonely = self.ends, self.singles, self.lonely
         for h in self.added[self.vd_folded :]:
             self.support |= h
             rest = h
@@ -246,14 +263,12 @@ class _Column:
                 bit = rest & -rest
                 rest ^= bit
                 ridge = h ^ bit
-                g = holder.get(ridge)
-                if g is None:  # h - bit lies in h alone
-                    holder[ridge] = h
+                x = ends.get(ridge, 0)
+                ends[ridge] = x | bit
+                if not x:  # h - bit lies in h alone
                     singles[bit] = singles.get(bit, 0) + 1
                     lonely |= bit
-                elif g:  # g no longer holds the ridge alone: one single fewer for x = g - ridge
-                    holder[ridge] = 0
-                    x = g ^ ridge
+                elif not x & (x - 1):  # ridge + x no longer holds it alone: one single fewer for x
                     singles[x] -= 1
                     if not singles[x]:
                         lonely &= ~x

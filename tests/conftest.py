@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's own algorithms:
 minimal non-faces by full subset enumeration, vertex decomposability by
-the memo-free recursion on literal links and deletions, shellability by
+the memo-free recursion on literal links and deletions, shedding vertices
+by a literal count of each ridge's facets, shellability by
 permutation search, Cohen-Macaulayness by every face and its literal
 link measured with ``certify``'s reference homology, linear presentation
 by the graph search on every generator pair, ranks by fraction Gaussian
@@ -12,6 +13,7 @@ linear system.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -119,6 +121,25 @@ def naive_shedding_tree(cx: SimplicialComplex):
             continue
         return {"kind": "shed", "vertex": x, "link": link_tree, "deletion": deletion_tree}
     return None
+
+
+def ridge_recount(masks):
+    """``(shedding vertices, isolated)`` of a pure facet list, by a literal count of each ridge's facets.
+
+    A vertex x sheds iff every ridge F - x of a facet F through x lies in
+    a second facet.  ``isolated`` says that some facet of two or more
+    shares no ridge with another.
+    """
+    bits = [[1 << v for v in range(f.bit_length()) if f >> v & 1] for f in masks]
+    ridges = Counter(f ^ b for f, fb in zip(masks, bits) for b in fb)
+    support = lonely = 0
+    isolated = False
+    for f, fb in zip(masks, bits):
+        own = sum(b for b in fb if ridges[f ^ b] == 1)
+        support |= f
+        lonely |= own
+        isolated |= len(masks) > 1 and own == f
+    return support & ~lonely, isolated
 
 
 def _cohen_macaulay_naive(cx: SimplicialComplex, field="Q") -> CohenMacaulayResult:

@@ -15,9 +15,10 @@ from conftest import (
     enumerate_antichains,
     naive_shedding_tree,
     random_pure_complex,
+    ridge_recount,
 )
 
-from vdwcomplex import _kernels
+from vdwcomplex import _kernels, decompose
 from vdwcomplex.certify import (
     SheddingTree,
     _tree_order,
@@ -30,7 +31,9 @@ from vdwcomplex.decompose import (
     DecompositionResult,
     ShellingResult,
     _shellable,
+    _candidates,
     _Column,
+    _ends,
     _vertex_decomposable,
     is_shellable,
     is_vertex_decomposable,
@@ -247,12 +250,46 @@ class TestSheddingSearchMatchesNaive:
             assert res.tree is None or verify_shedding_tree(shifted, res.tree)
 
     # the link of the top vertex of vdW(48, 20) or vdW(64, 30) is two facets, a
-    # cone over two disjoint simplices with no shedding vertex: the search ends there
+    # cone over two disjoint simplices: neither facet shares a ridge, so the
+    # link is not strongly connected, hence not shellable, and the search ends there
     @pytest.mark.parametrize("n, k, subproblems", [(30, 1, 59), (48, 20, 2), (64, 30, 2)])
     def test_subproblem_count(self, n, k, subproblems):
         memo = {}
         is_vertex_decomposable(vdw_complex(n, k), memo)
         assert len(memo) == subproblems
+
+    def test_facet_sharing_no_ridge_refutes(self):
+        # the boundary of the tetrahedron on 1..4, and the triangle 567 beside it
+        cx = SimplicialComplex.from_facets(7, [*combinations(range(1, 5), 3), (5, 6, 7)])
+        memo = {}
+        assert is_vertex_decomposable(cx, memo).value is False
+        assert len(memo) == 1  # 18 when the search looks for shedding vertices
+        assert naive_shedding_tree(cx) is None
+
+    def test_ridge_map_reads_what_a_recount_reads(self, monkeypatch):
+        calls = []
+        search = decompose._search
+
+        def recording(masks, memo, ends, face=0, gone=0, candidates=None):
+            calls.append((masks, ends, face, gone))
+            return search(masks, memo, ends, face, gone, candidates)
+
+        monkeypatch.setattr(decompose, "_search", recording)
+        read = Counter()
+        for cx in [*self._pure_small(), *self._random_pure()]:
+            memo = {}
+            calls.clear()
+            is_vertex_decomposable(cx, memo)
+            assert sorted(masks for masks, *_ in calls) == sorted(memo)  # one call per subproblem
+            for masks, ends, face, gone in calls:
+                # the subproblem is lk_face(del_gone cx), read off the top complex's map
+                assert ends == _ends(cx.facet_masks) and not face & gone
+                assert masks == tuple(f ^ face for f in cx.facet_masks if f & face == face and not f & gone)
+                if len(masks) > 1:
+                    candidates, isolated = ridge_recount(masks)
+                    assert _candidates(masks, ends, face, gone) == (None if isolated else candidates)
+                    read[isolated] += 1
+        assert read[True] > 500 and read[False] > 8000
 
     @pytest.mark.parametrize("m", range(4, 13))
     def test_first_failing_link_ends_the_search(self, m):
@@ -277,17 +314,6 @@ class TestSheddingSearchMatchesNaive:
         assert memo[cx.facet_masks] is res.tree
 
 
-def _shedding_vertices(masks) -> int:
-    """The vertices that shed a pure facet list, from a fresh count of each ridge's facets."""
-    bits = [[1 << v for v in range(f.bit_length()) if f >> v & 1] for f in masks]
-    ridges = Counter(f ^ b for f, fb in zip(masks, bits) for b in fb)
-    support = lonely = 0
-    for f, fb in zip(masks, bits):
-        support |= f
-        lonely |= sum(b for b in fb if ridges[f ^ b] == 1)
-    return support & ~lonely
-
-
 def _tree_json(res):
     return res.tree.to_json() if res.tree is not None else None
 
@@ -306,7 +332,8 @@ class TestVDColumn:
             for n in range(k + 1, 65):
                 cx = column.grow(n)
                 res = _vertex_decomposable(column)
-                assert column.support & ~column.lonely == _shedding_vertices(cx.facet_masks), (n, k)
+                assert column.ends == _ends(cx.facet_masks), (n, k)
+                assert column.support & ~column.lonely == ridge_recount(cx.facet_masks)[0], (n, k)
                 fresh = is_vertex_decomposable(cx)
                 assert res.value is fresh.value and _tree_json(res) == _tree_json(fresh), (n, k)
                 assert _vertex_decomposable(column) is res  # decided once per record
@@ -329,7 +356,8 @@ class TestVDColumn:
                 cx = SimplicialComplex.from_facets(n, map(unpack, masks))
                 column._extend(cx, [pool[grown - 1]])
                 res = _vertex_decomposable(column)
-                assert column.support & ~column.lonely == _shedding_vertices(masks), masks
+                assert column.support & ~column.lonely == ridge_recount(masks)[0], masks
+                assert column.ends == _ends(masks), masks
                 assert _tree_json(res) == _tree_json(is_vertex_decomposable(cx)), masks
                 verdicts[res.value] += 1
         assert verdicts[True] > 100 and verdicts[False] > 100
