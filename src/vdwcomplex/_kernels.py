@@ -6,11 +6,12 @@ on the module sees every call.
 
 ``greedy_shelling`` is the first descent of ``search_shelling`` with no
 backtracking, kept incrementally.  ``decompose.is_shellable`` runs it as
-its probe, and ``homology.cohen_macaulay_by_field`` as a fast path: a
-shellable complex is Cohen-Macaulay over every field, so an order it
-finds for a pure complex of dimension >= 2 decides Cohen-Macaulayness
-with no link measured.  A graph's Reisner test is one connectivity
-test, cheaper than the pass, so it gets none.
+its probe, and ``homology.cohen_macaulay_by_field`` and
+``ideals.is_linearly_presented`` as a fast path: a shellable complex is
+Cohen-Macaulay over every field, so satisfies Serre's (S2), and an
+order it finds for a pure complex of dimension >= 2 decides both
+properties with no link measured.  A graph's Reisner or (S2) test is one
+connectivity test, cheaper than the pass, so it gets none.
 """
 
 from __future__ import annotations

@@ -257,12 +257,12 @@ class SimplicialComplex:
         """True for the empty complex ``<()>`` (single empty facet)."""
         return self.facet_masks == (0,)
 
-    @property
+    @cached_property
     def dim(self) -> int | None:
         """Max facet dimension; None for the void complex; -1 for ``<()>``."""
         return max(m.bit_count() for m in self.facet_masks) - 1 if self.facet_masks else None
 
-    @property
+    @cached_property
     def is_pure(self) -> bool:
         """True iff all facets share one dimension (void and ``<()>`` are pure)."""
         return len({m.bit_count() for m in self.facet_masks}) <= 1

@@ -42,12 +42,21 @@ is H~_(s-2) = 1 over every field, so it gets no chain complex either.
 The Reisner walk (``_first_failures``) takes every requested field at
 once.  Each link's core, chain complex, boundary check and mod-2 ranks
 are computed once for all fields still passing, and a field drops out
-at its first failing link.
+at its first failing link.  The empty face comes first in the walk's
+order, and its link is the complex itself, so it is tested before the
+intersections of facets are built and sorted; a walk that ends there
+builds none.
 
-Three more rules spare most links their elimination.  A 1-dimensional
+Four more rules spare most links their elimination.  A 1-dimensional
 link is a nonempty graph, so H~_-1 vanishes and H~_0 vanishes iff the
 graph is connected, over every field; a connectivity test on masks
-decides it.  Over Q, each link is first measured mod 2 (the mod-2
+decides it.  A 2-dimensional link whose core is connected has
+H~_-1 = H~_0 = 0 over every field, so its reduced Euler characteristic,
+read off the core's face counts, is b~_2 - b~_1; a negative one forces
+b~_1 > 0, and the link fails in degree 1 over every field with no chain
+complex built (the Euler rule, ``_euler_fails``).  A characteristic of
+0 or more decides nothing: RP^2's is 0, with H~_1 = F2 over F2 alone.
+Over Q, each link is first measured mod 2 (the mod-2
 filter): by universal coefficients dim H~_i(K; Q) <= dim H~_i(K; F2),
 so a link with no mod-2 homology below its dimension passes.  More
 precisely, a rational rank is at least the mod-2 rank, and the ranks of
@@ -251,21 +260,23 @@ def _first_failures(facet_masks, dim: int, chars) -> dict[int, tuple[int, int] |
     are visited by increasing dimension, then lexicographically, once for
     all fields: only the empty face and intersections of facets with
     fewer than ``dim`` vertices (any other link is a cone or has
-    dimension < 1), so a graph's walk visits the empty face alone.  A
-    1-dimensional link is decided by connectivity, for every field at
-    once; any other is reduced to its core, passes if that is one
-    simplex, fails or passes by its one Betti number if that is the
-    boundary of a simplex, and is otherwise measured over every field
-    still passing (``_betti_per_field``).  A field leaves the walk at its
-    first failure, and the walk ends when no field is left.
+    dimension < 1), so a graph's walk visits the empty face alone.  The
+    empty face comes first, and the intersections are built and sorted
+    (``_walk_faces``) only if the walk gets past it.  A 1-dimensional
+    link is decided by connectivity, for every field at once; any other
+    is reduced to its core, passes if that is one simplex, fails or
+    passes by its one Betti number if that is the boundary of a simplex,
+    fails in degree 1 over every field by the Euler rule
+    (``_euler_fails``) if it is 2-dimensional, and is otherwise measured
+    over every field still passing (``_betti_per_field``).  A field
+    leaves the walk at its first failure, and the walk ends when no
+    field is left.
     """
     failures: dict[int, tuple[int, int] | None] = dict.fromkeys(chars)
     pending = list(failures)
-    closure = [0] if dim == 1 else _facet_intersections(facet_masks)  # a graph: the empty face
-    faces = [m for m in closure if m.bit_count() < dim]
-    for fmask in sorted(faces, key=_face_order):
-        if not pending:
-            break
+    if not pending:
+        return failures
+    for fmask in _walk_faces(facet_masks, dim):
         link = [g ^ fmask for g in facet_masks if g & fmask == fmask]
         link_dim = dim - fmask.bit_count()
         if link_dim == 1:  # a nonempty graph: only H~_0 can fail
@@ -284,13 +295,58 @@ def _first_failures(facet_masks, dim: int, chars) -> dict[int, tuple[int, int] |
                     failures[char] = fmask, sphere
                 break
             continue
+        if link_dim == 2 and _euler_fails(core):
+            for char in pending:
+                failures[char] = fmask, 1
+            break
         bettis = _betti_per_field(core, pending)
         for char in pending:
             degree = next((i for i in range(-1, link_dim) if bettis[char].get(i, 0)), None)
             if degree is not None:
                 failures[char] = fmask, degree
         pending = [char for char in pending if failures[char] is None]
+        if not pending:
+            break
     return failures
+
+
+def _walk_faces(facet_masks, dim: int):
+    """The faces ``_first_failures`` visits, in ``_face_order``, the empty face first.
+
+    The other faces, the intersections of facets with fewer than ``dim``
+    vertices, are built and sorted only when the walk asks for the
+    second face; a graph (``dim`` 1) has none.
+    """
+    if dim < 1:
+        return
+    yield 0
+    if dim > 1:
+        closure = _facet_intersections(facet_masks)
+        yield from sorted((m for m in closure if 0 < m.bit_count() < dim), key=_face_order)
+
+
+def _euler_fails(core) -> bool:
+    """True when a link's core of dimension <= 2 has reduced Euler characteristic < 0 and is connected.
+
+    Such a core has H~_-1 = H~_0 = 0 over every field, so its reduced
+    Euler characteristic is b~_2 - b~_1, and a negative one forces
+    b~_1 > 0: the link fails in degree 1 over every field.
+    """
+    support = triangles = 0
+    edges = set()
+    for m in core:  # the core is 2-dimensional at most
+        support |= m
+        size = m.bit_count()
+        if size == 3:
+            triangles += 1
+            rest = m
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                edges.add(m ^ bit)
+        elif size == 2:
+            edges.add(m)
+    return support.bit_count() - len(edges) + triangles - 1 < 0 and _is_connected(core)
 
 
 def _result(char: int, failure: tuple[int, int] | None) -> CohenMacaulayResult:

@@ -26,10 +26,23 @@ join the components (for F empty, lk F is D and g1, g2 are disjoint).
 So ``_s2_witness`` visits those faces in ``_face_order`` and finds the
 first failing face of the full traversal.  One complex at a time it
 intersects every pair of facets, sorts the small intersections and
-reads each visited link off the facets.  ``vdw sweep`` keeps the faces
-in an ``_S2Walk`` per column k instead: the facets of vdW(n, k) that
-avoid n are those of vdW(n - 1, k), so the intersections and the facets
-holding each face only grow, by the facets through n.
+reads each visited link off the facets.
+
+Most (S2) complexes need no walk.  A shellable complex is
+Cohen-Macaulay over every field (Bjorner; Stanley), so it satisfies
+(S2) and its dual ideal is linearly presented.  When dim D >= 2,
+``is_linearly_presented`` first runs the greedy shelling pass
+(``_kernels.greedy_shelling``) on D in canonical order, as
+``homology.cohen_macaulay_by_field`` runs it on a complex, and an order
+it finds decides the ideal with no face visited.  A pass that stops at
+a dead end decides nothing, and the walk runs on the complements in
+generator order, so a witness is the one the walk alone finds.  A graph
+(dim D = 1) gets no pass: its walk is one connectivity test.
+
+``vdw sweep`` decides linear presentation with no pass, and keeps the
+faces of the walk in an ``_S2Walk`` per column k: the facets of vdW(n, k) that avoid n are
+those of vdW(n - 1, k), so the intersections and the facets holding
+each face only grow, by the facets through n.
 
 A face F whose link is disconnected is mapped to a witness pair (i, j):
 i is the first facet containing F and j the first facet containing F in
@@ -51,6 +64,7 @@ from heapq import heappop, heappush
 from operator import or_
 from typing import Iterable
 
+from vdwcomplex import _kernels
 from vdwcomplex.complexes import (
     SimplicialComplex,
     Vertices,
@@ -221,9 +235,12 @@ def is_linearly_presented(ideal: MonomialIdeal) -> LinearPresentationResult:
     """Is the first syzygy module generated by the linear Taylor syzygies?
 
     Requires an equigenerated ideal.  This is Serre's (S2) on the
-    complex whose facets are the generator complements: the first face,
-    by dimension and then lexicographically, whose link has dimension
-    >= 1 and is disconnected is mapped to a witness pair (see the module
+    complex D whose facets are the generator complements.  When
+    dim D >= 2 and the greedy shelling pass finds an order of D, D is
+    shellable, so Cohen-Macaulay, so (S2), and the ideal is linearly
+    presented with no face visited.  Otherwise the first face, by
+    dimension and then lexicographically, whose link has dimension >= 1
+    and is disconnected is mapped to a witness pair (see the module
     docstring).
     """
     if not ideal.is_equigenerated:
@@ -232,7 +249,11 @@ def is_linearly_presented(ideal: MonomialIdeal) -> LinearPresentationResult:
     if len(masks) <= 1:
         return LinearPresentationResult(True)
     full = (1 << ideal.n) - 1
-    witness = _s2_witness([full & ~m for m in masks], ideal.n - masks[0].bit_count() - 1)
+    facets = [full & ~m for m in masks]  # D, in reverse canonical order
+    dim = ideal.n - masks[0].bit_count() - 1
+    if dim >= 2 and _kernels.greedy_shelling(facets[::-1]) is not None:
+        return LinearPresentationResult(True)
+    witness = _s2_witness(facets, dim)
     return LinearPresentationResult(witness is None, witness)
 
 

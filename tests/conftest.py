@@ -13,9 +13,12 @@ linear system.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 
 from vdwcomplex.certify import (
     _chain_complex,
@@ -75,6 +78,19 @@ def random_pure_complex(rng, max_vertices: int = 7, min_vertices: int = 3) -> Si
     count = rng.randint(1, min(12, len(universe)))
     facets = rng.sample(universe, count)
     return SimplicialComplex.from_facets(m, facets)
+
+
+def benchmark_random_pure(seed: int) -> list[SimplicialComplex]:
+    """The complexes of the random-pure benchmark workload at ``seed``, in its order."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_run", perfbench / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(perfbench))  # run.py imports its neighbour spans.py
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(perfbench))
+    return [SimplicialComplex.from_facets(n, f) for n, f, _ in module.random_pure_facets(seed)]
 
 
 # -- complex-structure oracles ----------------------------------------

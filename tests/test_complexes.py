@@ -142,6 +142,13 @@ class TestDimensionPurity:
         assert SimplicialComplex.from_facets(2, []).is_pure
         assert SimplicialComplex.from_facets(2, [[]]).is_pure
 
+    def test_read_once_and_kept_out_of_equality(self):
+        cx = SimplicialComplex.from_facets(4, [[1, 2], [3]])
+        assert (cx.dim, cx.is_pure) == (1, False)
+        assert vars(cx)["dim"] == 1 and vars(cx)["is_pure"] is False  # cached
+        fresh = SimplicialComplex.from_facets(4, [[1, 2], [3]])
+        assert cx == fresh and hash(cx) == hash(fresh) and "dim" not in vars(fresh)
+
 
 class TestLinkDeletion:
     def test_link_examples(self):

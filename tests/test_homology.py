@@ -394,6 +394,19 @@ def _record_chain_complexes(monkeypatch):
     return built
 
 
+def _record_euler_rule(monkeypatch):
+    """Record each verdict of the Euler rule: True where it decided a link."""
+    verdicts = []
+    rule = homology._euler_fails
+
+    def recording(core):
+        verdicts.append(rule(core))
+        return verdicts[-1]
+
+    monkeypatch.setattr(homology, "_euler_fails", recording)
+    return verdicts
+
+
 def _record_rational_eliminations(monkeypatch):
     """Record, per rational elimination, the complex whose homology it serves."""
     measured = []
@@ -571,7 +584,8 @@ class TestShellingFastPath:
 
     FIELDS = ("Q", "F2", "Fp:3")
 
-    def test_every_pure_antichain_of_dimension_2_on_5_vertices(self):
+    def test_every_pure_antichain_of_dimension_2_on_5_vertices(self, monkeypatch):
+        fired = _record_euler_rule(monkeypatch)
         shelled = checked = 0
         for masks in enumerate_antichains(5):
             if not masks or len({m.bit_count() for m in masks}) != 1 or masks[0].bit_count() < 3:
@@ -585,6 +599,7 @@ class TestShellingFastPath:
                 shelled += 1
             checked += 1
         assert shelled > 100 and checked - shelled > 50
+        assert any(fired)  # the Euler rule's witnesses are held against the naive ones too
 
     def test_octahedron_builds_no_chain_complex(self, monkeypatch):
         # the boundary of the cross-polytope: a 2-sphere with no dominated vertex
@@ -595,6 +610,47 @@ class TestShellingFastPath:
         built = _record_chain_complexes(monkeypatch)
         assert all(homology.cohen_macaulay_by_field(octahedron, self.FIELDS))
         assert built == []
+
+
+class TestEulerRule:
+    """A connected 2-dimensional core with reduced Euler characteristic < 0 fails in degree 1."""
+
+    FIELDS = ("Q", "F2", "Fp:3")
+
+    # the 5-vertex Moebius band: its own core, connected, with 5 - 10 + 5 - 1 = -1
+    MOEBIUS = SimplicialComplex.from_facets(5, [(1, 2, 3), (2, 3, 4), (3, 4, 5), (1, 4, 5), (1, 2, 5)])
+
+    def _walk(self, monkeypatch, cx):
+        fired = _record_euler_rule(monkeypatch)
+        built = _record_chain_complexes(monkeypatch)
+        fast = [r.to_dict() for r in homology.cohen_macaulay_by_field(cx, self.FIELDS)]
+        monkeypatch.undo()
+        assert fast == [_cohen_macaulay_naive(cx, f).to_dict() for f in self.FIELDS], cx.facets
+        return fast, fired, built
+
+    def test_projective_plane_is_left_to_the_ranks(self, monkeypatch):
+        # chi~(RP^2) = 6 - 15 + 10 - 1 = 0: the rule decides nothing, and
+        # only the ranks see its F2 homology in degree 1
+        (q, f2, f3), fired, built = self._walk(monkeypatch, RP2)
+        assert fired == [False] and built
+        assert q["cohen_macaulay"] and f3["cohen_macaulay"]
+        assert (f2["witness_face"], f2["witness_degree"]) == ([], 1)
+
+    def test_moebius_band_fails_at_the_empty_face(self, monkeypatch):
+        def no_closure(facet_masks):
+            raise AssertionError("the walk went past the empty face")
+
+        monkeypatch.setattr(homology, "_facet_intersections", no_closure)
+        fast, fired, built = self._walk(monkeypatch, self.MOEBIUS)
+        assert fired == [True] and built == []
+        assert [(r["witness_face"], r["witness_degree"]) for r in fast] == [([], 1)] * 3
+
+    def test_cone_over_the_moebius_band_fails_at_its_apex(self, monkeypatch):
+        # the empty face's link and lk v for v in the band are cones; lk 6 is the band
+        cone = SimplicialComplex.from_facets(6, [f + (6,) for f in self.MOEBIUS.facets])
+        fast, fired, built = self._walk(monkeypatch, cone)
+        assert fired == [True] and built == []
+        assert [(r["witness_face"], r["witness_degree"]) for r in fast] == [([6], 1)] * 3
 
 
 class TestFieldsInOneWalk:

@@ -5,17 +5,21 @@ from itertools import combinations
 
 import pytest
 from conftest import (
+    RP2,
     _linearly_joined,
     _linearly_presented_by_pairs,
+    benchmark_random_pure,
     complex_from_masks,
     enumerate_antichains,
     linear_presentation_oracle,
 )
 
+from vdwcomplex import _kernels, ideals
 from vdwcomplex.certify import _chain_complex
 from vdwcomplex.complexes import SimplicialComplex, _canonical, _face_order, _is_connected, pack
 from vdwcomplex.decompose import _Column
 from vdwcomplex.ideals import (
+    LinearPresentationResult,
     MonomialIdeal,
     _S2Walk,
     _s2_witness,
@@ -208,9 +212,26 @@ class TestLinearPresentation:
             assert got == _linearly_presented_by_pairs(ideal).value
 
 
+def _shelled(cx) -> bool:
+    """Does the greedy pass decide linear presentation of ``cx``'s dual ideal?"""
+    return cx.dim >= 2 and _kernels.greedy_shelling(list(cx.facet_masks)) is not None
+
+
+def _s2_walk(ideal) -> dict:
+    """``is_linearly_presented(ideal).to_dict()`` as the (S2) walk alone finds it."""
+    masks = ideal.generator_masks
+    if len(masks) <= 1:
+        return LinearPresentationResult(True).to_dict()
+    full = (1 << ideal.n) - 1
+    witness = _s2_witness([full & ~m for m in masks], ideal.n - masks[0].bit_count() - 1)
+    return LinearPresentationResult(witness is None, witness).to_dict()
+
+
 def assert_fast_matches_graph_search(ideal):
-    """The (S2) path agrees with the pair-by-pair graph search; its witness replays."""
+    """The decider gives the (S2) walk's result, greedy pass or not, and agrees with
+    the pair-by-pair graph search; its witness replays."""
     fast = is_linearly_presented(ideal)
+    assert fast.to_dict() == _s2_walk(ideal)
     assert fast.value == _linearly_presented_by_pairs(ideal).value
     if fast.value:
         assert fast.witness is None
@@ -224,14 +245,16 @@ def assert_fast_matches_graph_search(ideal):
 
 class TestSerreFastPath:
     def test_every_pure_complex_on_up_to_5_vertices(self):
-        negatives = 0
+        negatives = shelled = 0
         for n in range(1, 6):
             for masks in enumerate_antichains(n):
                 if masks and len({m.bit_count() for m in masks}) == 1:
-                    ideal = dual_ideal(complex_from_masks(n, masks))
+                    cx = complex_from_masks(n, masks)
+                    ideal = dual_ideal(cx)
                     assert_fast_matches_graph_search(ideal)
                     negatives += not is_linearly_presented(ideal).value
-        assert negatives > 100
+                    shelled += _shelled(cx)
+        assert negatives > 100 and shelled > 100
 
     def test_random_pure_complexes_on_6_to_9_vertices(self):
         rng = random.Random(6029)
@@ -297,6 +320,45 @@ class TestSerreFastPath:
         ideal = dual_ideal(cx)
         assert is_linearly_presented(ideal).witness == (0, 1)
         assert_fast_matches_graph_search(ideal)
+
+
+class TestShellingFastPath:
+    """A greedy shelling order of D decides linear presentation as the (S2) walk does."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_random_pure_benchmark_complexes(self, seed):
+        shelled = checked = 0
+        for cx in benchmark_random_pure(seed):
+            assert_fast_matches_graph_search(dual_ideal(cx))
+            shelled += _shelled(cx)
+            checked += 1
+        assert checked == 1920 and 1000 < shelled < checked
+
+    def test_walk_skipped_only_for_a_shelled_dual_of_dimension_2_or_more(self, monkeypatch):
+        walked = []
+        walk = ideals._s2_witness
+
+        def recording(facets, dim):
+            walked.append(dim)
+            return walk(facets, dim)
+
+        monkeypatch.setattr(ideals, "_s2_witness", recording)
+        # D is vdW(6, 2), which the greedy pass shells, and vdW(8, 4), of dimension 4
+        for cx in (vdw_complex(6, 2), vdw_complex(8, 4)):
+            assert is_linearly_presented(dual_ideal(cx)).value
+        assert walked == []
+        # RP^2 is not shellable but satisfies (S2): the pass fails and the walk decides
+        assert is_linearly_presented(dual_ideal(RP2)).value and walked == [2]
+
+        def no_pass(masks):
+            raise AssertionError("the greedy pass ran on a graph")
+
+        # a graph gets the walk, one connectivity test, and no pass
+        monkeypatch.setattr(_kernels, "greedy_shelling", no_pass)
+        square = SimplicialComplex.from_facets(4, [[1, 2], [1, 4], [2, 3], [3, 4]])
+        assert is_linearly_presented(dual_ideal(square)).value and walked == [2, 1]
+        edges = SimplicialComplex.from_facets(4, [[1, 2], [3, 4]])
+        assert is_linearly_presented(dual_ideal(edges)).witness == (0, 1) and walked == [2, 1, 1]
 
 
 def _link_vertices(facets, face: int) -> int:
