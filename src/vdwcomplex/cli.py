@@ -100,17 +100,14 @@ def compute_record(
 
     ``column``, the sweep column k (see :class:`_Column`), last held
     vdW(n - 1, k); a fresh one is used when it is None.  It grows vdW(n, k)
-    before any ``ms`` starts, and folds the new facets into a state in the
-    ``ms`` of the first check that reads it.  VD is decided once, in
-    ``vd``'s ``ms`` when that check is selected, else in ``shellable``'s,
-    which hands the result and the column to :func:`_shellable`: a
-    vertex-decomposable complex is shelled in its tree's order, walking
-    only the nodes the previous record's replay did not cover.
-
-    The shellable and linpres checks share one (S2) walk
-    (``column.s2_witness``), run at most once per record, when a check needs
-    it (linpres always, shellable only with no shedding tree), in the
-    ``ms`` of the first check that runs it.
+    before any ``ms`` starts.  Its two carried verdicts, VD and the (S2)
+    witness, each fold in the new facets and are decided once per record,
+    in the ``ms`` of the first check that reads them.  VD is read by ``vd``
+    and by ``shellable``, which hands the result and the column to
+    :func:`_shellable`: a vertex-decomposable complex is shelled in its
+    tree's order, walking only the nodes the previous record's replay did
+    not cover.  The (S2) witness (``column.s2_witness``) is read by linpres
+    always, and by shellable only with no shedding tree.
     """
     if column is None:
         column = _Column(k)
@@ -130,23 +127,16 @@ def compute_record(
     rows = []
     if "vd" in checks:
         rows.append((["vd"], pred.vertex_decomposable, lambda: [_vertex_decomposable(column)]))
-    witness: list = []  # the (S2) witness, once computed
-
-    def s2_witness():
-        if not witness:
-            witness.append(column.s2_witness())
-        return witness[0]
-
     if "shellable" in checks:
         shellable = lambda: [
-            _shellable(cx, budget, _vertex_decomposable(column), s2_witness, column)
+            _shellable(cx, budget, _vertex_decomposable(column), column.s2_witness, column)
         ]
         rows.append((["shellable"], pred.shellable, shellable))
     if "cm" in checks:  # one Reisner walk for every field
         keys = [_cm_key(c) for c in field_chars]
         rows.append((keys, pred.cohen_macaulay, lambda: cohen_macaulay_by_field(cx, field_chars)))
     if "linpres" in checks:
-        presented = lambda: [LinearPresentationResult(s2_witness() is None)]
+        presented = lambda: [LinearPresentationResult(column.s2_witness() is None)]
         rows.append((["linearly_presented"], pred.cohen_macaulay, presented))  # (S2) on cx, no ideal
     ms: dict = {}
     for keys, _, decide in rows:

@@ -21,9 +21,11 @@ tree, which ``certify`` replays with no help from this module.
 
 ``vdw sweep`` carries one :class:`_Column` down each column k.  The
 deletion of n in vdW(n, k) is vdW(n - 1, k), so a record adds only the
-facets through n, folds each once into the state a check reads (the
-ridge map here, the (S2) walk's faces in ``ideals._S2Walk``), and
-searches only n's link when n sheds.
+facets through n and folds each once into the state a check reads (the
+ridge map here, the (S2) walk's faces in ``ideals._S2Walk``).  Each
+record's tree goes into the column's memo under its facet masks, so when
+n sheds, the search, which tries n first, finds n's deletion there and
+searches only n's link.
 
 Shellability is decided from certificates where they exist, and by a
 depth-first search over facet prefixes otherwise (see :func:`is_shellable`
@@ -149,13 +151,16 @@ def _search(
     while rest:
         bit = 1 << (rest.bit_length() - 1)
         rest ^= bit
-        # every facet of the link has the bit cleared: the order is kept
-        link = tuple(m ^ bit for m in masks if m & bit)
-        link_tree = _decide(link, memo, ends, face | bit, gone)
+        link, deletion = [], []  # one pass; the link's facets lose the bit, keeping the order
+        for m in masks:
+            if m & bit:
+                link.append(m ^ bit)
+            else:
+                deletion.append(m)
+        link_tree = _decide(tuple(link), memo, ends, face | bit, gone)
         if link_tree is None:  # every link of a vertex-decomposable complex is one
             return None
-        deletion = tuple(m for m in masks if not m & bit)
-        deletion_tree = _decide(deletion, memo, ends, face, gone | bit)
+        deletion_tree = _decide(tuple(deletion), memo, ends, face, gone | bit)
         if deletion_tree is None:
             continue
         return SheddingTree("shed", bit.bit_length(), link_tree, deletion_tree)
@@ -179,31 +184,22 @@ def is_vertex_decomposable(cx: SimplicialComplex, memo: dict | None = None) -> D
         raise ValueError("vertex decomposability is defined for pure complexes")
     if memo is None:
         memo = {}
-    masks = cx.facet_masks
-    tree = memo.get(masks, _MISSING)
-    if tree is _MISSING:
-        tree = memo[masks] = _search(masks, memo, _ends(masks))
+    tree = _decide(cx.facet_masks, memo, _ends(cx.facet_masks))
     return DecompositionResult(tree is not None, tree)
 
 
 def _vertex_decomposable(column: _Column) -> DecompositionResult:
     """:func:`is_vertex_decomposable` on the column's complex, decided once per record.
 
-    Candidates, ``ends`` and memo are the column's.  A shedding new vertex n
-    is tried first: its link is the added facets less n, its deletion the last.
+    Candidates, ``ends`` and memo are the column's, and the tree goes into
+    the memo.  A shedding new vertex n is tried first, and its deletion,
+    the last record's complex, is found there.
     """
     if column.vd is None:
         column._fold_vd()
-        masks, memo, ends = column.cx.facet_masks, column.memo, column.ends
-        candidates, top = column.support & ~column.lonely, 1 << (column.cx.n - 1)
-        if column.through is None or not candidates & top:
-            tree = _search(masks, memo, ends, candidates=candidates)
-        elif (link := _decide(tuple(h ^ top for h in column.through), memo, ends, top)) is None:
-            tree = None  # every link of a vertex-decomposable complex is one
-        elif column.previous.tree is not None:
-            tree = SheddingTree("shed", column.cx.n, link, column.previous.tree)
-        else:  # the deletion fails: on to the next candidate, as in _search
-            tree = _search(masks, memo, ends, candidates=candidates ^ top)
+        masks, memo = column.cx.facet_masks, column.memo
+        candidates = column.support & ~column.lonely
+        tree = memo[masks] = _search(masks, memo, column.ends, candidates=candidates)
         column.vd = DecompositionResult(tree is not None, tree)
     return column.vd
 
@@ -216,11 +212,12 @@ class _Column:
     ``ideals._S2Walk`` over ``added``) fold in, once, those they have not
     seen, when a check reads them.  VD: ``ends`` is :func:`_ends` of the
     complex, ``singles`` counts per vertex bit x the ridges F - x held by
-    F alone, and ``support & ~lonely`` are the shedding vertices.  ``vd``
-    is the record's verdict, ``previous`` the last one's, kept with
-    ``through`` (the added facets) when the last complex is the new
-    vertex's deletion, and ``replay`` the last verified
-    ``(tree, facets, order)`` (see ``_shellable``).
+    F alone, and ``support & ~lonely`` are the shedding vertices.  ``memo``
+    maps every complex decided in the column, each record's included, and
+    their subproblems to their trees (see :func:`_decide`).  Each record
+    decides once, on first read: ``vd`` is its verdict and ``witness``
+    its (S2) witness (unset while ``_MISSING``).  ``replay`` is the last
+    verified ``(tree, facets, order)`` (see ``_shellable``).
     """
 
     def __init__(self, k: int) -> None:
@@ -229,7 +226,8 @@ class _Column:
         self.added: list[int] = []
         self.vd_folded = self.support = self.lonely = 0
         self.memo, self.ends, self.singles = {}, {}, {}
-        self.vd = self.previous = self.through = self.replay = None
+        self.vd = self.replay = None
+        self.witness = _MISSING
         self.s2 = _S2Walk(k, self.added)
 
     def grow(self, n: int) -> SimplicialComplex:
@@ -243,16 +241,15 @@ class _Column:
 
     def _extend(self, cx: SimplicialComplex, new) -> None:
         """Make ``cx``, the last complex's facets and ``new`` in canonical order, the column's."""
-        top = 1 << (cx.n - 1)
-        grew = self.cx is not None and self.cx.n == cx.n - 1 and all(h & top for h in new)
-        self.previous, self.vd = self.vd, None
-        self.through = new if grew and self.previous is not None else None
+        self.vd, self.witness = None, _MISSING
         self.cx = cx
         self.added += new
 
     def s2_witness(self) -> tuple[int, int] | None:
-        """``ideals._s2_witness`` of the column's complex, from the (S2) walk it carries."""
-        return self.s2.witness(self.cx.facet_masks)
+        """The complex's ``ideals._s2_witness``, from the (S2) walk carried, run once per record."""
+        if self.witness is _MISSING:
+            self.witness = self.s2.witness(self.cx.facet_masks)
+        return self.witness
 
     def _fold_vd(self) -> None:
         ends, singles, lonely = self.ends, self.singles, self.lonely

@@ -436,16 +436,16 @@ class TestSharedS2Witness:
     @staticmethod
     def _counting_walk(monkeypatch):
         calls = []
-        walk = decompose._Column.s2_witness
+        walk = ideals._S2Walk.witness
 
-        def counting(column):
-            calls.append(column.k)
-            return walk(column)
+        def counting(s2, masks):
+            calls.append(s2.dim)
+            return walk(s2, masks)
 
         def public_walk(*args):
             raise AssertionError("the shellable check ran its own (S2) walk")
 
-        monkeypatch.setattr(decompose._Column, "s2_witness", counting)
+        monkeypatch.setattr(ideals._S2Walk, "witness", counting)
         monkeypatch.setattr(decompose, "_s2_witness", public_walk)
         return calls
 

@@ -337,6 +337,7 @@ class TestVDColumn:
                 fresh = is_vertex_decomposable(cx)
                 assert res.value is fresh.value and _tree_json(res) == _tree_json(fresh), (n, k)
                 assert _vertex_decomposable(column) is res  # decided once per record
+                assert column.memo[cx.facet_masks] is res.tree, (n, k)
                 decomposable += res.value
         grid = [(n, k) for n in range(2, 65) for k in range(1, n)]
         assert decomposable == sum(classify_closed_form(n, k).vertex_decomposable for n, k in grid)
@@ -371,7 +372,7 @@ class TestVDColumn:
         assert _vertex_decomposable(column).value is False
         path = complex_from_masks(5, (0b00011, 0b10010, 0b01100, 0b10100))
         column._extend(path, [0b10010, 0b10100])
-        assert column.through == [0b10010, 0b10100]
+        assert column.memo[edges.facet_masks] is None  # 5's deletion, the last record
         res = _vertex_decomposable(column)
         assert res.value and _tree_json(res) == _tree_json(is_vertex_decomposable(path))
 
