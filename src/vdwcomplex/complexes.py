@@ -11,7 +11,8 @@ This module owns that face format for the whole package: it packs and
 checks vertex input from callers (:func:`_pack_checked`, the one
 tuple-checking path), keeps the maximal members of a family
 (:func:`_absorb`), puts masks in canonical order (:func:`_canonical`),
-orders faces for the link walks (:func:`_face_order`) and validates
+orders faces for the link walks (:func:`_face_order`, and
+:func:`_in_face_order`, which sorts one size at a time) and validates
 canonical antichains of masks (:func:`_check_antichain`), which every
 complex and ideal passes, however it was built.
 
@@ -36,7 +37,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 MAX_VERTICES = 64
 
@@ -108,6 +109,23 @@ def _face_order(mask: int) -> int:
     return mask.bit_count() << MAX_VERTICES | int.from_bytes(word, "big")
 
 
+def _in_face_order(faces: Iterable[int], below: int) -> Iterator[int]:
+    """The faces with fewer than ``below`` vertices, in ``_face_order``.
+
+    They are bucketed by size, and a bucket is sorted only when the
+    caller reads that far, so a walk that stops early sorts no larger
+    face.  Single vertices sort as ints, which is their lexicographic
+    order.
+    """
+    buckets: list[list[int]] = [[] for _ in range(below)]
+    for m in faces:
+        size = m.bit_count()
+        if size < below:
+            buckets[size].append(m)
+    for size, bucket in enumerate(buckets):
+        yield from sorted(bucket) if size < 2 else sorted(bucket, key=_lex_order)
+
+
 def _absorb(masks: Iterable[int]) -> list[int]:
     """Inclusion-maximal members of a family of face masks.
 
@@ -148,12 +166,23 @@ def _component(masks: Iterable[int], seed: int) -> int:
 
 
 def _is_connected(masks: Iterable[int]) -> bool:
-    """True iff the union of the faces ``masks`` is connected through shared vertices."""
-    masks = list(masks)
-    union = 0
+    """True iff the union of the faces ``masks`` is connected through shared vertices.
+
+    One pass: ``parts`` holds the vertex masks of the components of the
+    faces seen so far, and each nonempty face merges every part it meets.
+    """
+    parts: list[int] = []
     for m in masks:
-        union |= m
-    return _component(masks, union & -union) == union
+        if m:
+            apart = []
+            for p in parts:
+                if p & m:
+                    m |= p
+                else:
+                    apart.append(p)
+            apart.append(m)
+            parts = apart
+    return len(parts) <= 1
 
 
 def _check_universe(n: int) -> None:
@@ -174,14 +203,18 @@ def _check_antichain(n: int, masks: tuple[int, ...], noun: str, fresh=None) -> N
     ``fresh`` lists the increasing positions of members added to a pure
     canonical antichain: only they are checked, for range, and for size and
     strict order against both neighbours, which keeps the whole list so.
+    An empty ``fresh`` checks no member: the caller holds the list to be a
+    canonical antichain already, pure or not.
     """
     _check_universe(n)
     if fresh is not None:
+        if any(masks[p] >> n for p in fresh):
+            raise ValueError(f"added {noun}s must have their vertices in 1..{n}")
         for p in fresh:
             near = masks[max(p - 1, 0) : p + 2]
             for a, b in zip(near, near[1:]):
-                if a.bit_count() != b.bit_count() or not (a ^ b) & -(a ^ b) & a or masks[p] >> n:
-                    raise ValueError(f"added {noun}s must be in 1..{n}, of one size and in order")
+                if a.bit_count() != b.bit_count() or not (a ^ b) & -(a ^ b) & a:
+                    raise ValueError(f"added {noun}s must be of one size and in order")
         return
     if any(m >> n for m in masks):
         raise ValueError(f"{noun}s must have their vertices in 1..{n}")

@@ -44,8 +44,8 @@ once.  Each link's core, chain complex, boundary check and mod-2 ranks
 are computed once for all fields still passing, and a field drops out
 at its first failing link.  The empty face comes first in the walk's
 order, and its link is the complex itself, so it is tested before the
-intersections of facets are built and sorted; a walk that ends there
-builds none.
+intersections of facets are built; a walk that ends there builds none,
+and one that goes on sorts them one size at a time, as it reaches each.
 
 Four more rules spare most links their elimination.  A 1-dimensional
 link is a nonempty graph, so H~_-1 vanishes and H~_0 vanishes iff the
@@ -95,7 +95,7 @@ from vdwcomplex.certify import (
     field_label,
     parse_field,
 )
-from vdwcomplex.complexes import SimplicialComplex, _absorb, _face_order, _is_connected, unpack
+from vdwcomplex.complexes import SimplicialComplex, _absorb, _in_face_order, _is_connected, unpack
 
 @dataclass(frozen=True)
 class HomologyProfile:
@@ -261,8 +261,9 @@ def _first_failures(facet_masks, dim: int, chars) -> dict[int, tuple[int, int] |
     all fields: only the empty face and intersections of facets with
     fewer than ``dim`` vertices (any other link is a cone or has
     dimension < 1), so a graph's walk visits the empty face alone.  The
-    empty face comes first, and the intersections are built and sorted
-    (``_walk_faces``) only if the walk gets past it.  A 1-dimensional
+    empty face comes first, and the intersections are built
+    (``_walk_faces``) only if the walk gets past it, then sorted one size
+    at a time as the walk reaches each.  A 1-dimensional
     link is decided by connectivity, for every field at once; any other
     is reduced to its core, passes if that is one simplex, fails or
     passes by its one Betti number if that is the boundary of a simplex,
@@ -314,15 +315,17 @@ def _walk_faces(facet_masks, dim: int):
     """The faces ``_first_failures`` visits, in ``_face_order``, the empty face first.
 
     The other faces, the intersections of facets with fewer than ``dim``
-    vertices, are built and sorted only when the walk asks for the
-    second face; a graph (``dim`` 1) has none.
+    vertices, are built only when the walk asks for the second face, and
+    sorted one size at a time as the walk reaches it (``_in_face_order``);
+    a graph (``dim`` 1) has none.
     """
     if dim < 1:
         return
     yield 0
     if dim > 1:
         closure = _facet_intersections(facet_masks)
-        yield from sorted((m for m in closure if 0 < m.bit_count() < dim), key=_face_order)
+        closure.discard(0)
+        yield from _in_face_order(closure, dim)
 
 
 def _euler_fails(core) -> bool:

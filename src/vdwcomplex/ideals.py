@@ -25,8 +25,9 @@ its components meet exactly in F, since a further common vertex would
 join the components (for F empty, lk F is D and g1, g2 are disjoint).
 So ``_s2_witness`` visits those faces in ``_face_order`` and finds the
 first failing face of the full traversal.  One complex at a time it
-intersects every pair of facets, sorts the small intersections and
-reads each visited link off the facets.
+intersects every pair of facets, sorts the small intersections one size
+at a time, only as far as the walk goes, and reads each visited link off
+the facets.
 
 Most (S2) complexes need no walk.  A shellable complex is
 Cohen-Macaulay over every field (Bjorner; Stanley), so it satisfies
@@ -74,6 +75,7 @@ from vdwcomplex.complexes import (
     _check_universe,
     _component,
     _face_order,
+    _in_face_order,
     _is_connected,
     _pack_checked,
     unpack,
@@ -107,14 +109,14 @@ class MonomialIdeal:
         self._hold(n, tuple(_pack_checked(n, generators, "generator", increasing=True)))
 
     @classmethod
-    def _from_masks(cls, n: int, masks: tuple[int, ...]) -> "MonomialIdeal":
-        """The ideal whose generator masks are ``masks``, validated as they are."""
+    def _from_masks(cls, n: int, masks: tuple[int, ...], fresh=None) -> "MonomialIdeal":
+        """The ideal whose generator masks are ``masks``, validated as they are, or at ``fresh``."""
         ideal = cls.__new__(cls)
-        ideal._hold(n, masks)
+        ideal._hold(n, masks, fresh)
         return ideal
 
-    def _hold(self, n: int, masks: tuple[int, ...]) -> None:
-        _check_antichain(n, masks, "generator")
+    def _hold(self, n: int, masks: tuple[int, ...], fresh=None) -> None:
+        _check_antichain(n, masks, "generator", fresh)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "generator_masks", masks)
 
@@ -141,7 +143,7 @@ class MonomialIdeal:
 
     @property
     def is_equigenerated(self) -> bool:
-        return len(set(self.degrees)) <= 1
+        return len({m.bit_count() for m in self.generator_masks}) <= 1
 
     def to_dict(self) -> dict:
         return {"n": self.n, "generators": [list(g) for g in self.generators]}
@@ -186,6 +188,12 @@ def dual_ideal(cx: SimplicialComplex) -> MonomialIdeal:
     For a pure complex of dimension k on n vertices every generator has
     degree n - k - 1.  The full simplex has empty complement; its dual
     ideal is returned with no generators.
+
+    No generator is validated again (``fresh=()``): the facets are a
+    validated canonical antichain on 1..n, and their complements, taken
+    in reverse, are one on the same universe.  Complementing reverses
+    inclusion, and of two complements the earlier in the reversed list
+    holds the lowest vertex where the facets differ.
     """
     if cx.is_void:
         raise ValueError("the void complex has no dual ideal")
@@ -193,8 +201,9 @@ def dual_ideal(cx: SimplicialComplex) -> MonomialIdeal:
     if cx.facet_masks == (full,):
         # only the full simplex complements to nothing
         return MonomialIdeal._from_masks(cx.n, ())
-    # complements of an antichain form an antichain, in reverse canonical order
-    return MonomialIdeal._from_masks(cx.n, tuple(full ^ m for m in reversed(cx.facet_masks)))
+    return MonomialIdeal._from_masks(
+        cx.n, tuple(full ^ m for m in reversed(cx.facet_masks)), fresh=()
+    )
 
 
 def taylor_syzygies(ideal: MonomialIdeal) -> tuple[TaylorSyzygy, ...]:
@@ -263,9 +272,11 @@ def _s2_witness(facets, dim: int) -> tuple[int, int] | None:
     ``facets`` is a pure complex of dimension ``dim``.  The pairwise
     intersections with fewer than ``dim`` vertices are visited in
     ``_face_order``; the first whose link is disconnected gives the pair.
+    They are sorted one size at a time (``_in_face_order``), so a walk
+    that fails at a vertex sorts no larger face.
     """
     pairs = {f & g for p, f in enumerate(facets) for g in facets[:p]}
-    faces = sorted((m for m in pairs if m.bit_count() < dim), key=_face_order)
+    faces = _in_face_order(pairs, dim)
     failing = (m for m in faces if not _is_connected([g ^ m for g in facets if g & m == m]))
     face = next(failing, None)
     return None if face is None else _witness_pair(facets, face)

@@ -8,14 +8,14 @@ permutation search, Cohen-Macaulayness by every face and its literal
 link measured with ``certify``'s reference homology, linear presentation
 by the graph search on every generator pair, ranks by fraction Gaussian
 elimination, syzygy membership by solving the multidegree-component
-linear system.
+linear system, connectivity by breadth-first search on the vertex graph.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import sys
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import combinations, permutations
 from pathlib import Path
@@ -94,6 +94,27 @@ def benchmark_random_pure(seed: int) -> list[SimplicialComplex]:
 
 
 # -- complex-structure oracles ----------------------------------------
+
+
+def graph_connected(masks) -> bool:
+    """Are the vertices of the faces ``masks`` joined by paths of shared faces?
+
+    Breadth-first search on the graph that joins two vertices lying in a
+    common face; empty faces add no vertex, and no vertex is connected.
+    """
+    neighbours: dict[int, set[int]] = {}
+    for face in map(unpack, masks):
+        for v in face:
+            neighbours.setdefault(v, set()).update(face)
+    if not neighbours:
+        return True
+    start = min(neighbours)
+    seen, queue = {start}, deque([start])
+    while queue:
+        for w in neighbours[queue.popleft()] - seen:
+            seen.add(w)
+            queue.append(w)
+    return len(seen) == len(neighbours)
 
 
 def brute_force_minimal_nonfaces(cx: SimplicialComplex):

@@ -5,12 +5,18 @@ import dataclasses
 import random
 from pathlib import Path
 
-from conftest import RP2, complex_from_masks, enumerate_antichains, random_pure_complex
+from conftest import (
+    RP2,
+    complex_from_masks,
+    enumerate_antichains,
+    graph_connected,
+    random_pure_complex,
+)
 
 import vdwcomplex
 from vdwcomplex import certify, decompose
 from vdwcomplex.certify import verify_cohen_macaulay_witness, verify_s2_witness
-from vdwcomplex.complexes import SimplicialComplex, _is_connected
+from vdwcomplex.complexes import SimplicialComplex
 from vdwcomplex.decompose import is_shellable, is_vertex_decomposable
 from vdwcomplex.homology import cohen_macaulay_by_field, is_cohen_macaulay
 from vdwcomplex.ideals import _s2_witness
@@ -175,7 +181,7 @@ class TestS2WitnessReplay:
                 for j in range(i + 1, len(masks)):
                     face = masks[i] & masks[j]
                     link = [g ^ face for g in masks if g & face == face]
-                    if cx.dim - face.bit_count() >= 1 and not _is_connected(link):
+                    if cx.dim - face.bit_count() >= 1 and not graph_connected(link):
                         failing.add(face)
                     if verify_s2_witness(cx, (i, j)):
                         accepted.add(face)

@@ -5,11 +5,25 @@ import random
 import time
 
 import pytest
-from conftest import brute_force_minimal_nonfaces, complex_from_masks, enumerate_antichains
+from conftest import (
+    brute_force_minimal_nonfaces,
+    complex_from_masks,
+    enumerate_antichains,
+    graph_connected,
+)
 
 from vdwcomplex import complexes
-from vdwcomplex.complexes import SimplicialComplex, _face_order, pack, unpack
+from vdwcomplex.complexes import (
+    SimplicialComplex,
+    _check_antichain,
+    _face_order,
+    _in_face_order,
+    _is_connected,
+    pack,
+    unpack,
+)
 from vdwcomplex.decompose import is_vertex_decomposable
+from vdwcomplex.homology import _facet_intersections
 from vdwcomplex.ideals import MonomialIdeal, dual_ideal, is_linearly_presented
 from vdwcomplex.vdw import classify_closed_form, progression_facets, vdw_complex
 
@@ -242,6 +256,21 @@ class TestConnectivity:
                         frontier.extend(new)
             assert cx.is_connected() == (len(seen) == len(cx.support)), cx.facets
 
+    def test_every_link_of_every_small_complex_matches_graph_search(self):
+        assert _is_connected([]) and _is_connected([0]) and _is_connected(iter([0, 0b1]))
+        assert not _is_connected([0b01, 0, 0b10]) and _is_connected([0b01, 0, 0b11])
+        checked = disconnected = 0
+        for n in range(1, 6):
+            for masks in enumerate_antichains(n):
+                faces = {m for g in masks for m in range(g + 1) if m & g == m}
+                families = [list(masks), list(masks) + [0], [0, *masks]]
+                families += [[g ^ f for g in masks if g & f == f] for f in faces]
+                for family in families:
+                    assert _is_connected(family) == graph_connected(family), (n, family)
+                    checked += 1
+                    disconnected += not graph_connected(family)
+        assert checked > 100_000 and disconnected > 10_000
+
 
 class TestMinimalNonfaces:
     def test_vdw52(self):
@@ -384,6 +413,8 @@ class TestCanonicalForm:
                     _assert_same(cx.alexander_dual(), dual)
                 complements = [] if masks == (full,) else sorted(unpack(full & ~m) for m in masks)
                 _assert_same(dual_ideal(cx), complements, MonomialIdeal)
+                # dual_ideal validates no generator: its complements pass the full validator
+                _check_antichain(n, dual_ideal(cx).generator_masks, "generator")
                 checked += 1
         assert checked == 7773
         assert not_face_ordered > 0
@@ -401,6 +432,29 @@ class TestCanonicalForm:
     def test_mask_validator_rejects(self, cls, masks):
         with pytest.raises(ValueError):
             cls._from_masks(3, masks)
+
+    @pytest.mark.parametrize("cls", [SimplicialComplex, MonomialIdeal])
+    def test_mask_validator_range_checks_a_lone_fresh_member(self, cls):
+        # a fresh member with no neighbour is still checked for vertices beyond n = 3
+        with pytest.raises(ValueError):
+            cls._from_masks(3, (0b11111,), [0])
+        assert cls._from_masks(3, (0b111,), [0]).n == 3
+
+    def test_walk_order_sorts_one_size_at_a_time(self):
+        closures = [
+            _facet_intersections(masks)
+            for n in range(1, 6)
+            for masks in enumerate_antichains(n)
+        ]
+        closures += [
+            _facet_intersections(vdw_complex(n, k).facet_masks)
+            for n in range(2, 17)
+            for k in range(1, n)
+        ]
+        for closure in closures:
+            for below in range(max(map(int.bit_count, closure)) + 2):
+                expected = sorted((m for m in closure if m.bit_count() < below), key=_face_order)
+                assert list(_in_face_order(closure, below)) == expected, (closure, below)
 
     def test_deciders_build_no_tuples(self, monkeypatch):
         def tuple_view(self):

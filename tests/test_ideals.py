@@ -11,12 +11,13 @@ from conftest import (
     benchmark_random_pure,
     complex_from_masks,
     enumerate_antichains,
+    graph_connected,
     linear_presentation_oracle,
 )
 
 from vdwcomplex import _kernels, ideals
 from vdwcomplex.certify import _chain_complex
-from vdwcomplex.complexes import SimplicialComplex, _canonical, _face_order, _is_connected, pack
+from vdwcomplex.complexes import SimplicialComplex, _canonical, _check_antichain, _face_order, pack
 from vdwcomplex.decompose import _Column
 from vdwcomplex.ideals import (
     LinearPresentationResult,
@@ -290,7 +291,7 @@ class TestSerreFastPath:
             faces = sorted((m for level in _chain_complex(facets)[0] for m in level), key=_face_order)
             for face in faces:
                 link = [g ^ face for g in facets if g & face == face]
-                if dim - face.bit_count() >= 1 and not _is_connected(link):
+                if dim - face.bit_count() >= 1 and not graph_connected(link):
                     return face
             return None
 
@@ -333,6 +334,11 @@ class TestShellingFastPath:
             shelled += _shelled(cx)
             checked += 1
         assert checked == 1920 and 1000 < shelled < checked
+
+    def test_random_pure_dual_generators_pass_the_full_validator(self):
+        # dual_ideal validates no generator: its complements must be a canonical antichain
+        for cx in benchmark_random_pure(1):
+            _check_antichain(cx.n, dual_ideal(cx).generator_masks, "generator")
 
     def test_walk_skipped_only_for_a_shelled_dual_of_dimension_2_or_more(self, monkeypatch):
         walked = []
