@@ -367,13 +367,15 @@ def verify_cohen_macaulay_witness(cx: SimplicialComplex, result) -> bool:
 
 
 def verify_s2_witness(cx: SimplicialComplex, pair) -> bool:
-    """Replay an (S2) witness pair, such as the one ``ideals._s2_witness`` returns.
+    """Replay an (S2) witness pair, such as ``is_linearly_presented``'s on ``cx``'s dual ideal.
 
     ``pair`` is (i, j), two positions into ``cx.facet_masks``.  True iff
     ``cx`` is pure, i and j are integers with 0 <= i < j < #facets, the
     link of F = f_i & f_j has dimension >= 1, and f_i - F and f_j - F lie
     in different components of that literal link.  Such a link refutes
     Serre's (S2), so the dual ideal of ``cx`` is not linearly presented.
+    Generator p of ``dual_ideal(cx)`` is the complement of facet m - 1 - p
+    of m, so the ideal's witness (i, j) replays as (m - 1 - j, m - 1 - i).
     """
     masks = cx.facet_masks
     try:

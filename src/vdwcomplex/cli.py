@@ -22,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 from vdwcomplex.certify import field_label, parse_field, verify_shelling
-from vdwcomplex.complexes import MAX_VERTICES, SimplicialComplex
+from vdwcomplex.complexes import MAX_VERTICES, SimplicialComplex, _check_universe
 from vdwcomplex.decompose import DEFAULT_SHELLING_BUDGET, _Column, _shellable, _vertex_decomposable
 from vdwcomplex.homology import cohen_macaulay_by_field
 from vdwcomplex.ideals import LinearPresentationResult, dual_ideal, taylor_syzygies
@@ -74,8 +74,7 @@ def _nonnegative_int(text: str) -> int:
 
 def _validate_params(n: int, k: int) -> None:
     _validate_vdw_params(n, k)
-    if n > MAX_VERTICES:
-        raise ValueError(f"n must be at most {MAX_VERTICES}, got {n}")
+    _check_universe(n)
 
 
 def compute_record(

@@ -33,14 +33,15 @@ for the order of the steps).  A vertex-decomposable complex is shellable
 in the order its shedding tree gives (Provan-Billera): shell the deletion
 of the shedding vertex x, then x joined to each facet of the link's order.
 That order needs no search (``nodes == 0``).  A shellable complex is
-Cohen-Macaulay over every field, so it satisfies Serre's (S2): every face
-link of dimension >= 1 is connected.  A face whose link fails that
-refutes shellability over every field, and is reported as a degree-0
-Reisner witness over F2; a complex passing (S2) meets the Reisner test
-over F2 next.  A facet may extend a prefix of the search iff its faces
-already covered by placed facets form a nonempty union of its
-codimension-1 faces (equivalent, for pure complexes, to the pairwise
-shelling condition, which ``certify.verify_shelling`` checks literally).
+Cohen-Macaulay over every field, so it satisfies Serre's (S2), Reisner's
+test below degree 1: every face link of dimension >= 1 is connected.
+Its walk (or the column's ``ideals._S2Walk``) reports the first face
+failing it as a degree-0 refutation over F2, valid over every field; a
+complex passing (S2) meets the full Reisner test over F2 next.  A facet
+may extend a prefix of the search iff its faces already covered by
+placed facets form a nonempty union of its codimension-1 faces
+(equivalent, for pure complexes, to the pairwise shelling condition,
+which ``certify.verify_shelling`` checks literally).
 The search memoizes dead prefix sets and reports "undecided" when the
 node budget is exhausted.
 """
@@ -55,7 +56,7 @@ from vdwcomplex import _kernels
 from vdwcomplex.certify import SheddingTree, _tree_order
 from vdwcomplex.complexes import SimplicialComplex, Vertices, pack, unpack
 from vdwcomplex.homology import CohenMacaulayResult, _first_failures, _result
-from vdwcomplex.ideals import _S2Walk, _s2_witness
+from vdwcomplex.ideals import _S2Walk
 from vdwcomplex.vdw import _grown, vdw_complex
 
 DEFAULT_SHELLING_BUDGET = 5_000_000
@@ -216,7 +217,7 @@ class _Column:
     maps every complex decided in the column, each record's included, and
     their subproblems to their trees (see :func:`_decide`).  Each record
     decides once, on first read: ``vd`` is its verdict and ``witness``
-    its (S2) witness (unset while ``_MISSING``).  ``replay`` is the last
+    its (S2) failure (unset while ``_MISSING``).  ``replay`` is the last
     verified ``(tree, facets, order)`` (see ``_shellable``).
     """
 
@@ -246,9 +247,9 @@ class _Column:
         self.added += new
 
     def s2_witness(self) -> tuple[int, int] | None:
-        """The complex's ``ideals._s2_witness``, from the (S2) walk carried, run once per record."""
+        """The complex's (S2) failure ``(face, 0)``, or None: the carried walk, once per record."""
         if self.witness is _MISSING:
-            self.witness = self.s2.witness(self.cx.facet_masks)
+            self.witness = self.s2.witness()
         return self.witness
 
     def _fold_vd(self) -> None:
@@ -278,8 +279,8 @@ class ShellingResult:
     """Outcome of a shellability decision: shellable / not-shellable / undecided.
 
     ``refutation`` is set when a failed test, not the exhausted search,
-    showed the complex is not shellable: an (S2) witness, reported as a
-    degree-0 witness over F2, or a failing Reisner test over F2.
+    showed the complex is not shellable: a failing Reisner test over F2,
+    of the (S2) walk in degree 0 or of the full walk.
     ``order_masks`` is the shelling order as facet masks, None without
     one; ``order`` is the same order as vertex tuples, built on first
     read.  ``ShellingResult(status, order, nodes, refutation)`` takes that
@@ -383,13 +384,13 @@ def is_shellable(
        decomposable, the probe is skipped.  It is the cheap path to the
        positives that come without a tree: it shells all 1306 positives
        of the random-pure benchmark complexes (seed 1).
-    3. Serre's (S2): a face F = f_i & f_j whose link has dimension >= 1
-       and is disconnected refutes shellability over every field.  The
-       ``refutation`` is ``CohenMacaulayResult(False, "Fp:2", F, 0)``: the
-       link's reduced H_0 is nonzero over F2, as over every field.
-    4. The Reisner walk over F2 (``homology._first_failures``), without
-       the greedy pass ``cohen_macaulay_by_field`` would take first: a
-       failing link is the ``refutation``.
+    3. Serre's (S2), the Reisner walk over F2 capped below degree 1: a
+       face F = f_i & f_j whose link has dimension >= 1 and is
+       disconnected refutes shellability over every field.  The
+       ``refutation`` is ``CohenMacaulayResult(False, "Fp:2", F, 0)``.
+    4. The full Reisner walk over F2 (``homology._first_failures``),
+       without the greedy pass ``cohen_macaulay_by_field`` would take
+       first: a failing link is the ``refutation``.
     5. The search under ``budget``, from the start; skipped when the
        probe already had the whole budget.
 
@@ -400,13 +401,14 @@ def is_shellable(
     refutation.  A ``budget`` that is not None or an integer at least 0
     raises ValueError.
     """
-    return _shellable(cx, budget, vd, lambda: _s2_witness(cx.facet_masks, cx.dim))
+    s2_failure = lambda: _first_failures(cx.facet_masks, cx.dim, [2], below=1)[2]
+    return _shellable(cx, budget, vd, s2_failure)
 
 
 def _shellable(
     cx: SimplicialComplex, budget, vd, s2_witness, column: _Column | None = None
 ) -> ShellingResult:
-    """:func:`is_shellable`, taking step 3's witness from ``s2_witness()``.
+    """:func:`is_shellable`, taking step 3's failure ``(face, 0)``, or None, from ``s2_witness()``.
 
     ``s2_witness`` is called at most once, and only when step 3 runs, so a
     caller can share one (S2) walk with its linear-presentation check.
@@ -437,13 +439,8 @@ def _shellable(
         if idx_order is not None:
             return ShellingResult._from_masks("shellable", [masks[i] for i in idx_order], s)
         nodes = min(budget, s) + 1
-    witness = s2_witness()
-    if witness is not None:
-        face = unpack(masks[witness[0]] & masks[witness[1]])
-        s2 = CohenMacaulayResult(False, "Fp:2", face, 0)
-        return ShellingResult("not-shellable", None, nodes, s2)
-    # the walk itself: is_cohen_macaulay would first repeat the greedy pass
-    failure = _first_failures(masks, cx.dim, [2])[2]
+    # (S2), then the walk itself: is_cohen_macaulay would first repeat the greedy pass
+    failure = s2_witness() or _first_failures(masks, cx.dim, [2])[2]
     if failure is not None:
         return ShellingResult("not-shellable", None, nodes, _result(2, failure))
     if vd is None and budget <= s:  # the probe had the whole budget

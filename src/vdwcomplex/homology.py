@@ -46,6 +46,8 @@ at its first failing link.  The empty face comes first in the walk's
 order, and its link is the complex itself, so it is tested before the
 intersections of facets are built; a walk that ends there builds none,
 and one that goes on sorts them one size at a time, as it reaches each.
+Capped below degree 1 it is Serre's (S2), which ``ideals`` and
+``decompose`` run: H~_0 alone, on pairwise intersections of facets.
 
 Four more rules spare most links their elimination.  A 1-dimensional
 link is a nonempty graph, so H~_-1 vanishes and H~_0 vanishes iff the
@@ -84,6 +86,7 @@ replays one witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from vdwcomplex import _kernels
 from vdwcomplex.certify import (
@@ -251,36 +254,35 @@ def reduced_homology(cx: SimplicialComplex, field="Q") -> HomologyProfile:
     return HomologyProfile(field_label(char), {i: betti.get(i, 0) for i in range(-1, cx.dim + 1)})
 
 
-def _first_failures(facet_masks, dim: int, chars) -> dict[int, tuple[int, int] | None]:
+def _first_failures(facet_masks, dim: int, chars, below=None) -> dict[int, tuple[int, int] | None]:
     """Per field in ``chars``, the first face whose link fails Reisner's test, or None.
 
     ``facet_masks`` is a pure complex of dimension ``dim``.  The link of
     a face F fails in degree i when H~_i(lk F) != 0 for some
-    i < dim lk F; a failure is reported as ``(face mask, i)``.  Faces
+    i < dim lk F, and i < 1 if ``below`` is 1, which makes the walk
+    Serre's (S2); a failure is reported as ``(face mask, i)``.  Faces
     are visited by increasing dimension, then lexicographically, once for
     all fields: only the empty face and intersections of facets with
-    fewer than ``dim`` vertices (any other link is a cone or has
-    dimension < 1), so a graph's walk visits the empty face alone.  The
-    empty face comes first, and the intersections are built
-    (``_walk_faces``) only if the walk gets past it, then sorted one size
-    at a time as the walk reaches each.  A 1-dimensional
-    link is decided by connectivity, for every field at once; any other
-    is reduced to its core, passes if that is one simplex, fails or
-    passes by its one Betti number if that is the boundary of a simplex,
-    fails in degree 1 over every field by the Euler rule
-    (``_euler_fails``) if it is 2-dimensional, and is otherwise measured
-    over every field still passing (``_betti_per_field``).  A field
-    leaves the walk at its first failure, and the walk ends when no
-    field is left.
+    fewer than ``dim`` vertices (``_walk_faces``; any other link is a
+    cone or has dimension < 1).  A link tested in degree 0 alone,
+    1-dimensional or capped, is decided by connectivity, for every field
+    at once; any other is reduced to its core, passes if that is one
+    simplex, fails or passes by its one Betti number if that is the
+    boundary of a simplex, fails in degree 1 over every field by the
+    Euler rule (``_euler_fails``) if it is 2-dimensional, and is
+    otherwise measured over every field still passing
+    (``_betti_per_field``).  A field leaves the walk at its first
+    failure, and the walk ends when no field is left.
     """
     failures: dict[int, tuple[int, int] | None] = dict.fromkeys(chars)
     pending = list(failures)
     if not pending:
         return failures
-    for fmask in _walk_faces(facet_masks, dim):
+    capped = below == 1
+    for fmask in _walk_faces(facet_masks, dim, capped):
         link = [g ^ fmask for g in facet_masks if g & fmask == fmask]
-        link_dim = dim - fmask.bit_count()
-        if link_dim == 1:  # a nonempty graph: only H~_0 can fail
+        top = 1 if capped else dim - fmask.bit_count()  # degrees below top are tested
+        if top == 1:  # a nonempty link: H~_0 alone, by connectivity
             if _is_connected(link):
                 continue
             for char in pending:
@@ -291,18 +293,18 @@ def _first_failures(facet_masks, dim: int, chars) -> dict[int, tuple[int, int] |
             continue
         sphere = _sphere_degree(core)
         if sphere is not None:
-            if sphere < link_dim:
+            if sphere < top:
                 for char in pending:
                     failures[char] = fmask, sphere
                 break
             continue
-        if link_dim == 2 and _euler_fails(core):
+        if top == 2 and _euler_fails(core):
             for char in pending:
                 failures[char] = fmask, 1
             break
         bettis = _betti_per_field(core, pending)
         for char in pending:
-            degree = next((i for i in range(-1, link_dim) if bettis[char].get(i, 0)), None)
+            degree = next((i for i in range(-1, top) if bettis[char].get(i, 0)), None)
             if degree is not None:
                 failures[char] = fmask, degree
         pending = [char for char in pending if failures[char] is None]
@@ -311,14 +313,23 @@ def _first_failures(facet_masks, dim: int, chars) -> dict[int, tuple[int, int] |
     return failures
 
 
-def _walk_faces(facet_masks, dim: int):
-    """The faces ``_first_failures`` visits, in ``_face_order``, the empty face first.
+def _walk_faces(facet_masks, dim: int, pairwise: bool):
+    """The faces ``_first_failures`` visits, in ``_face_order``, sorted one size at a time.
 
-    The other faces, the intersections of facets with fewer than ``dim``
-    vertices, are built only when the walk asks for the second face, and
-    sorted one size at a time as the walk reaches it (``_in_face_order``);
-    a graph (``dim`` 1) has none.
+    Below degree 1 (``pairwise``) they are the intersections of two facets
+    with fewer than ``dim`` vertices: facets through F in two components
+    of lk F meet exactly in F, and the empty face is among them iff two
+    facets are disjoint, as they are in a disconnected complex.  Otherwise
+    the empty face comes first, and every intersection of facets is built
+    only when the walk gets past it.  A graph (``dim`` 1) has the empty
+    face alone.
     """
+    if pairwise and dim > 1:
+        return _in_face_order({f & g for f, g in combinations(facet_masks, 2)}, dim)
+    return _empty_face_first(facet_masks, dim)
+
+
+def _empty_face_first(facet_masks, dim: int):
     if dim < 1:
         return
     yield 0

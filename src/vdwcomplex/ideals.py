@@ -18,16 +18,15 @@ pure complex D whose facets are the generator complements, of
 dimension n - d - 1.  The ideal is linearly presented iff k[D] satisfies
 Serre's (S2) (Yanagawa, J. Algebra 225 (2000); Terai's (S_r) form of
 Eagon-Reiner), which holds iff every face link of dimension >= 1 is
-connected, over every field.  Only the pairwise intersections of
-facets with fewer than dim D vertices need a visit: if lk F has
-dimension >= 1 and is disconnected, facets g1, g2 through F in two of
-its components meet exactly in F, since a further common vertex would
-join the components (for F empty, lk F is D and g1, g2 are disjoint).
-So ``_s2_witness`` visits those faces in ``_face_order`` and finds the
-first failing face of the full traversal.  One complex at a time it
-intersects every pair of facets, sorts the small intersections one size
-at a time, only as far as the walk goes, and reads each visited link off
-the facets.
+connected, over every field: Reisner's test below degree 1, which
+``homology._first_failures`` capped there runs.  Only the pairwise
+intersections of facets with fewer than dim D vertices need a visit:
+if lk F has dimension >= 1 and is disconnected, facets g1, g2 through F
+in two of its components meet exactly in F, since a further common
+vertex would join the components (for F empty, lk F is D and g1, g2
+are disjoint).  So the capped walk visits those faces in
+``_face_order``, sorted one size at a time, only as far as it goes, and
+finds the first failing face of the full traversal.
 
 Most (S2) complexes need no walk.  A shellable complex is
 Cohen-Macaulay over every field (Bjorner; Stanley), so it satisfies
@@ -45,13 +44,15 @@ faces of the walk in an ``_S2Walk`` per column k: the facets of vdW(n, k) that a
 those of vdW(n - 1, k), so the intersections and the facets holding
 each face only grow, by the facets through n.
 
-A face F whose link is disconnected is mapped to a witness pair (i, j):
-i is the first facet containing F and j the first facet containing F in
-another component of lk F, so i < j.  The two facets meet exactly in F,
-so lcm(m_i, m_j) has degree n - |F| > d + 1 and the pair is not linear.
-The generators dividing that lcm are the facets containing F, and a
-linear pair among them is two facets sharing a ridge, which lie in one
-component of lk F; so no path of linear pairs joins i to j.
+Every (S2) walk reports its first failing face F as ``(F, 0)``, a
+Reisner failure in degree 0; only ``is_linearly_presented`` maps F to a
+witness pair (i, j): i is the first facet containing F and j the first
+facet containing F in another component of lk F, so i < j.  The two
+facets meet exactly in F, so lcm(m_i, m_j) has degree n - |F| > d + 1
+and the pair is not linear.  The generators dividing that lcm are the
+facets containing F, and a linear pair among them is two facets sharing
+a ridge, which lie in one component of lk F; so no path of linear pairs
+joins i to j.
 The reference the tests compare with, ``_linearly_presented_by_pairs``
 in ``tests/conftest.py``, runs the graph search on every pair, in order.
 """
@@ -75,11 +76,10 @@ from vdwcomplex.complexes import (
     _check_universe,
     _component,
     _face_order,
-    _in_face_order,
-    _is_connected,
     _pack_checked,
     unpack,
 )
+from vdwcomplex.homology import _first_failures
 from vdwcomplex.vdw import (
     ProgressionFacet,
     _validate_params,
@@ -262,24 +262,9 @@ def is_linearly_presented(ideal: MonomialIdeal) -> LinearPresentationResult:
     dim = ideal.n - masks[0].bit_count() - 1
     if dim >= 2 and _kernels.greedy_shelling(facets[::-1]) is not None:
         return LinearPresentationResult(True)
-    witness = _s2_witness(facets, dim)
+    failure = _first_failures(facets, dim, [2], below=1)[2]  # (S2): over every field
+    witness = None if failure is None else _witness_pair(facets, failure[0])
     return LinearPresentationResult(witness is None, witness)
-
-
-def _s2_witness(facets, dim: int) -> tuple[int, int] | None:
-    """Witness pair of the first face whose link fails (S2), or None.
-
-    ``facets`` is a pure complex of dimension ``dim``.  The pairwise
-    intersections with fewer than ``dim`` vertices are visited in
-    ``_face_order``; the first whose link is disconnected gives the pair.
-    They are sorted one size at a time (``_in_face_order``), so a walk
-    that fails at a vertex sorts no larger face.
-    """
-    pairs = {f & g for p, f in enumerate(facets) for g in facets[:p]}
-    faces = _in_face_order(pairs, dim)
-    failing = (m for m in faces if not _is_connected([g ^ m for g in facets if g & m == m]))
-    face = next(failing, None)
-    return None if face is None else _witness_pair(facets, face)
 
 
 def _witness_pair(facets, face: int) -> tuple[int, int]:
@@ -291,7 +276,7 @@ def _witness_pair(facets, face: int) -> tuple[int, int]:
 
 
 class _S2Walk:
-    """The faces ``_s2_witness`` visits, kept for a pure complex that only gains facets.
+    """The (S2) walk, ``_first_failures`` below degree 1, over a complex gaining facets.
 
     ``facets`` is the list its owner appends the complex's facets to, in
     any order; a walk first folds in, once each, those past the first
@@ -303,16 +288,16 @@ class _S2Walk:
     lowest vertex bit (0 for the empty face), so a new facet h visits only
     walked faces it can hold.  An h that meets a connected link outside F
     keeps it connected; one that misses it sends F back to ``unsure``.  So
-    the walk sees the faces, links and verdicts of the per-complex walk,
-    and fails at the same face.  ``decompose._Column`` keeps one per sweep column.
+    the walk sees the faces, links and verdicts of the capped walk, and
+    fails at the same face.  ``decompose._Column`` keeps one per sweep column.
     """
 
     def __init__(self, dim: int, facets: list[int]) -> None:
         self.dim, self.facets, self.folded = dim, facets, 0
         self.kept, self.unsure, self.connected, self.holders, self.walked = set(), [], {}, {}, {}
 
-    def witness(self, masks) -> tuple[int, int] | None:
-        """``_s2_witness(masks, dim)``, for ``masks`` the facets in canonical order."""
+    def witness(self) -> tuple[int, int] | None:
+        """The capped walk's failure ``(face, 0)`` on the facets folded, or None."""
         self._fold()
         unsure = self.unsure
         while unsure:
@@ -324,7 +309,7 @@ class _S2Walk:
             link = [g ^ face for g in held]
             union = reduce(or_, link, 0)
             if _component(link, union & -union) != union:
-                return _witness_pair(masks, face)  # the face stays first
+                return face, 0  # the face stays first
             self.connected[face] = union
             heappop(unsure)
         return None

@@ -5,8 +5,10 @@ import dataclasses
 import random
 from pathlib import Path
 
+import pytest
 from conftest import (
     RP2,
+    benchmark_random_pure,
     complex_from_masks,
     enumerate_antichains,
     graph_connected,
@@ -18,8 +20,8 @@ from vdwcomplex import certify, decompose
 from vdwcomplex.certify import verify_cohen_macaulay_witness, verify_s2_witness
 from vdwcomplex.complexes import SimplicialComplex
 from vdwcomplex.decompose import is_shellable, is_vertex_decomposable
-from vdwcomplex.homology import cohen_macaulay_by_field, is_cohen_macaulay
-from vdwcomplex.ideals import _s2_witness
+from vdwcomplex.homology import _first_failures, cohen_macaulay_by_field, is_cohen_macaulay
+from vdwcomplex.ideals import _witness_pair, dual_ideal, is_linearly_presented
 from vdwcomplex.vdw import vdw_complex
 
 SRC = Path(vdwcomplex.__file__).resolve().parent
@@ -148,21 +150,46 @@ class TestCohenMacaulayWitnessReplay:
 
 
 
+def _s2_witness(cx):
+    """The pair of the (S2) walk's failing face (the Reisner walk capped below degree 1)."""
+    failure = _first_failures(cx.facet_masks, cx.dim, [2], below=1)[2]
+    return None if failure is None else _witness_pair(cx.facet_masks, failure[0])
+
+
 class TestS2WitnessReplay:
     def test_every_vdw_witness_to_n40_replays(self):
         witnesses = 0
         for n in range(2, 41):
             for k in range(1, n):
                 cx = vdw_complex(n, k)
-                witness = _s2_witness(cx.facet_masks, cx.dim)
+                witness = _s2_witness(cx)
                 if witness is not None:
                     assert verify_s2_witness(cx, witness), (n, k, witness)
                     witnesses += 1
         assert witnesses == 340
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_public_linpres_witness_replays_on_the_complex(self, seed):
+        # generator p of dual_ideal(cx) is the complement of facet m - 1 - p,
+        # so the ideal's witness (i, j) is the complex's pair (m - 1 - j, m - 1 - i)
+        complexes = benchmark_random_pure(seed)
+        complexes += [vdw_complex(n, k) for n in range(2, 25) for k in range(1, n)]
+        witnesses = 0
+        for cx in complexes:
+            witness = is_linearly_presented(dual_ideal(cx)).witness
+            if witness is not None:
+                m, (i, j) = len(cx.facet_masks), witness
+                pair = (m - 1 - j, m - 1 - i)
+                assert verify_s2_witness(cx, pair), (cx.facets, witness)
+                face = cx.facet_masks[pair[0]] & cx.facet_masks[pair[1]]
+                assert _first_failures(cx.facet_masks, cx.dim, [2], below=1)[2] == (face, 0)
+                witnesses += 1
+        assert witnesses == {1: 716, 2: 702}[seed]
+
     def test_tampered_pairs_refused(self):
         cx = vdw_complex(9, 2)  # 16 facets; (1, 2, 3) and (1, 4, 7) meet in {1}
-        assert _s2_witness(cx.facet_masks, cx.dim) == (0, 2)
+        assert _first_failures(cx.facet_masks, cx.dim, [2], below=1)[2] == (0b1, 0)
+        assert _s2_witness(cx) == (0, 2)
         assert verify_s2_witness(cx, (0, 2)) and verify_s2_witness(cx, [0, 2])
         for pair in (
             (2, 0), (0, 0), (0, 16), (-1, 2), (0, 2, 2), (0,), None, "02",

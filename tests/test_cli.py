@@ -437,16 +437,19 @@ class TestSharedS2Witness:
     def _counting_walk(monkeypatch):
         calls = []
         walk = ideals._S2Walk.witness
+        reisner = decompose._first_failures
 
-        def counting(s2, masks):
+        def counting(s2):
             calls.append(s2.dim)
-            return walk(s2, masks)
+            return walk(s2)
 
-        def public_walk(*args):
-            raise AssertionError("the shellable check ran its own (S2) walk")
+        def public_walk(facet_masks, dim, chars, below=None):
+            if below == 1:
+                raise AssertionError("the shellable check ran its own (S2) walk")
+            return reisner(facet_masks, dim, chars, below)
 
         monkeypatch.setattr(ideals._S2Walk, "witness", counting)
-        monkeypatch.setattr(decompose, "_s2_witness", public_walk)
+        monkeypatch.setattr(decompose, "_first_failures", public_walk)
         return calls
 
     def test_shellable_and_linpres_share_one_walk(self, monkeypatch):

@@ -38,10 +38,14 @@ from vdwcomplex.decompose import (
     is_shellable,
     is_vertex_decomposable,
 )
-from vdwcomplex.homology import CohenMacaulayResult, is_cohen_macaulay
+from vdwcomplex.homology import CohenMacaulayResult, _first_failures, is_cohen_macaulay
 from vdwcomplex.cli import compute_record
-from vdwcomplex.ideals import _s2_witness
 from vdwcomplex.vdw import classify_closed_form, vdw_complex
+
+
+def _s2_failure(facets, dim: int):
+    """The (S2) walk: the Reisner walk capped below degree 1, over F2 as over every field."""
+    return _first_failures(facets, dim, [2], below=1)[2]
 
 
 def _mirrored(tree: SheddingTree, n: int) -> SheddingTree:
@@ -387,7 +391,7 @@ class TestVDColumn:
             ),
             pytest.param(
                 lambda column: column.s2_witness(),
-                lambda cx: _s2_witness(cx.facet_masks, cx.dim),
+                lambda cx: _s2_failure(cx.facet_masks, cx.dim),
                 id="_S2Column",
             ),
         ],
@@ -444,7 +448,7 @@ def _sweep_shellable(column, n, k):
     """The sweep's shellable check on vdW(n, k): VD in ``column``, then the carried replay."""
     cx = column.grow(n)
     vd = _vertex_decomposable(column)
-    return cx, vd, _shellable(cx, None, vd, lambda: _s2_witness(cx.facet_masks, k), column)
+    return cx, vd, _shellable(cx, None, vd, lambda: _s2_failure(cx.facet_masks, k), column)
 
 
 class TestCarriedReplay:
@@ -776,7 +780,7 @@ class TestReisnerRefutation:
         # in degree 0, an (S2) witness: the replay finds a disconnected link of dimension >= 1
         assert _refutation_replays(cx, refutation)
         if refutation.witness_degree != 0:  # only a complex passing (S2) reaches the F2 walk
-            assert _s2_witness(cx.facet_masks, cx.dim) is None
+            assert _s2_failure(cx.facet_masks, cx.dim) is None
 
     @classmethod
     def _cross_check(cls, cx):
@@ -860,9 +864,9 @@ def _is_shellable_by_search_probe(cx, budget, vd):
     if vd is None:
         status, idx_order, nodes = _kernels.search_shelling(masks, min(budget, len(masks)))
     if status == _kernels.EXHAUSTED:
-        witness = _s2_witness(masks, cx.dim)
-        if witness is not None:
-            s2 = CohenMacaulayResult(False, "Fp:2", unpack(masks[witness[0]] & masks[witness[1]]), 0)
+        failure = _s2_failure(masks, cx.dim)
+        if failure is not None:
+            s2 = CohenMacaulayResult(False, "Fp:2", unpack(failure[0]), 0)
             return ShellingResult("not-shellable", None, nodes, s2)
         cm = is_cohen_macaulay(cx, 2)
         if not cm:

@@ -16,14 +16,15 @@ from conftest import (
 )
 
 from vdwcomplex import _kernels, ideals
-from vdwcomplex.certify import _chain_complex
+from vdwcomplex.certify import _chain_complex, verify_s2_witness
 from vdwcomplex.complexes import SimplicialComplex, _canonical, _check_antichain, _face_order, pack
 from vdwcomplex.decompose import _Column
+from vdwcomplex.homology import _first_failures
 from vdwcomplex.ideals import (
     LinearPresentationResult,
     MonomialIdeal,
     _S2Walk,
-    _s2_witness,
+    _witness_pair,
     dual_ideal,
     is_linearly_presented,
     nonlinear_obstruction_vdw,
@@ -218,13 +219,20 @@ def _shelled(cx) -> bool:
     return cx.dim >= 2 and _kernels.greedy_shelling(list(cx.facet_masks)) is not None
 
 
+def _s2_failure(facets, dim: int):
+    """The (S2) walk: the Reisner walk capped below degree 1, over F2 as over every field."""
+    return _first_failures(facets, dim, [2], below=1)[2]
+
+
 def _s2_walk(ideal) -> dict:
     """``is_linearly_presented(ideal).to_dict()`` as the (S2) walk alone finds it."""
     masks = ideal.generator_masks
     if len(masks) <= 1:
         return LinearPresentationResult(True).to_dict()
     full = (1 << ideal.n) - 1
-    witness = _s2_witness([full & ~m for m in masks], ideal.n - masks[0].bit_count() - 1)
+    facets = [full & ~m for m in masks]
+    failure = _s2_failure(facets, ideal.n - masks[0].bit_count() - 1)
+    witness = None if failure is None else _witness_pair(facets, failure[0])
     return LinearPresentationResult(witness is None, witness).to_dict()
 
 
@@ -286,7 +294,8 @@ class TestSerreFastPath:
 
     def test_pairwise_walk_matches_every_face(self):
         # the first face, over all faces in _face_order, whose link has
-        # dimension >= 1 and is disconnected, against the pairwise walk
+        # dimension >= 1 and is disconnected, against the walk capped below
+        # degree 1, and against the full Reisner walk wherever that fails in degree 0
         def first_disconnected(facets, dim):
             faces = sorted((m for level in _chain_complex(facets)[0] for m in level), key=_face_order)
             for face in faces:
@@ -305,14 +314,22 @@ class TestSerreFastPath:
         # lk {1, 2} and lk {3} are disconnected; plain mask order visits {1, 2} first
         tetrahedra = [[1, 2, 4, 5], [1, 2, 6, 7], [3, 4, 6, 8], [3, 5, 7, 9]]
         complexes.append(SimplicialComplex.from_facets(9, tetrahedra))
-        failures = 0
+        failures = in_degree_0 = 0
         for cx in complexes:
             facets = cx.facet_masks
-            witness = _s2_witness(facets, cx.dim)
-            walked = None if witness is None else facets[witness[0]] & facets[witness[1]]
-            assert walked == first_disconnected(facets, cx.dim), cx.facets
-            failures += witness is not None
-        assert failures > 100
+            failure = _s2_failure(facets, cx.dim)
+            face = first_disconnected(facets, cx.dim)
+            assert failure == (None if face is None else (face, 0)), cx.facets
+            full = _first_failures(facets, cx.dim, [2])[2]
+            if failure is not None:  # a disconnected link fails Reisner, there or before
+                assert full is not None and _face_order(full[0]) <= _face_order(face), cx.facets
+                i, j = _witness_pair(facets, face)  # the pair meets exactly in the face
+                assert facets[i] & facets[j] == face and verify_s2_witness(cx, (i, j)), cx.facets
+            if full is not None and full[1] == 0:
+                assert full[0] == face, cx.facets
+                in_degree_0 += 1
+            failures += failure is not None
+        assert (failures, in_degree_0) == (267, 73)
 
     def test_graph_link_witness(self):
         # two tetrahedra sharing the edge {1, 2}: every vertex link is
@@ -342,13 +359,14 @@ class TestShellingFastPath:
 
     def test_walk_skipped_only_for_a_shelled_dual_of_dimension_2_or_more(self, monkeypatch):
         walked = []
-        walk = ideals._s2_witness
+        walk = ideals._first_failures
 
-        def recording(facets, dim):
+        def recording(facets, dim, chars, below=None):
+            assert below == 1  # the (S2) walk, never the full Reisner walk
             walked.append(dim)
-            return walk(facets, dim)
+            return walk(facets, dim, chars, below)
 
-        monkeypatch.setattr(ideals, "_s2_witness", recording)
+        monkeypatch.setattr(ideals, "_first_failures", recording)
         # D is vdW(6, 2), which the greedy pass shells, and vdW(8, 4), of dimension 4
         for cx in (vdw_complex(6, 2), vdw_complex(8, 4)):
             assert is_linearly_presented(dual_ideal(cx)).value
@@ -398,7 +416,7 @@ class TestS2Column:
             for n in range(k + 1, 41):
                 cx = column.grow(n)
                 witness = column.s2_witness()
-                assert witness == _s2_witness(cx.facet_masks, cx.dim), (n, k)
+                assert witness == _s2_failure(cx.facet_masks, cx.dim), (n, k)
                 witnesses += witness is not None
         assert witnesses == 340
 
@@ -417,8 +435,8 @@ class TestS2Column:
                 grown += rng.randint(1, 3)
                 facets = _canonical(pool[:grown])
                 _grown_by(walk, facets)
-                witness = walk.witness(facets)
-                assert witness == _s2_witness(facets, dim), facets
+                witness = walk.witness()
+                assert witness == _s2_failure(facets, dim), facets
                 _assert_index(walk, facets)
                 witnesses += witness is not None
         assert witnesses > 100
@@ -440,14 +458,14 @@ class TestS2Column:
                 before = dict(walk.connected)
                 facets = _canonical(pool[:grown])
                 _grown_by(walk, facets)
-                witness = walk.witness(facets)
-                assert witness == _s2_witness(facets, dim), facets
+                witness = walk.witness()
+                assert witness == _s2_failure(facets, dim), facets
                 missed += sum(h & face == face and not h & union for face, union in before.items())
                 rejoined += len(failed & walk.connected.keys())
                 failed -= walk.connected.keys()
                 if witness is not None:
                     witnesses += 1
-                    failed.add(facets[witness[0]] & facets[witness[1]])
+                    failed.add(witness[0])
                 for face, union in walk.connected.items():  # the union is the link's vertices
                     assert union == _link_vertices(facets, face), (facets, face)
                 _assert_index(walk, facets)
@@ -457,28 +475,29 @@ class TestS2Column:
         walk = _S2Walk(2, [])
         star = [pack(f) for f in ((1, 2, 3), (1, 3, 4), (1, 4, 5))]  # lk 1: the path 2-3-4-5
         _grown_by(walk, _canonical(star))
-        assert walk.witness(_canonical(star)) is None
+        assert walk.witness() is None
         assert walk.connected == {0b1: pack((2, 3, 4, 5))}
         grown = _canonical(star + [pack((1, 6, 7))])  # lk 1 gains the edge 6-7, apart
         _grown_by(walk, grown)
-        assert walk.witness(grown) == _s2_witness(grown, 2) == (0, 3)
+        assert walk.witness() == _s2_failure(grown, 2) == (0b1, 0)
+        assert _witness_pair(grown, 0b1) == (0, 3)
         assert 0b1 not in walk.connected
         bridged = _canonical(star + [pack((1, 6, 7)), pack((1, 5, 6))])  # 5-6 joins the two
         _grown_by(walk, bridged)
-        assert walk.witness(bridged) is _s2_witness(bridged, 2) is None
+        assert walk.witness() is _s2_failure(bridged, 2) is None
         assert walk.connected[0b1] == pack((2, 3, 4, 5, 6, 7))
 
     def test_lists_must_only_grow(self):
         column = _Column(2)
         facets = column.grow(9).facet_masks
-        assert column.s2_witness() == _s2_witness(facets, 2)
-        assert column.s2_witness() == _s2_witness(facets, 2)  # folding nothing new
+        assert column.s2_witness() == _s2_failure(facets, 2)
+        assert column.s2_witness() == _s2_failure(facets, 2)  # folding nothing new
         assert column.s2.folded == len(column.added) == len(facets)
         for n in (9, 8, 11):
             with pytest.raises(ValueError, match="grows by one vertex"):
                 column.grow(n)
         facets = column.grow(10).facet_masks
-        assert column.s2_witness() == _s2_witness(facets, 2)
+        assert column.s2_witness() == _s2_failure(facets, 2)
         assert column.s2.folded == len(column.added) == len(facets)
 
 
