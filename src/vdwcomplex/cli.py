@@ -24,7 +24,7 @@ from functools import partial
 from vdwcomplex.certify import field_label, parse_field, verify_shelling
 from vdwcomplex.complexes import MAX_VERTICES, SimplicialComplex, _check_universe
 from vdwcomplex.decompose import DEFAULT_SHELLING_BUDGET, _Column, _shellable, _vertex_decomposable
-from vdwcomplex.homology import cohen_macaulay_by_field
+from vdwcomplex.homology import _cohen_macaulay
 from vdwcomplex.ideals import LinearPresentationResult, dual_ideal, taylor_syzygies
 from vdwcomplex.vdw import _validate_params as _validate_vdw_params
 from vdwcomplex.vdw import (
@@ -42,7 +42,6 @@ EXIT_UNDECIDED = 3
 EXIT_ERROR = 4
 
 CHECKS = ("vd", "shellable", "cm", "linpres")
-SWEEP_LIMITS = {"cm": 41}  # every other check runs to the vertex bound
 
 def _parse_checks(text: str) -> list[str]:
     checks = [c.strip() for c in text.split(",") if c.strip()]
@@ -93,9 +92,8 @@ def compute_record(
     every selected check.  Linear presentation is compared with the
     predicted Cohen-Macaulayness: for vdW(n, k) the two coincide, by
     Eagon-Reiner in one direction and the paper's obstruction in the
-    other.  The selected fields share one Reisner walk
-    (:func:`cohen_macaulay_by_field`), so each ``cm_*`` key's timing is
-    that walk's.
+    other.  The selected fields share one cm decision (:func:`_cohen_macaulay`),
+    so every ``cm_*`` key carries its time.
 
     ``column``, the sweep column k (see :class:`_Column`), last held
     vdW(n - 1, k); a fresh one is used when it is None.  It grows vdW(n, k)
@@ -106,7 +104,12 @@ def compute_record(
     :func:`_shellable`: a vertex-decomposable complex is shelled in its
     tree's order, walking only the nodes the previous record's replay did
     not cover.  The (S2) witness (``column.s2_witness``) is read by linpres
-    always, and by shellable only with no shedding tree.
+    always, and by shellable only with no shedding tree.  cm reads the
+    same two: a shedding tree makes every field Cohen-Macaulay, an (S2)
+    failure fails every field at its face, and only a record that neither
+    decides gets the Reisner walk, which by the paper no vdW(n, k) does.
+    So a ``cm_*`` timing is that of the VD decision or the (S2) walk when
+    cm is the first check to read it, and near zero otherwise.
     """
     if column is None:
         column = _Column(k)
@@ -131,9 +134,11 @@ def compute_record(
             _shellable(cx, budget, _vertex_decomposable(column), column.s2_witness, column)
         ]
         rows.append((["shellable"], pred.shellable, shellable))
-    if "cm" in checks:  # one Reisner walk for every field
-        keys = [_cm_key(c) for c in field_chars]
-        rows.append((keys, pred.cohen_macaulay, lambda: cohen_macaulay_by_field(cx, field_chars)))
+    if "cm" in checks:  # one decision for every field
+        cm = lambda: _cohen_macaulay(
+            cx, field_chars, _vertex_decomposable(column), column.s2_witness
+        )
+        rows.append(([_cm_key(c) for c in field_chars], pred.cohen_macaulay, cm))
     if "linpres" in checks:
         presented = lambda: [LinearPresentationResult(column.s2_witness() is None)]
         rows.append((["linearly_presented"], pred.cohen_macaulay, presented))  # (S2) on cx, no ideal
@@ -266,13 +271,6 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     checks = _parse_checks(args.checks)
-    if not args.force:
-        for check in checks:
-            if args.n_max > SWEEP_LIMITS.get(check, MAX_VERTICES):
-                raise ValueError(
-                    f"check {check!r} is limited to n_max <= {SWEEP_LIMITS[check]} "
-                    f"(use --force to override)"
-                )
     field_chars = _parse_field_args(args.field)
     column = partial(
         _sweep_column,
@@ -417,7 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated subset of vd,shellable,cm,linpres",
     )
     p.add_argument("--no-timings", action="store_true", help="omit timings (deterministic output)")
-    p.add_argument("--force", action="store_true", help="override the per-check n_max limits")
+    # accepted and ignored: cm no longer has a sweep limit below the vertex bound, but
+    # perfbench/run.py and older scripts still pass --force, and argparse would refuse it
+    p.add_argument("--force", action="store_true", help="accepted for compatibility; no effect")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser(

@@ -75,8 +75,8 @@ Ranks over Q and odd p start with unit pivots over Z
 (``_kernels.rank_unit_pivots``; Dumas-Saunders-Villard, JSC 32, 2001):
 pivoting only on +-1 entries is unimodular, so the pivots count towards
 the rank over every field, and only the block they leave goes to
-fraction-free or modular elimination.  They leave none in
-``vdw sweep 40 --checks cm``, and always some where there is torsion.
+fraction-free or modular elimination.  They leave none in the walk
+over every vdW(n, k) with n <= 40, and always some where there is torsion.
 The tests compare with ``_cohen_macaulay_naive`` (``tests/conftest.py``):
 every face, its literal link, no core, no shortcut, dense elimination
 (``certify._reduced_betti``), as ``certify.verify_cohen_macaulay_witness``
@@ -395,6 +395,27 @@ def cohen_macaulay_by_field(cx: SimplicialComplex, fields) -> list[CohenMacaulay
         return [CohenMacaulayResult(True, field_label(char)) for char in chars]
     failures = _first_failures(cx.facet_masks, cx.dim, chars)
     return [_result(char, failures[char]) for char in chars]
+
+
+def _cohen_macaulay(cx: SimplicialComplex, chars, vd, s2_witness) -> list[CohenMacaulayResult]:
+    """:func:`cohen_macaulay_by_field` on a pure complex, read off its two certificates first.
+
+    ``vd`` is the complex's vertex-decomposability result: a shedding tree
+    gives a shelling (Provan-Billera), so every field passes, with no
+    link measured.  Otherwise ``s2_witness()``, called at most once, gives
+    the (S2) failure ``(face, 0)``: a disconnected link of dimension >= 1
+    fails Reisner's test in degree 0 over every field, so every field
+    fails at that face, which need not be the public walk's first face.
+    Only a complex neither decides gets the Reisner walk.  VD comes
+    first: in the sweep it is a memo hit on a positive record, where an
+    (S2) walk that passes visits every face.
+    """
+    if vd.value:
+        return [_result(char, None) for char in chars]
+    failure = s2_witness()
+    if failure is None:
+        return cohen_macaulay_by_field(cx, chars)
+    return [_result(char, failure) for char in chars]
 
 
 def is_cohen_macaulay(cx: SimplicialComplex, field="Q") -> CohenMacaulayResult:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from vdwcomplex import _kernels, cli, decompose, ideals
+from vdwcomplex import _kernels, cli, decompose, homology, ideals
 from vdwcomplex.cli import main
 from vdwcomplex.decompose import ShellingResult
 
@@ -237,13 +237,13 @@ class TestClassify:
 
     def test_fields_share_one_cm_walk(self, capsys, monkeypatch):
         walks = []
-        walk = cli.cohen_macaulay_by_field
+        walk = cli._cohen_macaulay
 
-        def recording(cx, fields):
-            walks.append(list(fields))
-            return walk(cx, fields)
+        def recording(cx, chars, vd, s2_witness):
+            walks.append(list(chars))
+            return walk(cx, chars, vd, s2_witness)
 
-        monkeypatch.setattr(cli, "cohen_macaulay_by_field", recording)
+        monkeypatch.setattr(cli, "_cohen_macaulay", recording)
         code, out, _ = run_cli(
             capsys, "classify", "8", "2", "--checks", "cm",
             "--field", "Q", "--field", "F2", "--field", "Fp:3",
@@ -251,7 +251,7 @@ class TestClassify:
         assert code == 0 and walks == [[0, 2, 3]]
         rec = json.loads(out)
         assert [rec[key] for key in ("cm_q", "cm_f2", "cm_f3")] == [False] * 3
-        # each cm key carries the one walk's time
+        # each cm key carries the one decision's time
         assert rec["ms"]["cm_q"] == rec["ms"]["cm_f2"] == rec["ms"]["cm_f3"]
 
 
@@ -278,17 +278,19 @@ class TestSweep:
         assert code == 0
         assert json.loads(out.splitlines()[0]) == []
 
-    @pytest.mark.parametrize("check", ["vd", "shellable", "linpres"])
+    @pytest.mark.parametrize("check", ["vd", "shellable", "cm", "linpres"])
     def test_limit_enforced_exit_2(self, capsys, check):
-        # only cm has a sweep limit; the others stop at the vertex bound
+        # every check stops at the vertex bound
         code, _, err = run_cli(capsys, "sweep", "65", "--checks", check)
         assert code == 2
         assert "n_max must be in 1..64" in err
 
-    def test_cm_limit_enforced_exit_2(self, capsys):
-        code, _, err = run_cli(capsys, "sweep", "42", "--checks", "cm")
-        assert code == 2
-        assert "--force" in err
+    def test_cm_sweep_past_41_needs_no_force(self, capsys):
+        # --force is accepted and has no effect
+        code, out, _ = run_cli(capsys, "sweep", "42", "--checks", "cm", "--no-timings")
+        assert code == 0 and out.endswith("sweep n<=42: 861/861 records agree\n")
+        forced = run_cli(capsys, "sweep", "42", "--checks", "cm", "--no-timings", "--force")
+        assert forced == (0, out, "")
 
     def test_cm_sweep_11_within_limit(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "11", "--checks", "cm", "--no-timings")
@@ -297,23 +299,28 @@ class TestSweep:
         assert len(records) == 55
         assert all(r["agreement"] for r in records)
 
-    def test_cm_sweep_21_over_q_needs_no_bareiss(self, capsys, monkeypatch, tmp_path):
-        # unit pivots decide every rational rank the mod-2 filter leaves open
-        calls = []
-        bareiss = _kernels.rank_bareiss
+    def test_cm_sweep_21_over_q_needs_no_bareiss(self, monkeypatch):
+        # unit pivots decide every rational rank the mod-2 filter leaves open.  The
+        # sweep reads cm off each record's certificates, so the grid goes through the
+        # public Reisner walk here
+        calls = {"unit": 0, "bareiss": 0}
+        unit, bareiss = _kernels.rank_unit_pivots, _kernels.rank_bareiss
 
-        def counting(rows, ncols):
-            calls.append((len(rows), ncols))
+        def counting_unit(columns):
+            calls["unit"] += 1
+            return unit(columns)
+
+        def counting_bareiss(rows, ncols):
+            calls["bareiss"] += 1
             return bareiss(rows, ncols)
 
-        monkeypatch.setattr(_kernels, "rank_bareiss", counting)
-        out_file = tmp_path / "sweep.json"
-        code, out, _ = run_cli(
-            capsys, "sweep", "21", "--checks", "cm", "--field", "Q", "--no-timings",
-            "--output", str(out_file),
-        )
-        assert code == 0 and out == "sweep n<=21: 210/210 records agree\n"
-        assert calls == []
+        monkeypatch.setattr(_kernels, "rank_unit_pivots", counting_unit)
+        monkeypatch.setattr(_kernels, "rank_bareiss", counting_bareiss)
+        for n in range(2, 22):
+            for k in range(1, n):
+                (result,) = homology.cohen_macaulay_by_field(cli.vdw_complex(n, k), ["Q"])
+                assert result.value is cli.classify_closed_form(n, k).cohen_macaulay, (n, k)
+        assert calls["unit"] > 0 and calls["bareiss"] == 0
 
     def test_shellable_sweep_16_within_limit(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "16", "--checks", "shellable", "--no-timings")
@@ -512,12 +519,32 @@ class TestSharedS2Witness:
             sizes = [0] + [len(cli.vdw_complex(n, 3).facet_masks) for n in range(4, 21)]
             assert folded == [b - a for a, b in zip(sizes, sizes[1:])], checks
 
-    def test_cm_sweep_folds_no_column_state(self, monkeypatch):
+    def test_cm_sweep_folds_each_facet_once(self, monkeypatch):
         folded_vd = self._counting_folds(monkeypatch, "vd")
         folded_s2 = self._counting_folds(monkeypatch)
         records = cli._sweep_column(2, 14, ["cm"], [0, 2], 0, False)
         assert all(r["agreement"] for r in records)
-        assert folded_vd == folded_s2 == []
+        assert [r["n"] for r in records if not r["cm_q"]] == list(range(7, 15))
+        # VD: one fold per record, of vdW(3, 2), then of the facets through n;
+        # (S2): only records not VD, from vdW(7, 2) on
+        sizes = [0] + [len(cli.vdw_complex(n, 2).facet_masks) for n in range(3, 15)]
+        assert folded_vd == [b - a for a, b in zip(sizes, sizes[1:])]
+        assert folded_s2 == [sizes[5]] + [b - a for a, b in zip(sizes[5:], sizes[6:])]
+
+    def test_cm_sweep_runs_no_reisner_walk(self, capsys, monkeypatch):
+        # every record is decided by its shedding tree or its (S2) walk
+        walks = []
+        walk = homology._first_failures
+
+        def recording(facet_masks, dim, chars, below=None):
+            walks.append(below)
+            return walk(facet_masks, dim, chars, below)
+
+        for module in (homology, decompose, ideals):
+            monkeypatch.setattr(module, "_first_failures", recording)
+        code, out, _ = run_cli(capsys, "sweep", "30", "--checks", "cm", "--no-timings")
+        assert code == 0 and out.endswith("sweep n<=30: 435/435 records agree\n")
+        assert None not in walks
 
 
 class TestInspect:

@@ -9,20 +9,23 @@ import pytest
 from conftest import (
     RP2,
     _cohen_macaulay_naive,
+    benchmark_random_pure,
     complex_from_masks,
     enumerate_antichains,
     random_pure_complex,
     reduced_euler_characteristic,
 )
 
-from vdwcomplex import _kernels, complexes, homology
+from vdwcomplex import _kernels, complexes, homology, ideals
 from vdwcomplex.certify import (
     _assert_chain_complex,
     _chain_complex,
     _reduced_betti,
     verify_cohen_macaulay_witness,
+    verify_s2_witness,
 )
 from vdwcomplex.complexes import SimplicialComplex, pack, unpack
+from vdwcomplex.decompose import is_vertex_decomposable
 from vdwcomplex.homology import field_label, is_cohen_macaulay, parse_field, reduced_homology
 from vdwcomplex.vdw import classify_closed_form, vdw_complex
 
@@ -712,3 +715,65 @@ class TestFieldsInOneWalk:
         assert homology.cohen_macaulay_by_field(RP2, [fields])[0].field == field_label(
             parse_field(fields)
         )
+
+
+class TestCohenMacaulayFromCertificates:
+    """``_cohen_macaulay``, the sweep's cm rule, against the Reisner walk over Q, F2 and F3.
+
+    The certificates are the ones a sweep record carries: the VD decision
+    and the (S2) walk, the Reisner walk capped below degree 1.
+    """
+
+    CHARS = [0, 2, 3]
+
+    def _decide(self, cx, chars=CHARS):
+        """The rule's results, checked against the walk's values, and whether it fell back."""
+        vd = is_vertex_decomposable(cx)
+        failures = []
+
+        def s2_witness():
+            failures.append(homology._first_failures(cx.facet_masks, cx.dim, [2], below=1)[2])
+            return failures[-1]
+
+        ruled = homology._cohen_macaulay(cx, chars, vd, s2_witness)
+        walked = homology.cohen_macaulay_by_field(cx, chars)
+        assert [r.value for r in ruled] == [r.value for r in walked], cx.facets
+        assert len(failures) == (not vd.value)  # (S2) only without a shedding tree, once
+        return ruled, failures == [None]
+
+    @staticmethod
+    def _replays(cx, ruled):
+        """Every field fails at one (S2) face in degree 0, which replays both ways."""
+        face = ruled[0].witness_face
+        for result in ruled:
+            assert (result.witness_face, result.witness_degree) == (face, 0)
+            assert verify_cohen_macaulay_witness(cx, result), (cx.facets, result)
+        assert verify_s2_witness(cx, ideals._witness_pair(cx.facet_masks, pack(face)))
+
+    def test_vdw_complexes_to_n24(self):
+        for n in range(2, 25):
+            for k in range(1, n):
+                cx = vdw_complex(n, k)
+                ruled, fell_back = self._decide(cx)
+                assert not fell_back, (n, k)  # by the paper, VD or (S2) decides vdW
+                if n <= 16 and not ruled[0].value:
+                    self._replays(cx, ruled)
+
+    def test_benchmark_random_pure(self):
+        fallbacks = 0
+        for seed in (1, 2):
+            for cx in benchmark_random_pure(seed):
+                ruled, fell_back = self._decide(cx)
+                fallbacks += fell_back
+                if not ruled[0].value and not fell_back:
+                    self._replays(cx, ruled)
+        assert fallbacks > 0  # the Reisner walk is reached, not only the certificates
+
+    def test_projective_plane_falls_back_to_the_walk(self):
+        # not VD, and every link of dimension >= 1 is connected
+        ruled, fell_back = self._decide(RP2, [0, 2])
+        assert fell_back
+        assert [(r.value, r.witness_face, r.witness_degree) for r in ruled] == [
+            (True, None, None),
+            (False, (), 1),
+        ]
